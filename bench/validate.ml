@@ -67,9 +67,9 @@ let load path =
 (* The regression gate covers the deterministic benchmark experiments;
    E17 latency rows (load-dependent) are informational only. E19 is
    pinned so the join-planner win stays locked in: a regression in
-   either arm of its before/after pair shows up as a slower row. E20
-   pins the knowledge-compilation tier the same way, and E21 pins the
-   solve planner's auto tier. *)
+   indexed evaluation shows up as a slower [:indexed] row. E20 pins the
+   knowledge-compilation tier the same way, and E21 pins the solve
+   planner's auto tier. *)
 let pinned experiment =
   List.mem experiment [ "E13"; "E14"; "E15"; "E16"; "E19"; "E20"; "E21" ]
 

@@ -9,6 +9,8 @@ type t = {
   query : Cq.t;
 }
 
+type visit = Cq.t -> Aggshap_relational.Database.t -> (Eval.subst -> bool) -> unit
+
 let make alpha tau query =
   (match Cq.validate query with
    | Ok () -> ()
@@ -36,7 +38,7 @@ module TupleMap = Map.Make (struct
     end
 end)
 
-let answer_values t db =
+let answer_values ?(visit = Eval.visit_homomorphisms) t db =
   let r_atom =
     match Cq.find_atom t.query t.tau.Value_fn.rel with
     | Some a -> a
@@ -44,7 +46,7 @@ let answer_values t db =
   in
   (* Map each answer tuple to its τ-value; check localization consistency. *)
   let values = ref TupleMap.empty in
-  Eval.visit_homomorphisms t.query db (fun sigma ->
+  visit t.query db (fun sigma ->
       let answer = Eval.apply_head t.query sigma in
       let r_fact = Eval.atom_image r_atom sigma in
       let v = Value_fn.apply t.tau r_fact.Fact.args in
@@ -62,10 +64,10 @@ let answer_values t db =
       true);
   TupleMap.bindings !values
 
-let answer_bag t db =
-  List.fold_left (fun bag (_, v) -> Bag.add v bag) Bag.empty (answer_values t db)
+let answer_bag ?visit t db =
+  List.fold_left (fun bag (_, v) -> Bag.add v bag) Bag.empty (answer_values ?visit t db)
 
-let eval t db = Aggregate.apply t.alpha (answer_bag t db)
+let eval ?visit t db = Aggregate.apply t.alpha (answer_bag ?visit t db)
 
 let tau_of_fact t (f : Fact.t) =
   if not (String.equal f.rel t.tau.Value_fn.rel) then

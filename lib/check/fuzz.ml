@@ -64,7 +64,7 @@ let run_updates_one ?max_endo ~seed () =
   let utrial = Utrial.generate ?max_endo ~seed () in
   (utrial, Oracle.run_updates utrial)
 
-(* The update checks run the session and the batch reference in the
+(* The update checks run the session and the naive reference in the
    calling domain, so [par_jobs] plays no role here. *)
 let run_updates ?on_trial config =
   let failures = ref [] in

@@ -10,18 +10,14 @@ module Naive = Aggshap_core.Naive
 module Solver = Aggshap_core.Solver
 module Monte_carlo = Aggshap_core.Monte_carlo
 
-module Plan = Aggshap_cq.Plan
 module Lineage = Aggshap_lineage.Lineage
 
-(* Reference computations run on the legacy scan evaluator and the
-   rescanning partition: the system under test goes through the
-   planned/indexed stack, so every trial doubles as a differential test
-   of the two evaluation paths — and an index-maintenance fault
-   ([`Stale_index]) cannot corrupt both arms the same way. *)
-let with_legacy f =
-  let saved = !Plan.enabled in
-  Plan.enabled := false;
-  Fun.protect ~finally:(fun () -> Plan.enabled := saved) f
+(* Reference computations enumerate homomorphisms with the scan
+   evaluator: the system under test goes through compiled plans and
+   secondary indexes, so every trial doubles as a differential test of
+   the two evaluation paths — and an index-maintenance fault
+   ([`Stale_index]) cannot corrupt both sides the same way. *)
+let scan = Aggshap_cq.Eval.Legacy.visit_homomorphisms
 
 type failure = {
   check : string;
@@ -89,14 +85,10 @@ let run_checks ~par_jobs ~kc_always ~auto_always (t : Trial.t) =
     None
   end
   else begin
-    let players, game = with_legacy (fun () -> Naive.game a db) in
     (* Every utility evaluation of the naive game — the reference for
-       agreement, efficiency and symmetry — goes through the legacy
+       agreement, efficiency and symmetry — goes through the scan
        evaluator, whatever check triggers it. *)
-    let game =
-      { game with
-        Game.utility = (fun mask -> with_legacy (fun () -> game.Game.utility mask)) }
-    in
+    let players, game = Naive.game ~visit:scan a db in
     let reference = Game.shapley_all game in
     let within = Solver.within_frontier a.Agg_query.alpha a.Agg_query.query in
     let solve ?(a = a) ?(db = db) f =
@@ -130,9 +122,7 @@ let run_checks ~par_jobs ~kc_always ~auto_always (t : Trial.t) =
     let check_efficiency () =
       let total = Array.fold_left Q.add Q.zero (Lazy.force sut) in
       let exo = Database.filter (fun _ p -> p = Database.Exogenous) db in
-      let expected =
-        with_legacy (fun () -> Q.sub (Agg_query.eval a db) (Agg_query.eval a exo))
-      in
+      let expected = Q.sub (Agg_query.eval ~visit:scan a db) (Agg_query.eval ~visit:scan a exo) in
       if Q.equal total expected then None
       else
         fail "efficiency" "Σφ = %s, v(N) − v(∅) = %s" (Q.to_string total)
@@ -331,13 +321,12 @@ let run ?(par_jobs = 2) ?(kc_always = false) ?(auto_always = false) t =
     try run_checks ~par_jobs ~kc_always ~auto_always t
     with e -> fail "exception" "%s" (Printexc.to_string e)
 
-module Batch = Aggshap_core.Batch
 module Session = Aggshap_incr.Session
 module Update = Aggshap_incr.Update
 
 (* Replay the op script through one live session, cross-checking every
-   step against a from-scratch batch over an independently maintained
-   copy of the database and query — so a session that mis-tracks its own
+   step against naive enumeration over an independently maintained copy
+   of the database and query — so a session that mis-tracks its own
    state disagrees with the reference instead of dragging it along. *)
 let run_update_checks (u : Utrial.t) =
   let t = u.Utrial.trial in
@@ -345,13 +334,14 @@ let run_update_checks (u : Utrial.t) =
   let db = ref t.Trial.db in
   let session = Session.open_ ~jobs:1 !a !db in
   let check_step step =
-    (* The from-scratch reference solve runs on the legacy evaluation
-       stack: the independently rebuilt [!db] never shares index state
-       (or index bugs) with the session's incrementally maintained
-       database. *)
-    let reference = with_legacy (fun () -> fst (Batch.shapley_all ~jobs:1 !a !db)) in
+    (* The reference is the batch campaign's: coalition enumeration on
+       the scan evaluator, which shares no DP, kernel or index code
+       with the session. Trials keep at most [max_endo] facts
+       endogenous, so each step enumerates at most 2^max_endo
+       coalitions. *)
+    let reference = Naive.shapley_all ~visit:scan !a !db in
     let got = Session.shapley_all session in
-    same_exact_results (Printf.sprintf "session-vs-batch(step %d)" step) reference got
+    same_exact_results (Printf.sprintf "session-vs-naive(step %d)" step) reference got
   in
   let rec go step = function
     | [] -> None

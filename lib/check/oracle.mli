@@ -35,8 +35,8 @@ val run :
 val run_updates : Utrial.t -> failure option
 (** Replays the trial's op script through a live
     {!Aggshap_incr.Session}, checking after the initial build and after
-    every op that the session's values are bit-identical to a
-    from-scratch {!Aggshap_core.Batch.shapley_all} over an independently
-    tracked database and τ. Runs entirely in the calling domain (safe
-    while a fault is injected); exceptions are reported as
-    ["exception"] failures. *)
+    every op that the session's values are bit-identical to naive
+    enumeration ({!Aggshap_core.Naive.shapley_all} on the scan
+    evaluator) over an independently tracked database and τ. Runs
+    entirely in the calling domain (safe while a fault is injected);
+    exceptions are reported as ["exception"] failures. *)

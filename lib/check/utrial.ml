@@ -12,9 +12,9 @@ type t = {
   ops : Update.t list;
 }
 
-(* Update trials are cross-checked against from-scratch batch runs, so
-   the base query must be inside its aggregate's frontier: scan derived
-   seeds until the generated trial is. The scan is deterministic, so a
+(* Update trials replay through a live session, which serves only
+   queries inside their aggregate's frontier: scan derived seeds until
+   the generated trial is. The scan is deterministic, so a
    trial is still fully determined by its seed. *)
 let rec base_trial ?max_endo ~seed i =
   let t = Trial.generate ?max_endo ~seed:(seed + (i * 0x9e3779)) () in
@@ -58,6 +58,7 @@ let random_fact rng (q : Cq.t) =
     (List.init (Array.length atom.Cq.terms) (fun _ -> Value.Int (Random.State.int rng 4)))
 
 let generate ?(max_endo = 8) ~seed () =
+  let max_endo = min max_endo Aggshap_core.Game.max_players in
   let trial = base_trial ~max_endo ~seed 0 in
   let rng = Random.State.make [| seed; 0x0bda7e |] in
   let n_ops = 1 + Random.State.int rng 6 in

@@ -1,7 +1,7 @@
 (** One update-sequence trial: a within-frontier base trial plus a
     random script of insert/delete/set_tau operations, replayed through
     {!Aggshap_incr.Session} and cross-checked step by step against
-    from-scratch batch runs. *)
+    naive enumeration. *)
 
 type t = {
   trial : Trial.t;  (** the initial query/database/aggregate/τ *)
@@ -13,7 +13,9 @@ val generate : ?max_endo:int -> seed:int -> unit -> t
     {!Trial.generate} (scanning derived seeds until the query is inside
     the aggregate's frontier); 1–6 ops follow, with deletes aimed at
     facts present at that point of the stream and inserts capped so at
-    most [max_endo] (default 8) facts are endogenous at any step. *)
+    most [max_endo] (default 8, at most {!Aggshap_core.Game.max_players})
+    facts are endogenous at any step — each step's naive reference
+    enumerates [2^max_endo] coalitions. *)
 
 val wellformed : t -> bool
 (** Every delete targets a present fact, every [set_tau] relation is an

@@ -1,6 +1,5 @@
 module Cq = Aggshap_cq.Cq
 module Decompose = Aggshap_cq.Decompose
-module Plan = Aggshap_cq.Plan
 module Database = Aggshap_relational.Database
 module Value = Aggshap_relational.Value
 
@@ -64,11 +63,10 @@ let faulty_partition q x db =
    table contexts: Avg/Quantile re-runs the engine once per reference
    value, and the per-fact batch loops revisit every block the fact is
    not in. The cache is bypassed (neither read nor written) whenever a
-   fault is armed or the legacy evaluation stack is selected, so the
-   differential campaigns' reference arm shares none of the new
-   machinery. Bounded: wholesale reset at [partition_cache_cap]
-   entries — stale entries are never wrong (the key is injective),
-   only unused. *)
+   fault is armed, so a faulty partition is never cached and a
+   fault-free one never hides a fault. Bounded: wholesale reset at
+   [partition_cache_cap] entries — stale entries are never wrong (the
+   key is injective), only unused. *)
 let partition_cache :
     (string, (Value.t * Database.t) list * Database.t) Hashtbl.t =
   Hashtbl.create 1024
@@ -77,7 +75,7 @@ let partition_lock = Mutex.create ()
 let partition_cache_cap = 8192
 
 let cached_partition q root db =
-  if (not !Plan.enabled) || Tables.current_fault () <> `None then
+  if Tables.current_fault () <> `None then
     faulty_partition q root db
   else begin
     let key = Decompose.block_key q db in

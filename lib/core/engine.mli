@@ -168,8 +168,8 @@ module Make (A : TABLE_ALGEBRA) : sig
     Aggshap_relational.Database.t ->
     A.table
   (** {!eval} on the relevant part of [db]
-      ({!Aggshap_cq.Decompose.relevant}), padding the result with the
-      irrelevant endogenous facts — the standard top-level entry of
+      ({!Aggshap_cq.Decompose.relevant_part}), padding the result with
+      the irrelevant endogenous facts — the standard top-level entry of
       every aggregate. *)
 end
 

@@ -9,11 +9,11 @@ let coalition_db players exo mask =
     players;
   !db
 
-let game a db =
+let game ?visit a db =
   let players = Array.of_list (Database.endogenous db) in
   let exo = Database.filter (fun _ p -> p = Database.Exogenous) db in
-  let base = Agg_query.eval a exo in
-  let utility mask = Q.sub (Agg_query.eval a (coalition_db players exo mask)) base in
+  let base = Agg_query.eval ?visit a exo in
+  let utility mask = Q.sub (Agg_query.eval ?visit a (coalition_db players exo mask)) base in
   (players, Game.make ~n:(Array.length players) utility)
 
 let index_of players f =
@@ -26,8 +26,8 @@ let shapley a db f =
   let players, g = game a db in
   Game.shapley g (index_of players f)
 
-let shapley_all a db =
-  let players, g = game a db in
+let shapley_all ?visit a db =
+  let players, g = game ?visit a db in
   let values = Game.shapley_all g in
   Array.to_list (Array.mapi (fun i f -> (f, values.(i))) players)
 

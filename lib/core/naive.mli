@@ -7,12 +7,14 @@
     consumed by the executable hardness reductions. *)
 
 val game :
+  ?visit:Aggshap_agg.Agg_query.visit ->
   Aggshap_agg.Agg_query.t ->
   Aggshap_relational.Database.t ->
   Aggshap_relational.Fact.t array * Game.t
 (** The cooperative game of the paper: players are the endogenous facts
     (returned array fixes the player indexing) and
-    [v(C) = A(C ∪ Dˣ) − A(Dˣ)].
+    [v(C) = A(C ∪ Dˣ) − A(Dˣ)], every utility evaluated with
+    [Agg_query.eval ?visit].
     @raise Invalid_argument if there are more than {!Game.max_players}
     endogenous facts. *)
 
@@ -30,9 +32,12 @@ val shapley :
 (** @raise Invalid_argument if the fact is not endogenous. *)
 
 val shapley_all :
+  ?visit:Aggshap_agg.Agg_query.visit ->
   Aggshap_agg.Agg_query.t ->
   Aggshap_relational.Database.t ->
   (Aggshap_relational.Fact.t * Aggshap_arith.Rational.t) list
+(** Every endogenous fact's value, in [Database.endogenous] order, from
+    one {!game} over [?visit]. *)
 
 val sum_k :
   Aggshap_agg.Agg_query.t ->

@@ -120,46 +120,7 @@ let relevant_part q db =
         db Database.empty,
       !irr_endo )
 
-(* The two-database split, for callers that need the irrelevant facts
-   themselves (none on the solve path — they pad by the count above). *)
-let relevant q db =
-  let rel, _ = relevant_part q db in
-  let irr =
-    if rel == db then Database.empty
-    else
-      Database.fold
-        (fun f p acc ->
-          if matched_by_some q.Cq.body f then acc else Database.add ~provenance:p f acc)
-        db Database.empty
-  in
-  (rel, irr)
-
 module ValueSet = Set.Make (Value)
-
-(* The value the root variable takes in a fact matching an atom, if any. *)
-let root_value_of (a : Cq.atom) x (f : Aggshap_relational.Fact.t) =
-  if matches a [] f then begin
-    let v = ref None in
-    Array.iteri
-      (fun i t -> match t with Cq.Var y when String.equal y x && !v = None -> v := Some f.args.(i) | _ -> ())
-      a.terms;
-    !v
-  end
-  else None
-
-let root_values q x db =
-  let per_atom (a : Cq.atom) =
-    List.fold_left
-      (fun acc f -> match root_value_of a x f with Some v -> ValueSet.add v acc | None -> acc)
-      ValueSet.empty
-      (Database.relation db a.rel)
-  in
-  match q.Cq.body with
-  | [] -> []
-  | first :: rest ->
-    let init = per_atom first in
-    let inter = List.fold_left (fun acc a -> ValueSet.inter acc (per_atom a)) init rest in
-    ValueSet.elements inter
 
 (* Injective serialization of a database block: facts arrive in
    [Fact.compare] order, every value is tagged and length-prefixed, so
@@ -195,25 +156,6 @@ let fingerprint db = Database.cached_digest db fingerprint_uncached
 
 let block_key q db = Cq.to_string q ^ "\x00" ^ fingerprint db
 
-(* The legacy partition: recompute the root values by scanning every
-   atom's relation, then filter the whole database once per value.
-   O(values × |db|) — kept as the reference arm of the equivalence
-   suite and for [Plan.enabled = false] runs. *)
-let partition_scan q x db =
-  let values = root_values q x db in
-  let block a =
-    Database.filter
-      (fun f _ ->
-        List.exists (fun at -> matches at [ (x, a) ] f) q.Cq.body)
-      db
-  in
-  let blocks = List.map (fun a -> (a, block a)) values in
-  let in_some_block f =
-    List.exists (fun (_, b) -> Database.mem f b) blocks
-  in
-  let dropped = Database.filter (fun f _ -> not (in_some_block f)) db in
-  (blocks, dropped)
-
 module FactSet = Set.Make (Aggshap_relational.Fact)
 
 (* The first position of an atom holding the root variable — the index
@@ -229,16 +171,16 @@ let var_position (a : Cq.atom) x =
   in
   go 0
 
-(* The indexed partition: one probe per atom of the (rel, root
-   position) secondary index groups the matching facts by root value —
-   a fact matching the atom with [x ↦ v] carries [v] at every
-   x-position, so the index group for [v] is a superset of the block's
-   slice of that relation and [matches] filters it exactly. The root
-   values are the intersection of the per-atom group keys (a value must
-   be realized by a matching fact in {e every} atom, as in
-   [root_values]); blocks are per-value unions across atoms.
-   O(Σ segments + Σ blocks·log) in one pass, not O(values × |db|). *)
-let partition_indexed q x db =
+(* The partition: one probe per atom of the (rel, root position)
+   secondary index groups the matching facts by root value — a fact
+   matching the atom with [x ↦ v] carries [v] at every x-position, so
+   the index group for [v] is a superset of the block's slice of that
+   relation and [matches] filters it exactly. The root values are the
+   intersection of the per-atom group keys (a value must be realized by
+   a matching fact in {e every} atom); blocks are per-value unions
+   across atoms. O(Σ segments + Σ blocks·log) in one pass, not the
+   O(values × |db|) of rescanning the database once per root value. *)
+let partition q x db =
   match q.Cq.body with
   | [] -> ([], db)
   | body ->
@@ -290,6 +232,3 @@ let partition_indexed q x db =
     in
     let dropped = Database.filter (fun f _ -> not (FactSet.mem f !placed)) db in
     (blocks, dropped)
-
-let partition q x db =
-  if !Plan.enabled then partition_indexed q x db else partition_scan q x db

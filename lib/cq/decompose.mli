@@ -34,13 +34,6 @@ val relevant_part : Cq.t -> Aggshap_relational.Database.t -> Aggshap_relational.
     is returned as is, keeping its built indexes and cached digest
     alive; this is the solve-path entry point. *)
 
-val relevant : Cq.t -> Aggshap_relational.Database.t -> Aggshap_relational.Database.t * Aggshap_relational.Database.t
-(** Splits the database into (facts matching some atom of the query,
-    the rest). The second component contains only null players. *)
-
-val root_values : Cq.t -> string -> Aggshap_relational.Database.t -> Aggshap_relational.Value.t list
-(** Values the root variable can take: those realized in every atom. *)
-
 val fingerprint : Aggshap_relational.Database.t -> string
 (** Injective serialization of a database block (facts in [Fact.compare]
     order, values tagged and length-prefixed, provenance marked): two
@@ -57,27 +50,10 @@ val partition :
   string ->
   Aggshap_relational.Database.t ->
   (Aggshap_relational.Value.t * Aggshap_relational.Database.t) list * Aggshap_relational.Database.t
-(** [partition q x db] splits [db] by the root values of [x] into
-    disjoint blocks, returning also the facts that fall in no block
-    (null players dropped at this step). Dispatches on {!Plan.enabled}
-    between {!partition_indexed} and {!partition_scan}; both produce
-    identical blocks in identical order. *)
-
-val partition_indexed :
-  Cq.t ->
-  string ->
-  Aggshap_relational.Database.t ->
-  (Aggshap_relational.Value.t * Aggshap_relational.Database.t) list * Aggshap_relational.Database.t
-(** One pass over the (relation, root-position) secondary indexes:
-    groups each atom's matching facts by root value, intersects the
-    realized value sets, and assembles blocks from the groups —
-    O(Σ segments + Σ blocks·log |db|). *)
-
-val partition_scan :
-  Cq.t ->
-  string ->
-  Aggshap_relational.Database.t ->
-  (Aggshap_relational.Value.t * Aggshap_relational.Database.t) list * Aggshap_relational.Database.t
-(** The legacy partition — rescans the whole database once per root
-    value, O(values × |db|). The reference arm of the partition
-    equivalence suite. *)
+(** [partition q x db] splits [db] by the root values of [x] (the
+    values realized in every atom) into disjoint blocks, in increasing
+    value order, returning also the facts that fall in no block (null
+    players dropped at this step). One pass over the (relation,
+    root-position) secondary indexes: groups each atom's matching facts
+    by root value, intersects the realized value sets, and assembles
+    blocks from the groups — O(Σ segments + Σ blocks·log |db|). *)

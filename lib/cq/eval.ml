@@ -36,10 +36,11 @@ let match_atom (a : Cq.atom) (f : Fact.t) sigma =
     go 0 sigma
   end
 
-(* The legacy evaluator: atoms in body order, each matched against a
-   full relation scan. Kept as the differential-testing reference for
-   the planned evaluator below; [k] returns [true] to continue and
-   [false] to stop early. *)
+(* The scan evaluator: atoms in body order, each matched against a
+   full relation scan. It shares no index code with the planned
+   evaluator below, which makes it the differential-testing reference
+   ([Legacy]); [k] returns [true] to continue and [false] to stop
+   early. *)
 let visit_homomorphisms_scan q db k =
   let facts_by_rel =
     List.map (fun (a : Cq.atom) -> (a, Database.relation db a.rel)) q.Cq.body
@@ -94,11 +95,9 @@ let visit_planned (plan : Plan.t) db k =
   in
   ignore (go plan.Plan.steps [])
 
-let visit_homomorphisms q db k =
-  if !Plan.enabled then visit_planned (Plan.compile q) db k
-  else visit_homomorphisms_scan q db k
+let visit_homomorphisms q db k = visit_planned (Plan.compile q) db k
 
-(* The materializing entry points below are shared by the dispatching
+(* The materializing entry points below are shared by the default
    evaluator and the [Legacy]/[Planned] modules: each takes the visitor
    with the query and database already applied. *)
 let homomorphisms_via visit =
@@ -182,8 +181,8 @@ let support_via (q : Cq.t) visit =
 
 let support q db = support_via q (visit_homomorphisms q db)
 
-(* The legacy scan evaluator, independent of [Plan.enabled]: one side
-   of the planner equivalence suite. *)
+(* The scan evaluator: the reference of the planner equivalence suite
+   and of the differential oracle. *)
 module Legacy = struct
   let visit_homomorphisms = visit_homomorphisms_scan
   let homomorphisms q db = homomorphisms_via (visit_homomorphisms_scan q db)
@@ -192,8 +191,8 @@ module Legacy = struct
   let support q db = support_via q (visit_homomorphisms_scan q db)
 end
 
-(* The planned evaluator pinned to an explicit plan, independent of
-   [Plan.enabled]: the other side, exercised with random atom orders. *)
+(* The planned evaluator pinned to an explicit plan: the other side of
+   the equivalence suite, exercised with random atom orders. *)
 module Planned = struct
   let visit_homomorphisms = visit_planned
   let homomorphisms (plan : Plan.t) db = homomorphisms_via (visit_planned plan db)

@@ -1,10 +1,11 @@
 (** CQ evaluation: homomorphism enumeration over a database.
 
     Two interchangeable evaluators produce the same homomorphism set:
-    the default runs a compiled {!Plan} as an index nested-loop join
-    over the database's secondary indexes; the legacy backtracking
-    scan join ({!Legacy}) is kept as the differential-testing
-    reference and is selected globally by clearing {!Plan.enabled}.
+    every solve runs a compiled {!Plan} as an index nested-loop join
+    over the database's secondary indexes; the backtracking scan join
+    ({!Legacy}) shares no index code with it and is kept as the
+    differential-testing reference, which callers pass explicitly
+    (e.g. [Agg_query.eval ~visit:Eval.Legacy.visit_homomorphisms]).
     Only the enumeration {e order} differs between them — every
     exported view is a set, a bag sum, or a boolean. The evaluator
     feeds top-level answer materialization, the support computation of
@@ -16,9 +17,9 @@ type subst
 
 val visit_homomorphisms :
   Cq.t -> Aggshap_relational.Database.t -> (subst -> bool) -> unit
-(** Enumerate homomorphisms without materializing them; the visitor
-    returns [true] to continue and [false] to stop early. Dispatches on
-    {!Plan.enabled}. *)
+(** Enumerate homomorphisms without materializing them, through the
+    compiled plan of the query; the visitor returns [true] to continue
+    and [false] to stop early. *)
 
 val homomorphisms : Cq.t -> Aggshap_relational.Database.t -> subst list
 (** All homomorphisms from the query to the database. *)
@@ -40,9 +41,9 @@ val support : Cq.t -> Aggshap_relational.Database.t -> Aggshap_relational.Fact.t
 (** Facts that participate in at least one homomorphism. Facts outside
     the support are null players of every Shapley game over the query. *)
 
-(** The legacy scan evaluator — body-order atoms, one relation scan
-    each — independent of {!Plan.enabled}. The reference arm of the
-    planner equivalence suite. *)
+(** The scan evaluator — body-order atoms, one relation scan each, no
+    index probes. The reference of the planner equivalence suite and
+    of the differential oracle. *)
 module Legacy : sig
   val visit_homomorphisms :
     Cq.t -> Aggshap_relational.Database.t -> (subst -> bool) -> unit
@@ -54,7 +55,7 @@ module Legacy : sig
 end
 
 (** The planned evaluator pinned to an explicit (possibly adversarial)
-    plan, independent of {!Plan.enabled}. *)
+    plan. *)
 module Planned : sig
   val visit_homomorphisms :
     Plan.t -> Aggshap_relational.Database.t -> (subst -> bool) -> unit

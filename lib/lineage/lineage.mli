@@ -29,8 +29,8 @@ val supports : Aggshap_agg.Aggregate.t -> bool
 
 val extract :
   Aggshap_agg.Agg_query.t -> Aggshap_relational.Database.t -> extraction
-(** Boolean provenance of every answer, through whichever evaluator
-    {!Aggshap_cq.Plan.enabled} selects.
+(** Boolean provenance of every answer, enumerated through the
+    compiled plan of the query ({!Aggshap_cq.Eval.visit_homomorphisms}).
     @raise Invalid_argument if τ is not localized on the database. *)
 
 val events :

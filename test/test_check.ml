@@ -264,34 +264,12 @@ let test_utrial_generation_deterministic () =
    - the Generic engine skips the set_tau memo flush, which trips the
      memo's τ-fingerprint guard (an "exception" failure);
    - the Linear engine skips dirtying one membership game, so the
-     session serves stale values (a "session-vs-batch" disagreement).
+     session serves stale values (a "session-vs-naive" disagreement).
 
-   The campaign over seed 42 finds the first within a couple of trials;
-   the directed hunt asserts a genuine value-level disagreement is also
-   found and shrinks to a 1-minimal op script. *)
-let test_stale_block_is_caught () =
-  assert (Tables.current_fault () = `None);
-  Tables.set_fault `Stale_block;
-  Fun.protect
-    ~finally:(fun () -> Tables.set_fault `None)
-    (fun () ->
-      let config =
-        { Fuzz.seed = 42; trials = 100; max_endo = 6; par_jobs = 1; max_failures = 1; kc_always = false;
-          auto_always = false }
-      in
-      let report = Fuzz.run_updates config in
-      match report.Fuzz.ufailures with
-      | [] -> Alcotest.fail "injected stale-block survived 100 update trials undetected"
-      | { Fuzz.utrial; ushrunk; _ } :: _ ->
-        Alcotest.(check bool) "shrunk still fails" true
-          (Oracle.run_updates ushrunk <> None);
-        Alcotest.(check bool) "shrunk is no bigger" true
-          (List.length ushrunk.Utrial.ops <= List.length utrial.Utrial.ops
-          && Database.size ushrunk.Utrial.trial.Trial.db
-             <= Database.size utrial.Utrial.trial.Trial.db);
-        Alcotest.(check bool) "reproducer script is printable" true
-          (String.length (Utrial.to_script ushrunk) > 0))
-
+   The campaign over seed 42 finds the first within a couple of trials
+   (the "stale-block caught and shrunk" case below); the directed hunt
+   asserts a genuine value-level disagreement is also found and shrinks
+   to a 1-minimal op script. *)
 let test_stale_block_value_level () =
   assert (Tables.current_fault () = `None);
   Tables.set_fault `Stale_block;
@@ -327,35 +305,6 @@ let test_stale_block_value_level () =
                 (Oracle.run_updates smaller = None))
           shrunk.Utrial.ops)
 
-(* `Stale_index makes every database update keep its parent's built
-   secondary indexes verbatim — a forgotten invalidation in the storage
-   layer. The segments stay correct, so the fault is only observable
-   through index probes against a database that was updated after a
-   probe built an index; the update campaign's sessions do exactly
-   that on every step. *)
-let test_stale_index_is_caught () =
-  assert (Tables.current_fault () = `None);
-  Tables.set_fault `Stale_index;
-  Fun.protect
-    ~finally:(fun () -> Tables.set_fault `None)
-    (fun () ->
-      let config =
-        { Fuzz.seed = 42; trials = 300; max_endo = 6; par_jobs = 1; max_failures = 1; kc_always = false;
-          auto_always = false }
-      in
-      let report = Fuzz.run_updates config in
-      match report.Fuzz.ufailures with
-      | [] -> Alcotest.fail "injected stale-index survived 300 update trials undetected"
-      | { Fuzz.utrial; ushrunk; _ } :: _ ->
-        Alcotest.(check bool) "shrunk still fails" true
-          (Oracle.run_updates ushrunk <> None);
-        Alcotest.(check bool) "shrunk is no bigger" true
-          (List.length ushrunk.Utrial.ops <= List.length utrial.Utrial.ops
-          && Database.size ushrunk.Utrial.trial.Trial.db
-             <= Database.size utrial.Utrial.trial.Trial.db);
-        Alcotest.(check bool) "reproducer script is printable" true
-          (String.length (Utrial.to_script ushrunk) > 0))
-
 let test_stale_block_flag_is_isolated () =
   let config =
     { Fuzz.seed = 42; trials = 20; max_endo = 6; par_jobs = 1; max_failures = 1; kc_always = false;
@@ -364,12 +313,47 @@ let test_stale_block_flag_is_isolated () =
   let report = Fuzz.run_updates config in
   Alcotest.(check int) "clean without the fault" 0 (List.length report.Fuzz.ufailures)
 
-(* The kernel-level fault variants added with the fast arithmetic
-   paths: a mis-paired sibling in the balanced convolution tree and a
+(* A fuzz campaign as the fault tests see it: run it and, for its first
+   failure, report whether the shrunk trial still fails, whether it is
+   no bigger than the original, and its reproducer script. *)
+type caught = {
+  still_fails : bool;
+  no_bigger : bool;
+  script : string;
+}
+
+let batch_campaign config =
+  match (Fuzz.run config).Fuzz.failures with
+  | [] -> None
+  | { Fuzz.trial; shrunk; _ } :: _ ->
+    Some
+      { still_fails = Oracle.run ~par_jobs:1 shrunk <> None;
+        no_bigger = Database.size shrunk.Trial.db <= Database.size trial.Trial.db;
+        script = Trial.to_script shrunk }
+
+let update_campaign config =
+  match (Fuzz.run_updates config).Fuzz.ufailures with
+  | [] -> None
+  | { Fuzz.utrial; ushrunk; _ } :: _ ->
+    Some
+      { still_fails = Oracle.run_updates ushrunk <> None;
+        no_bigger =
+          List.length ushrunk.Utrial.ops <= List.length utrial.Utrial.ops
+          && Database.size ushrunk.Utrial.trial.Trial.db
+             <= Database.size utrial.Utrial.trial.Trial.db;
+        script = Utrial.to_script ushrunk }
+
+(* Every armed fault must be caught by the campaign's oracle within
+   [trials] trials and shrink to a still-failing reproducer. The kernel
+   faults — a mis-paired sibling in the balanced convolution tree, a
    Karatsuba split that loses a cross term once both operands are large
-   enough. Each must be caught by the same oracle and shrink to a
-   still-failing reproducer. *)
-let test_kernel_fault_is_caught fault trials () =
+   enough, an off-by-one convolution — are caught by the update
+   campaign too, because its reference is naive enumeration and not a
+   batch solve running the same faulty kernels. `Stale_index (a
+   forgotten index invalidation) shows only through probes of a
+   database updated after a probe built an index, which the update
+   campaign's sessions do on every step. *)
+let test_kernel_fault_is_caught campaign fault trials () =
   assert (Tables.current_fault () = `None);
   Tables.set_fault fault;
   Fun.protect
@@ -379,16 +363,13 @@ let test_kernel_fault_is_caught fault trials () =
         { Fuzz.seed = 42; trials; max_endo = 6; par_jobs = 1; max_failures = 1; kc_always = false;
           auto_always = false }
       in
-      let report = Fuzz.run config in
-      match report.Fuzz.failures with
-      | [] -> Alcotest.fail "injected kernel fault survived all trials undetected"
-      | { Fuzz.trial; shrunk; _ } :: _ ->
-        Alcotest.(check bool) "shrunk still fails" true
-          (Oracle.run ~par_jobs:1 shrunk <> None);
-        Alcotest.(check bool) "shrunk is no bigger" true
-          (Database.size shrunk.Trial.db <= Database.size trial.Trial.db);
+      match campaign config with
+      | None -> Alcotest.failf "injected fault survived %d trials undetected" trials
+      | Some { still_fails; no_bigger; script } ->
+        Alcotest.(check bool) "shrunk still fails" true still_fails;
+        Alcotest.(check bool) "shrunk is no bigger" true no_bigger;
         Alcotest.(check bool) "reproducer script is printable" true
-          (String.length (Trial.to_script shrunk) > 0))
+          (String.length script > 0))
 
 (* With the fault cleared again, the very trials that exposed it pass:
    the flag really was the only source of the disagreements. *)
@@ -429,25 +410,31 @@ let () =
           Alcotest.test_case "generation deterministic" `Quick
             test_utrial_generation_deterministic;
           Alcotest.test_case "stale-block caught and shrunk" `Slow
-            test_stale_block_is_caught;
+            (test_kernel_fault_is_caught update_campaign `Stale_block 100);
           Alcotest.test_case "stale-block value-level disagreement" `Slow
             test_stale_block_value_level;
           Alcotest.test_case "stale-block flag isolated" `Quick
             test_stale_block_flag_is_isolated;
           Alcotest.test_case "stale-index caught and shrunk" `Slow
-            test_stale_index_is_caught;
+            (test_kernel_fault_is_caught update_campaign `Stale_index 300);
+          Alcotest.test_case "off-by-one caught and shrunk" `Slow
+            (test_kernel_fault_is_caught update_campaign `Convolve_off_by_one 300);
+          Alcotest.test_case "tree-fold skew caught and shrunk" `Slow
+            (test_kernel_fault_is_caught update_campaign `Tree_fold_skew 300);
+          Alcotest.test_case "karatsuba split caught and shrunk" `Slow
+            (test_kernel_fault_is_caught update_campaign `Karatsuba_split 300);
         ] );
       ( "fault injection",
         [ Alcotest.test_case "off-by-one caught and shrunk" `Slow
             test_injected_fault_is_caught;
           Alcotest.test_case "tree-fold skew caught and shrunk" `Slow
-            (test_kernel_fault_is_caught `Tree_fold_skew 300);
+            (test_kernel_fault_is_caught batch_campaign `Tree_fold_skew 300);
           Alcotest.test_case "karatsuba split caught and shrunk" `Slow
-            (test_kernel_fault_is_caught `Karatsuba_split 300);
+            (test_kernel_fault_is_caught batch_campaign `Karatsuba_split 300);
           Alcotest.test_case "engine block-drop caught and shrunk" `Slow
-            (test_kernel_fault_is_caught `Block_drop 300);
+            (test_kernel_fault_is_caught batch_campaign `Block_drop 300);
           Alcotest.test_case "storage stale-index caught and shrunk" `Slow
-            (test_kernel_fault_is_caught `Stale_index 300);
+            (test_kernel_fault_is_caught batch_campaign `Stale_index 300);
           Alcotest.test_case "fault flag isolated" `Quick test_fault_flag_is_isolated;
         ] );
     ]
