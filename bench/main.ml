@@ -4,7 +4,8 @@
    experiment here validates a theorem's observable footprint — the
    polynomial/exponential runtime split at each tractability frontier,
    the agreement of closed forms and reductions with brute force — and
-   prints one table per experiment (E1..E21; E18 is retired). A final section runs one
+   prints one table per experiment (E1..E21; E16 and E18 are retired,
+   and E17 lives in bench/loadgen.exe). A final section runs one
    Bechamel micro-benchmark per experiment.
 
    Usage: bench/main.exe [--quick] [--only e14,e19] [--json FILE]
@@ -672,72 +673,6 @@ let e15 () =
     ~sizes:(if quick then [ 40 ] else [ 60 ]);
   List.rev !results
 
-(* E16: engine root-block parallelism. The generic Fig. 2 engine can fan
-   the blocks of the top-level root partition across Pool domains
-   (Engine.set_block_jobs); the merge preserves block order and the
-   arithmetic is exact, so results are bit-identical — checked here on
-   every row — and the report records wall time with blocks off and on. *)
-let e16 () =
-  header "E16 (engine parallelism): top-level root blocks sequential vs fanned out";
-  Printf.printf "%-24s %6s %8s %6s %10s %10s %9s %7s\n" "workload" "rows" "players"
-    "jobs" "seq" "par" "speedup" "agree";
-  let results = ref [] in
-  let emit workload rows players wall extra =
-    let open Bench_json in
-    let bs = B.stats () in
-    let ts = Core.Tables.stats () in
-    let es = Core.Engine.stats () in
-    results :=
-      Obj
-        ([ ("experiment", String "E16");
-           ("workload", String workload);
-           ("n", Int rows);
-           ("players", Int players);
-           ("wall_s", Float wall) ]
-        @ extra
-        @ [ ( "kernels",
-              Obj
-                [ ("mul_small", Int bs.B.mul_small);
-                  ("acc_mul", Int bs.B.acc_mul);
-                  ("convolve", Int ts.Core.Tables.convolve);
-                  ("engine_nodes", Int es.Core.Engine.nodes);
-                  ("engine_merges", Int es.Core.Engine.merges);
-                  ("engine_parallel_merges", Int es.Core.Engine.parallel_merges) ] ) ])
-      :: !results
-  in
-  let jobs = Stdlib.max 2 (Core.Pool.default_jobs ()) in
-  let a = Agg_query.make Aggregate.Max (vid "R" 0) Catalog.q_xyy in
-  let reset () =
-    B.reset_stats ();
-    Core.Tables.reset_stats ();
-    Core.Engine.reset_stats ()
-  in
-  List.iter
-    (fun rows ->
-      let db = xyy_db rows in
-      let players = Database.endo_size db in
-      reset ();
-      let seq, t_seq = time (fun () -> Core.Minmax.sum_k a db) in
-      emit "engine_blocks_seq" rows players t_seq [];
-      reset ();
-      Core.Engine.set_block_jobs jobs;
-      let par, t_par =
-        Fun.protect
-          ~finally:(fun () -> Core.Engine.set_block_jobs 1)
-          (fun () -> time (fun () -> Core.Minmax.sum_k a db))
-      in
-      let agree = Array.length seq = Array.length par && Array.for_all2 Q.equal seq par in
-      emit "engine_blocks_par" rows players t_par
-        [ ("block_jobs", Bench_json.Int jobs);
-          ("speedup_vs_seq", Bench_json.Float (t_seq /. Stdlib.max 1e-9 t_par)) ];
-      Printf.printf "%-24s %6d %8d %6d %9.4fs %9.4fs %8.1fx %7s\n" "max_sumk_q_xyy" rows
-        players jobs t_seq t_par
-        (t_seq /. Stdlib.max 1e-9 t_par)
-        (if agree then "ok" else "MISMATCH");
-      if not agree then failwith "E16: parallel block merge diverged from sequential")
-    (if quick then [ 60 ] else [ 200; 400 ]);
-  List.rev !results
-
 (* E19: indexed storage and the compiled join planner. Each workload is
    solved once on the compiled plans and secondary indexes, with the
    index counters recorded beside the wall. The [:indexed] suffix keeps
@@ -1232,7 +1167,6 @@ let () =
   let rows_of name f = if want name then f () else [] in
   let e14_rows = rows_of "e14" e14 in
   let e15_rows = rows_of "e15" e15 in
-  let e16_rows = rows_of "e16" e16 in
   let e19_rows = rows_of "e19" e19 in
   let e20_rows = rows_of "e20" e20 in
   let e21_rows = rows_of "e21" e21 in
@@ -1242,7 +1176,7 @@ let () =
   (match json_path with
    | Some path ->
      write_json path
-       (e14_rows @ e15_rows @ e16_rows @ e19_rows @ e20_rows @ e21_rows)
+       (e14_rows @ e15_rows @ e19_rows @ e20_rows @ e21_rows)
    | None -> ());
   print_newline ();
   print_endline "all experiments completed; every cross-check above reports 'ok'"

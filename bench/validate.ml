@@ -3,7 +3,7 @@
    Parse FILE and check it against the BENCH_v1 schema; exit 1 with a
    diagnostic otherwise. With [--compare], additionally gate wall-clock
    regressions against a committed baseline report: every pinned
-   experiment row of the baseline (E13–E16, E19–E21 — the deterministic
+   experiment row of the baseline (E13–E15, E19–E21 — the deterministic
    kernel / incremental / engine benchmarks) must be present in FILE and must
    not be slower than baseline by more than the tolerance (default
    25%). A per-row delta table is always printed; E17 (server latency)
@@ -71,7 +71,7 @@ let load path =
    knowledge-compilation tier the same way, and E21 pins the solve
    planner's auto tier. *)
 let pinned experiment =
-  List.mem experiment [ "E13"; "E14"; "E15"; "E16"; "E19"; "E20"; "E21" ]
+  List.mem experiment [ "E13"; "E14"; "E15"; "E19"; "E20"; "E21" ]
 
 (* Planner-overhead guard, run on every report (no baseline needed):
    an E21 ":auto" row must not run slower than 1.2x the best forced
@@ -141,7 +141,7 @@ let compare_reports ~tolerance ~base_path baseline current =
     List.find_opt (fun r -> row_key r = key) cur_rows
   in
   Printf.printf "\nregression gate: vs %s, tolerance %+.0f%% on pinned rows (%s)\n"
-    base_path tolerance "E13-E16, E19-E21";
+    base_path tolerance "E13-E15, E19-E21";
   Printf.printf "%-44s %10s %10s %8s  %s\n" "row" "baseline" "current" "delta" "gate";
   let failures =
     List.fold_left

@@ -166,7 +166,6 @@ let print_kernel_stats () =
       ("engine_leaves", es.Engine.leaves);
       ("engine_merges", es.Engine.merges);
       ("engine_combines", es.Engine.combines);
-      ("engine_par_merges", es.Engine.parallel_merges);
       ("plan_compiles", ps.Aggshap_cq.Plan.plan_compiles);
       ("index_builds", ds.Aggshap_relational.Database.index_builds);
       ("index_probes", ds.Aggshap_relational.Database.index_probes);
@@ -181,7 +180,7 @@ let print_kernel_stats () =
     Printf.printf "  %-18s compile %.6fs, wmc %.6fs\n" "ddnnf_time"
       ks.Aggshap_lineage.Ddnnf.compile_s ks.Aggshap_lineage.Ddnnf.wmc_s
 
-let run_solve query_s db_path agg_s tau_s fact_s fallback_s score_s jobs block_jobs cache
+let run_solve query_s db_path agg_s tau_s fact_s fallback_s score_s jobs cache
     kc_node_budget stats =
   let q = parse_query_arg query_s in
   let db = read_database db_path in
@@ -191,9 +190,6 @@ let run_solve query_s db_path agg_s tau_s fact_s fallback_s score_s jobs block_j
   let score = or_die (Api.parse_score score_s) in
   check_jobs jobs;
   check_kc_budget kc_node_budget;
-  (match block_jobs with
-   | Some b when b < 1 -> die "--block-jobs must be at least 1 (got %d)" b
-   | other -> or_die (Api.set_block_jobs other));
   if stats then begin
     Aggshap_arith.Bigint.reset_stats ();
     Aggshap_core.Tables.reset_stats ();
@@ -588,12 +584,6 @@ let jobs_arg =
                recommended domain count of the machine; 1 disables \
                parallelism). Results are identical for every N.")
 
-let block_jobs_arg =
-  Arg.(value & opt (some int) None & info [ "block-jobs" ] ~docv:"N"
-         ~doc:"Worker domains for independent root blocks inside one \
-               decomposition-engine evaluation (default 1: sequential). \
-               Results are identical for every N; composes with --jobs.")
-
 let cache_arg =
   Arg.(value & opt bool true & info [ "cache" ] ~docv:"BOOL"
          ~doc:"Share dynamic-programming tables across the per-fact batch \
@@ -641,7 +631,7 @@ let explain_cmd =
 let solve_cmd =
   Cmd.v
     (Cmd.info "solve" ~doc:"Compute Shapley values of endogenous facts")
-    Term.(const run_solve $ query_arg $ db_arg $ agg_arg $ tau_arg $ fact_arg $ fallback_arg $ score_arg $ jobs_arg $ block_jobs_arg $ cache_arg $ kc_budget_arg $ stats_arg)
+    Term.(const run_solve $ query_arg $ db_arg $ agg_arg $ tau_arg $ fact_arg $ fallback_arg $ score_arg $ jobs_arg $ cache_arg $ kc_budget_arg $ stats_arg)
 
 let updates_file_arg =
   Arg.(required & opt (some string) None & info [ "u"; "updates" ] ~docv:"FILE"

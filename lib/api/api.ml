@@ -15,7 +15,6 @@ module Value_fn = Aggshap_agg.Value_fn
 module Agg_query = Aggshap_agg.Agg_query
 module Solver = Aggshap_core.Solver
 module Strategy = Aggshap_core.Strategy
-module Engine = Aggshap_core.Engine
 module Json = Aggshap_json.Json
 module Session = Aggshap_incr.Session
 module Script = Aggshap_incr.Script
@@ -278,13 +277,6 @@ let explanation_to_json (a : Agg_query.t) (ex : explanation) =
 (* ------------------------------------------------------------------ *)
 
 let eval a db = trap (fun () -> Agg_query.eval a db)
-
-let set_block_jobs = function
-  | None -> Ok ()
-  | Some b when b >= 1 ->
-    Engine.set_block_jobs b;
-    Ok ()
-  | Some b -> Error (Printf.sprintf "block-jobs must be at least 1 (got %d)" b)
 
 type solve_result = {
   values : (Fact.t * Solver.outcome) list;

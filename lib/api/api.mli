@@ -115,10 +115,6 @@ val explanation_to_json : Agg_query.t -> explanation -> Json.t
 
 val eval : Agg_query.t -> Database.t -> (Q.t, string) result
 
-val set_block_jobs : int option -> (unit, string) result
-(** Validates and installs the engine-level root-block fan-out width
-    ([None]: leave unchanged). *)
-
 val check_jobs : int option -> (unit, string) result
 
 type solve_result = {

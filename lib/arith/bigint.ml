@@ -83,10 +83,6 @@ let reset_stats () =
   Atomic.set c_promotions 0;
   Atomic.set c_demotions 0
 
-type fault = [ `None | `Karatsuba_split ]
-
-let fault : fault ref = ref `None
-
 let big_zero = { sign = 0; mag = [||] }
 
 let normalize sign mag =
@@ -349,9 +345,8 @@ let add_into out off src =
 
 (* Below this many limbs (on the shorter operand) Karatsuba's extra
    additions and allocations cost more than the saved limb products;
-   tuned with a 150..10000-digit sweep on the bench machine. Exposed
-   for tests. *)
-let karatsuba_threshold = ref 48
+   tuned with a 150..10000-digit sweep on the bench machine. *)
+let karatsuba_threshold = 48
 
 (* Karatsuba recursion, splitting both operands at half the shorter
    length. Splitting at the shorter operand keeps [z1 = a0*b1 + a1*b0]
@@ -362,7 +357,7 @@ let rec mul_mag a b =
   if la = 0 || lb = 0 then [||]
   else
     let lmin = Stdlib.min la lb in
-    if lmin < Stdlib.max 4 !karatsuba_threshold then mul_mag_school a b
+    if lmin < karatsuba_threshold then mul_mag_school a b
     else begin
       Atomic.incr c_mul_karatsuba;
       let m = (lmin + 1) / 2 in
@@ -422,7 +417,7 @@ let sqr_mag_school a =
 let rec sqr_mag a =
   let la = Array.length a in
   if la = 0 then [||]
-  else if la < Stdlib.max 4 !karatsuba_threshold then sqr_mag_school a
+  else if la < karatsuba_threshold then sqr_mag_school a
   else begin
     let m = (la + 1) / 2 in
     let a0 = Array.sub a 0 m in
@@ -520,14 +515,14 @@ let mul a b =
         end
         else demote (big_mul (big_of_int x) (big_of_int y))
     in
-    (match !fault with
-     | `None -> r
-     | `Karatsuba_split -> apply_mul_fault a b r)
+    (match !Fault.current with
+     | `Karatsuba_split -> apply_mul_fault a b r
+     | _ -> r)
   | _ ->
     let r = demote (big_mul (big_of a) (big_of b)) in
-    (match !fault with
-     | `None -> r
-     | `Karatsuba_split -> apply_mul_fault a b r)
+    (match !Fault.current with
+     | `Karatsuba_split -> apply_mul_fault a b r
+     | _ -> r)
 
 let mul_schoolbook a b =
   match (a, b) with
@@ -549,15 +544,15 @@ let sqr a =
         if p <> min_int && p / x = x then Small p
         else demote (normalize 1 (sqr_mag (big_of_int x).mag))
     in
-    (match !fault with
-     | `None -> r
-     | `Karatsuba_split -> apply_mul_fault a a r)
+    (match !Fault.current with
+     | `Karatsuba_split -> apply_mul_fault a a r
+     | _ -> r)
   | Big b ->
     Atomic.incr c_sqr;
     let r = demote (normalize 1 (sqr_mag b.mag)) in
-    (match !fault with
-     | `None -> r
-     | `Karatsuba_split -> apply_mul_fault a a r)
+    (match !Fault.current with
+     | `Karatsuba_split -> apply_mul_fault a a r
+     | _ -> r)
 
 (* The dedicated scalar loop admits any |n| < 2^32: limb*scalar plus
    carry stays below 2^62. *)
@@ -1040,7 +1035,7 @@ module Acc = struct
     let a = big_of a and b = big_of b in
     let buf = if a.sign * b.sign > 0 then acc.pos else acc.neg in
     let la = Array.length a.mag and lb = Array.length b.mag in
-    if Stdlib.min la lb >= Stdlib.max 4 !karatsuba_threshold then
+    if Stdlib.min la lb >= karatsuba_threshold then
       (* Large operands: compute the product with Karatsuba, then
          fold it into the buffer. *)
       add_mag_into buf (mul_mag a.mag b.mag)

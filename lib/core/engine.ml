@@ -2,40 +2,33 @@ module Cq = Aggshap_cq.Cq
 module Decompose = Aggshap_cq.Decompose
 module Database = Aggshap_relational.Database
 module Value = Aggshap_relational.Value
+module Fault = Aggshap_arith.Fault
 
 type stats = {
   nodes : int;
   leaves : int;
   merges : int;
   combines : int;
-  parallel_merges : int;
 }
 
-(* Plain mutable counters, same caveat as [Tables.stats]: approximate
-   under concurrent domains. *)
-let c_nodes = ref 0
-let c_leaves = ref 0
-let c_merges = ref 0
-let c_combines = ref 0
-let c_parallel = ref 0
+(* Atomic counters, same contract as [Tables.stats]: exact under
+   concurrent domains. *)
+let c_nodes = Atomic.make 0
+let c_leaves = Atomic.make 0
+let c_merges = Atomic.make 0
+let c_combines = Atomic.make 0
 
 let stats () =
-  { nodes = !c_nodes;
-    leaves = !c_leaves;
-    merges = !c_merges;
-    combines = !c_combines;
-    parallel_merges = !c_parallel }
+  { nodes = Atomic.get c_nodes;
+    leaves = Atomic.get c_leaves;
+    merges = Atomic.get c_merges;
+    combines = Atomic.get c_combines }
 
 let reset_stats () =
-  c_nodes := 0;
-  c_leaves := 0;
-  c_merges := 0;
-  c_combines := 0;
-  c_parallel := 0
-
-let block_jobs_ref = ref 1
-let set_block_jobs j = block_jobs_ref := Stdlib.max 1 j
-let block_jobs () = !block_jobs_ref
+  Atomic.set c_nodes 0;
+  Atomic.set c_leaves 0;
+  Atomic.set c_merges 0;
+  Atomic.set c_combines 0
 
 (* The partition step shared by every engine instance. [`Block_drop]
    demotes the last block (when there are at least two) to null-player
@@ -44,7 +37,7 @@ let block_jobs () = !block_jobs_ref
    every aggregate's values go wrong whenever that block matters. *)
 let faulty_partition q x db =
   let blocks, dropped = Decompose.partition q x db in
-  match Tables.current_fault () with
+  match !Fault.current with
   | `Block_drop when List.length blocks >= 2 -> begin
     match List.rev blocks with
     | (_, last) :: kept_rev ->
@@ -75,7 +68,7 @@ let partition_lock = Mutex.create ()
 let partition_cache_cap = 8192
 
 let cached_partition q root db =
-  if Tables.current_fault () <> `None then
+  if !Fault.current <> `None then
     faulty_partition q root db
   else begin
     let key = Decompose.block_key q db in
@@ -121,38 +114,35 @@ module type TABLE_ALGEBRA = sig
 end
 
 module Make (A : TABLE_ALGEBRA) = struct
-  (* [par] is true only for the top-level call: blocks of the top
-     partition may fan out on the pool, everything below them runs
-     sequentially in its domain (no nested spawning). *)
-  let rec go ?memo ~par ctx q db =
+  let rec eval ?memo ctx q db =
     Memo.find_or_compute memo
       ~key:(fun () -> A.memo_prefix ctx ^ Decompose.block_key q db)
-      (fun () -> go_uncached ?memo ~par ctx q db)
+      (fun () -> eval_uncached ?memo ctx q db)
 
-  and go_uncached ?memo ~par ctx q db =
-    incr c_nodes;
+  and eval_uncached ?memo ctx q db =
+    Atomic.incr c_nodes;
     match A.leaf ctx q db with
     | Some t ->
-      incr c_leaves;
+      Atomic.incr c_leaves;
       t
     | None -> begin
       match Decompose.connected_components q with
       | [] -> A.empty ctx db
-      | [ _ ] -> connected ?memo ~par ctx q db
+      | [ _ ] -> connected ?memo ctx q db
       | comps ->
-        incr c_combines;
+        Atomic.incr c_combines;
         A.combine ctx q db
           (List.map
              (fun comp ->
                let db_c, _ = Database.restrict_relations (Cq.relations comp) db in
-               (comp, db_c, fun () -> go ?memo ~par:false ctx comp db_c))
+               (comp, db_c, fun () -> eval ?memo ctx comp db_c))
              comps)
     end
 
-  and connected ?memo ~par ctx q db =
+  and connected ?memo ctx q db =
     match A.connected_leaf ctx q db with
     | Some t ->
-      incr c_leaves;
+      Atomic.incr c_leaves;
       t
     | None ->
       let root =
@@ -164,23 +154,13 @@ module Make (A : TABLE_ALGEBRA) = struct
           x
         | Some _ | None -> invalid_arg (A.root_error ^ Cq.to_string q)
       in
-      incr c_merges;
+      Atomic.incr c_merges;
       let blocks, dropped = cached_partition q root db in
       let subst = Cq.substituter q root in
-      let eval_block (v, block) =
-        (v, block, go ?memo ~par:false ctx (subst v) block)
-      in
-      let jobs = !block_jobs_ref in
       let tables =
-        if par && jobs > 1 && List.compare_length_with blocks 2 >= 0 then begin
-          incr c_parallel;
-          Pool.map ~jobs eval_block blocks
-        end
-        else List.map eval_block blocks
+        List.map (fun (v, block) -> (v, block, eval ?memo ctx (subst v) block)) blocks
       in
       A.pad ctx (Database.endo_size dropped) (A.merge ctx ~root tables)
-
-  let eval ?memo ctx q db = go ?memo ~par:true ctx q db
 
   let eval_top ?memo ctx q db =
     let db_rel, pad = Decompose.relevant_part q db in

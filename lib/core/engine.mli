@@ -20,8 +20,8 @@
     (Section 4.2), [(a,k,ℓ)]-tables for Avg/Quantile (Section 5), and
     duplicate-freeness counts for Has-duplicates (Section 6). This
     module factors the shared recursion out: each aggregate supplies a
-    {!TABLE_ALGEBRA} and inherits memoization, fault injection,
-    per-node statistics and optional root-block parallelism for free.
+    {!TABLE_ALGEBRA} and inherits memoization, fault injection and
+    per-node statistics for free.
 
     The engine is the {e only} module that calls
     {!Aggshap_cq.Decompose.choose_root} and
@@ -33,7 +33,7 @@
 
     Global counters over every {!Make} instance, surfaced by
     [shapctl --stats] and the bench JSON reports. Like
-    {!Tables.stats}, they are plain counters: approximate under
+    {!Tables.stats}, they are backed by [Atomic.t]: exact under
     concurrent domains. *)
 
 type stats = {
@@ -41,26 +41,10 @@ type stats = {
   leaves : int;  (** base cases: ground atoms and algebra-specific leaves *)
   merges : int;  (** root-variable partitions merged *)
   combines : int;  (** disconnected-component conjunctions *)
-  parallel_merges : int;  (** merges whose blocks were evaluated on the pool *)
 }
 
 val stats : unit -> stats
 val reset_stats : unit -> unit
-
-(** {1 Root-block parallelism}
-
-    Opt-in evaluation of the independent blocks of the {e top-level}
-    root partition on the {!Pool} domains. Off by default ([1]); the
-    recursion below the top partition always runs sequentially, so the
-    setting composes with (but multiplies the domain count of) the
-    per-fact parallelism of {!Batch}. Results are bit-identical for
-    every setting: the pool preserves block order and the arithmetic is
-    exact. *)
-
-val set_block_jobs : int -> unit
-(** Values [<= 1] disable block parallelism. *)
-
-val block_jobs : unit -> int
 
 (** {1 The table algebra} *)
 

@@ -1,6 +1,7 @@
 module B = Aggshap_arith.Bigint
 module Q = Aggshap_arith.Rational
 module C = Aggshap_arith.Combinat
+module Fault = Aggshap_arith.Fault
 
 type counts = B.t array
 
@@ -61,38 +62,6 @@ let sub a b =
   Array.map2 B.sub a b
 
 let complement n c = sub (full n) c
-
-type fault =
-  [ `None
-  | `Convolve_off_by_one
-  | `Tree_fold_skew
-  | `Karatsuba_split
-  | `Stale_block
-  | `Block_drop
-  | `Stale_index
-  | `Ddnnf_cache_poison
-  | `Kc_budget_leak ]
-
-let fault : fault ref = ref `None
-
-(* [`Karatsuba_split] lives in the arithmetic layer (it must corrupt
-   the multiplications of every caller), [`Stale_index] in the
-   relational storage layer (index maintenance skipped on updates), and
-   [`Ddnnf_cache_poison] / [`Kc_budget_leak] in the
-   knowledge-compilation tier's circuit compiler, so the setter keeps
-   [Bigint.fault], [Database.fault] and [Ddnnf.fault] in sync. *)
-let set_fault f =
-  fault := f;
-  B.fault := (match f with `Karatsuba_split -> `Karatsuba_split | _ -> `None);
-  Aggshap_relational.Database.fault :=
-    (match f with `Stale_index -> `Stale_index | _ -> `None);
-  Aggshap_lineage.Ddnnf.fault :=
-    (match f with
-    | `Ddnnf_cache_poison -> `Cache_poison
-    | `Kc_budget_leak -> `Budget_leak
-    | _ -> `None)
-
-let current_fault () = !fault
 
 (* Below this length (of the shorter operand) a convolution entry only
    accumulates a handful of terms: the zero-skipping scatter loop beats
@@ -195,12 +164,11 @@ let convolve a b =
       end;
       out
   in
-  (match !fault with
+  (match !Fault.current with
    | `Convolve_off_by_one ->
      if la > 1 && lb > 1 then
        out.(Array.length out - 1) <- B.add out.(Array.length out - 1) B.one
-   | `None | `Tree_fold_skew | `Karatsuba_split | `Stale_block | `Block_drop
-   | `Stale_index | `Ddnnf_cache_poison | `Kc_budget_leak -> ());
+   | _ -> ());
   out
 
 let convolve_many ts =
@@ -227,7 +195,7 @@ let convolve_many ts =
       arr := next
     done;
     let out = !arr.(0) in
-    (match !fault with
+    (match !Fault.current with
      | `Tree_fold_skew ->
        (* Simulated mis-pairing of siblings in the reduction tree: the
           top two subset sizes of the merged table trade places. Only
@@ -238,8 +206,7 @@ let convolve_many ts =
          out.(len - 1) <- out.(len - 2);
          out.(len - 2) <- t
        end
-     | `None | `Convolve_off_by_one | `Karatsuba_split | `Stale_block | `Block_drop
-     | `Stale_index | `Ddnnf_cache_poison | `Kc_budget_leak -> ());
+     | _ -> ());
     out
 
 let pad p c = if p = 0 then c else convolve c (full p)

@@ -84,8 +84,10 @@ val pp : Format.formatter -> t -> unit
     value they hold at argument position [pos] (facts of arity ≤ [pos]
     are absent — no atom probing that position can match them). Indexes
     are built lazily on first use, memoized on the database value, and
-    maintained incrementally across {!add}/{!remove}/{!set_provenance};
-    derived databases inherit the already-built entries. Memoization is
+    maintained incrementally across {!add}/{!remove}/{!set_provenance}
+    (carried over unadjusted while {!Aggshap_arith.Fault.current} is
+    [`Stale_index]); derived databases inherit the already-built
+    entries. Memoization is
     domain-safe: racing builds are benign lost updates of pure,
     deterministic work. *)
 
@@ -108,7 +110,7 @@ val cached_digest : t -> (t -> string) -> string
     must always pass the same (pure) [compute] — the engine's
     fingerprint serialization does. *)
 
-(** {1 Instrumentation and fault injection} *)
+(** {1 Instrumentation} *)
 
 type stats = {
   index_builds : int;  (** secondary indexes constructed from a segment *)
@@ -119,8 +121,3 @@ type stats = {
 val stats : unit -> stats
 val reset_stats : unit -> unit
 
-val fault : [ `None | `Stale_index ] ref
-(** [`Stale_index] makes updates keep the parent's built indexes
-    verbatim instead of adjusting them — a forgotten invalidation.
-    Segments stay correct; only index probes go wrong. Set through
-    [Tables.set_fault], which keeps the layers in sync. *)

@@ -201,8 +201,8 @@ let bigint_props =
 (* operands big enough to exercise the fast paths.                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Operands of up to ~700 digits: far past the Karatsuba limb threshold
-   and both divide-and-conquer string thresholds. *)
+(* Operands of up to ~700 digits: past both divide-and-conquer string
+   thresholds. *)
 let arb_huge =
   let gen =
     QCheck.Gen.(
@@ -215,19 +215,28 @@ let arb_huge =
   in
   QCheck.make gen ~print:B.to_string
 
-let with_karatsuba_threshold t f =
-  let saved = !B.karatsuba_threshold in
-  B.karatsuba_threshold := t;
-  Fun.protect ~finally:(fun () -> B.karatsuba_threshold := saved) f
+(* Operands of 430 to 3600 digits: a leading digit of at least 1 makes
+   every one at least 10^429 > 2^1410, i.e. 48 or more 30-bit limbs —
+   the fixed Karatsuba threshold — so every product of two such
+   operands takes at least one real split, and the longest recurse
+   several levels deep. *)
+let arb_karatsuba =
+  let gen =
+    QCheck.Gen.(
+      let* neg = bool in
+      let* ndigits = int_range 430 3600 in
+      let* lead = int_range 1 9 in
+      let* digits = list_size (return (ndigits - 1)) (int_range 0 9) in
+      let s = String.concat "" (List.map string_of_int (lead :: digits)) in
+      let s = if neg then "-" ^ s else s in
+      return (B.of_string s))
+  in
+  QCheck.make gen ~print:B.to_string
 
 let kernel_props =
-  [ prop "karatsuba agrees with schoolbook" 200 QCheck.(pair arb_huge arb_huge)
-      (fun (a, b) ->
-        (* Force the split even on small operands so every trial
-           exercises at least one recursion level. *)
-        let fast = with_karatsuba_threshold 4 (fun () -> B.mul a b) in
-        B.equal fast (B.mul_schoolbook a b));
-    prop "sqr agrees with mul" 200 arb_huge
+  [ prop "karatsuba agrees with schoolbook" 200 QCheck.(pair arb_karatsuba arb_karatsuba)
+      (fun (a, b) -> B.equal (B.mul a b) (B.mul_schoolbook a b));
+    prop "sqr agrees with mul" 200 arb_karatsuba
       (fun a -> B.equal (B.sqr a) (B.mul_schoolbook a a));
     prop "hybrid gcd agrees with Euclid reference" 200 QCheck.(pair arb_huge arb_huge)
       (fun (a, b) -> B.equal (B.gcd a b) (B.gcd_euclid a b));
@@ -258,6 +267,18 @@ let kernel_props =
         List.iter (fun (a, b) -> B.Acc.add_mul acc a b) pairs;
         let reference =
           List.fold_left (fun s (a, b) -> B.add s (B.mul a b)) B.zero pairs
+        in
+        B.equal (B.Acc.value acc) reference);
+    prop "Acc matches schoolbook fold on Karatsuba-size operands" 50
+      QCheck.(list_of_size (Gen.int_range 1 4) (pair arb_karatsuba arb_karatsuba))
+      (fun pairs ->
+        (* Both operands of every product are past the threshold, so
+           each [add_mul] takes the Karatsuba branch of the
+           accumulator. *)
+        let acc = B.Acc.create () in
+        List.iter (fun (a, b) -> B.Acc.add_mul acc a b) pairs;
+        let reference =
+          List.fold_left (fun s (a, b) -> B.add s (B.mul_schoolbook a b)) B.zero pairs
         in
         B.equal (B.Acc.value acc) reference);
     prop "Acc clear resets" 100 QCheck.(pair arb_big arb_big)

@@ -327,6 +327,26 @@ let test_kernel_counts_jobs_stable () =
      kernel work. *)
   Alcotest.(check bool) "measured runs exercised the kernels" true (!total_work > 0)
 
+(* The engine's per-node counters obey the same contract: with the memo
+   off, the nodes a batch enters do not depend on which domain enters
+   them, so the totals must agree exactly whatever the domain count. *)
+let test_engine_counts_jobs_stable () =
+  let module Engine = Core.Engine in
+  let a = Agg_query.make Aggregate.Avg (vid "R" 0) Catalog.q_xyy_full in
+  let db = Generate.chain_database ~rows:16 in
+  let measure jobs =
+    Engine.reset_stats ();
+    ignore (Core.Batch.shapley_all ~jobs ~cache:false a db);
+    Engine.stats ()
+  in
+  let show (s : Engine.stats) =
+    Printf.sprintf "nodes=%d leaves=%d merges=%d combines=%d" s.Engine.nodes
+      s.Engine.leaves s.Engine.merges s.Engine.combines
+  in
+  let s1 = measure 1 in
+  Alcotest.(check string) "engine counters jobs=1 vs jobs=4" (show s1) (show (measure 4));
+  Alcotest.(check bool) "the solve entered engine nodes" true (s1.Engine.nodes > 0)
+
 (* ------------------------------------------------------------------ *)
 (* Solver.banzhaf: fact lookup on the out-of-frontier path             *)
 (* ------------------------------------------------------------------ *)
@@ -397,6 +417,8 @@ let () =
         [
           Alcotest.test_case "jobs=1 vs jobs=4 counts identical" `Quick
             test_kernel_counts_jobs_stable;
+          Alcotest.test_case "engine counters jobs=1 vs jobs=4 identical" `Quick
+            test_engine_counts_jobs_stable;
         ] );
       ( "banzhaf lookup",
         [

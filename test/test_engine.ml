@@ -1,12 +1,12 @@
 (* The generic Fig. 2 decomposition engine: algebraic laws (qcheck) for
    the table algebra behind each engine instance, the static
-   decomposition planner, bit-identity of parallel root-block
-   evaluation, per-node statistics, and the engine-level `Block_drop
-   fault caught by the differential oracle in all six aggregate
-   families. *)
+   decomposition planner, per-node statistics, and the engine-level
+   `Block_drop fault caught by the differential oracle in all six
+   aggregate families. *)
 
 module B = Aggshap_arith.Bigint
 module Q = Aggshap_arith.Rational
+module Fault = Aggshap_arith.Fault
 module Tables = Aggshap_core.Tables
 module Engine = Aggshap_core.Engine
 module Count_dp = Aggshap_core.Count_dp
@@ -232,34 +232,13 @@ let test_root_partition_conserves_facts () =
     (in_blocks + Database.endo_size dropped)
 
 (* ------------------------------------------------------------------ *)
-(* Parallel root blocks: bit-identical, and counted                    *)
+(* Per-node statistics                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let wide_db =
   Database.of_facts
     [ Fact.of_ints "R" [ 1; 2 ]; Fact.of_ints "R" [ 3; 4 ]; Fact.of_ints "R" [ 5; 6 ];
       Fact.of_ints "S" [ 2 ]; Fact.of_ints "S" [ 4 ]; Fact.of_ints "S" [ 6 ] ]
-
-let test_parallel_blocks_bit_identical () =
-  Alcotest.(check int) "engine defaults to sequential blocks" 1 (Engine.block_jobs ());
-  let a = Agg_query.make Aggregate.Max (Value_fn.id ~rel:"R" ~pos:0) Catalog.q_xyy in
-  let seq = Aggshap_core.Minmax.sum_k a wide_db in
-  Engine.reset_stats ();
-  Engine.set_block_jobs 3;
-  let par =
-    Fun.protect
-      ~finally:(fun () -> Engine.set_block_jobs 1)
-      (fun () -> Aggshap_core.Minmax.sum_k a wide_db)
-  in
-  Alcotest.(check int) "same length" (Array.length seq) (Array.length par);
-  Array.iteri
-    (fun k v ->
-      Alcotest.(check string)
-        (Printf.sprintf "sum_%d identical" k)
-        (Q.to_string v) (Q.to_string par.(k)))
-    seq;
-  Alcotest.(check bool) "the top-level merge fanned out" true
-    ((Engine.stats ()).Engine.parallel_merges > 0)
 
 let test_stats_counters () =
   Engine.reset_stats ();
@@ -268,8 +247,6 @@ let test_stats_counters () =
   Alcotest.(check bool) "nodes counted" true (s.Engine.nodes > 0);
   Alcotest.(check bool) "leaves counted" true (s.Engine.leaves > 0);
   Alcotest.(check bool) "merges counted" true (s.Engine.merges > 0);
-  Alcotest.(check bool) "no parallel merges by default" true
-    (s.Engine.parallel_merges = 0);
   Engine.reset_stats ();
   Alcotest.(check int) "reset clears nodes" 0 (Engine.stats ()).Engine.nodes
 
@@ -318,10 +295,10 @@ let directed_block_drop (name, alpha, query, tau, facts) =
       let trial = { Trial.seed = 0; query; db; alpha; tau } in
       Alcotest.(check bool) "clean without the fault" true
         (Oracle.run ~par_jobs:1 trial = None);
-      assert (Tables.current_fault () = `None);
-      Tables.set_fault `Block_drop;
+      assert (!Fault.current = `None);
+      Fault.current := `Block_drop;
       Fun.protect
-        ~finally:(fun () -> Tables.set_fault `None)
+        ~finally:(fun () -> Fault.current := `None)
         (fun () ->
           match Oracle.run ~par_jobs:1 trial with
           | None -> Alcotest.failf "%s: `Block_drop was not caught" name
@@ -370,10 +347,8 @@ let () =
           Alcotest.test_case "root_partition conserves facts" `Quick
             test_root_partition_conserves_facts;
         ] );
-      ( "parallel blocks and stats",
-        [ Alcotest.test_case "parallel blocks bit-identical" `Quick
-            test_parallel_blocks_bit_identical;
-          Alcotest.test_case "per-node counters" `Quick test_stats_counters;
+      ( "stats",
+        [ Alcotest.test_case "per-node counters" `Quick test_stats_counters;
           Alcotest.test_case "capped answer counts" `Quick test_capped_answer_counts;
         ] );
       ("block-drop fault per family", List.map directed_block_drop block_drop_families);
