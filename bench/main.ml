@@ -922,7 +922,8 @@ let e21 () =
         @ [ ("kernels", Obj []) ])
       :: !results
   in
-  (* Full-vector naive is n·2^n: only run it where that is sane. *)
+  (* Naive evaluates all 2^n coalitions once per solve: only run it
+     where that is sane. *)
   let naive_cap = 14 in
   let sizes = if quick then [ 3; 4 ] else [ 3; 4; 6; 8 ] in
   List.iter

@@ -591,8 +591,7 @@ let cache_arg =
 
 let stats_arg =
   Arg.(value & flag & info [ "stats" ]
-         ~doc:"Print arithmetic/convolution kernel counters after solving \
-               (approximate when --jobs > 1).")
+         ~doc:"Print arithmetic/convolution kernel counters after solving.")
 
 let classify_cmd =
   Cmd.v

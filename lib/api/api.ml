@@ -307,7 +307,8 @@ let banzhaf_all ?fact a db =
       Ok [ f ]
   in
   trap (fun () ->
-      { values = List.map (fun f -> (f, Solver.Exact (Solver.banzhaf a db f))) facts;
+      let banzhaf = Solver.banzhaf a db in
+      { values = List.map (fun f -> (f, Solver.Exact (banzhaf f))) facts;
         report = None })
 
 (* ------------------------------------------------------------------ *)

@@ -32,6 +32,9 @@ let half = of_ints 1 2
 let num t = t.num
 let den t = t.den
 
+let den_lcm acc q =
+  if Bigint.is_one q.den || Bigint.equal q.den acc then acc else Bigint.lcm acc q.den
+
 let sign t = Bigint.sign t.num
 let is_zero t = Bigint.is_zero t.num
 let is_integer t = Bigint.is_one t.den

@@ -28,6 +28,12 @@ val of_ints : int -> int -> t
 val num : t -> Bigint.t
 val den : t -> Bigint.t
 
+val den_lcm : Bigint.t -> t -> Bigint.t
+(** [den_lcm acc q] is the least common multiple of [acc] and the
+    denominator of [q], skipping the gcd when that denominator is [1] or
+    [acc] itself. Folded from [Bigint.one], it gives the common
+    denominator over which a vector of rationals lifts to integers. *)
+
 (** {1 Arithmetic} *)
 
 val neg : t -> t

@@ -1,4 +1,5 @@
 module Q = Aggshap_arith.Rational
+module B = Aggshap_arith.Bigint
 module C = Aggshap_arith.Combinat
 
 type t = {
@@ -43,6 +44,51 @@ let shapley g p =
   !acc
 
 let shapley_all g = Array.init g.n (shapley g)
+
+(* Regroup the Shapley sum by coalition size. With u(S) = L·v(S) over
+   the common denominator L of all 2ⁿ utilities, in_p(s) the sum of u
+   over the size-s coalitions holding p and tot(s) the sum over all
+   size-s coalitions,
+
+     n!·L·φ_p = Σ_{s=1..n} w_{s−1}·in_p(s) − Σ_{s=0..n−1} w_s·(tot(s) − in_p(s))
+
+   with w_k = k!(n−k−1)!. The coalition pass only adds integers; each
+   player then costs one multiply-accumulate over n sizes and one
+   normalisation. *)
+let shapley_all_int g =
+  let n = g.n in
+  if n = 0 then [||]
+  else begin
+    let values = Array.init (1 lsl n) g.utility in
+    let l = Array.fold_left Q.den_lcm B.one values in
+    let tot = Array.make (n + 1) B.zero in
+    let inp = Array.make_matrix n (n + 1) B.zero in
+    Array.iteri
+      (fun mask v ->
+        if not (Q.is_zero v) then begin
+          let u = if B.is_one l then Q.num v else B.mul (Q.num v) (B.div l (Q.den v)) in
+          let s = popcount mask in
+          tot.(s) <- B.add tot.(s) u;
+          for p = 0 to n - 1 do
+            if mask land (1 lsl p) <> 0 then inp.(p).(s) <- B.add inp.(p).(s) u
+          done
+        end)
+      values;
+    let weights = C.shapley_weights n in
+    let den = B.mul (C.factorial n) l in
+    Array.map
+      (fun in_p ->
+        let acc = B.Acc.create () in
+        for s = 1 to n do
+          B.Acc.add_mul acc weights.(s - 1) in_p.(s)
+        done;
+        (* − w_s·(tot(s) − in_p(s)), as one product. *)
+        for s = 0 to n - 1 do
+          B.Acc.add_mul acc weights.(s) (B.sub in_p.(s) tot.(s))
+        done;
+        Q.make (B.Acc.value acc) den)
+      inp
+  end
 
 let banzhaf g p =
   if p < 0 || p >= g.n then invalid_arg "Game.banzhaf: no such player";

@@ -20,9 +20,24 @@ val make : n:int -> (int -> Aggshap_arith.Rational.t) -> t
 (** Memoizes the utility. @raise Invalid_argument if [n > max_players]. *)
 
 val shapley : t -> int -> Aggshap_arith.Rational.t
-(** Exact Shapley value of one player, by subset enumeration. *)
+(** Exact Shapley value of one player, by subset enumeration: the
+    textbook loop, one rational marginal contribution per coalition.
+    Together with {!shapley_all} it is the reference the differential
+    oracle ([Aggshap_check.Oracle]) judges every solver against. *)
 
 val shapley_all : t -> Aggshap_arith.Rational.t array
+(** {!shapley} for every player, one textbook loop each. *)
+
+val shapley_all_int : t -> Aggshap_arith.Rational.t array
+(** Every player's Shapley value from one pass over the [2ⁿ]
+    coalitions, each utility evaluated once: the utilities are lifted
+    over their common denominator [L], summed as integers per coalition
+    size (all coalitions, and those holding each player), and each
+    player finishes with one dot product against
+    {!Aggshap_arith.Combinat.shapley_weights} over [n!·L]. Equal to
+    {!shapley_all}; [n·2ⁿ⁻¹] integer additions instead of as many
+    rational subtract-multiply-adds. The naive route of
+    [Solver.shapley_all] reads its values here. [[||]] for [n = 0]. *)
 
 val banzhaf : t -> int -> Aggshap_arith.Rational.t
 (** The Banzhaf score [2^{-(n-1)} Σ_C (v(C∪p) − v(C))] — a Shapley-like

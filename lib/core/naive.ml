@@ -12,8 +12,12 @@ let coalition_db players exo mask =
 let game ?visit a db =
   let players = Array.of_list (Database.endogenous db) in
   let exo = Database.filter (fun _ p -> p = Database.Exogenous) db in
-  let base = Agg_query.eval ?visit a exo in
-  let utility mask = Q.sub (Agg_query.eval ?visit a (coalition_db players exo mask)) base in
+  (* Forced by the first coalition: a game without players evaluates
+     nothing. *)
+  let base = lazy (Agg_query.eval ?visit a exo) in
+  let utility mask =
+    Q.sub (Agg_query.eval ?visit a (coalition_db players exo mask)) (Lazy.force base)
+  in
   (players, Game.make ~n:(Array.length players) utility)
 
 let index_of players f =

@@ -14,7 +14,8 @@ val game :
 (** The cooperative game of the paper: players are the endogenous facts
     (returned array fixes the player indexing) and
     [v(C) = A(C ∪ Dˣ) − A(Dˣ)], every utility evaluated with
-    [Agg_query.eval ?visit].
+    [Agg_query.eval ?visit]. Nothing is evaluated before the first
+    utility, so a game without players evaluates nothing.
     @raise Invalid_argument if there are more than {!Game.max_players}
     endogenous facts. *)
 

@@ -83,21 +83,23 @@ let shapley ?fallback ?mc_seed ?kc_node_budget (a : Agg_query.t) db f =
   in
   run_ladder p a (fun route -> run_route ?mc_seed ?kc_node_budget a db f route)
 
-let banzhaf (a : Agg_query.t) db f =
-  if within_frontier a.alpha a.query then begin
+(* Staged on [a] and [db]: beyond the frontier the naive game is built
+   once, before the fact arrives, and serves every fact it is applied
+   to. *)
+let banzhaf (a : Agg_query.t) db =
+  if within_frontier a.alpha a.query then
     match a.alpha with
     | Aggregate.Sum | Aggregate.Count ->
-      Sum_count.score ~coefficients:Sumk.banzhaf_coefficients a db f
+      Sum_count.score ~coefficients:Sumk.banzhaf_coefficients a db
     | Aggregate.Count_distinct ->
-      Cdist.score ~coefficients:Sumk.banzhaf_coefficients a db f
-    | Aggregate.Min | Aggregate.Max -> Sumk.banzhaf_of Minmax.sum_k a db f
+      Cdist.score ~coefficients:Sumk.banzhaf_coefficients a db
+    | Aggregate.Min | Aggregate.Max -> Sumk.banzhaf_of Minmax.sum_k a db
     | Aggregate.Avg | Aggregate.Median | Aggregate.Quantile _ ->
-      Sumk.banzhaf_of Avg_quantile.sum_k a db f
-    | Aggregate.Has_duplicates -> Sumk.banzhaf_of Dup.sum_k a db f
-  end
+      Sumk.banzhaf_of Avg_quantile.sum_k a db
+    | Aggregate.Has_duplicates -> Sumk.banzhaf_of Dup.sum_k a db
   else begin
     let players, game = Naive.game a db in
-    Game.banzhaf game (Naive.index_of players f)
+    fun f -> Game.banzhaf game (Naive.index_of players f)
   end
 
 let shapley_exact a db f =
@@ -131,7 +133,13 @@ let shapley_all ?fallback ?mc_seed ?jobs ?(cache = true) ?kc_node_budget
         (fun (f, v) -> (f, Exact v))
         (Lineage.shapley_all ?budget:kc_node_budget a db)
     | Strategy.Fail -> frontier_error a
-    | (Strategy.Naive | Strategy.Monte_carlo _) as route ->
+    | Strategy.Naive ->
+      (* One game serves every fact, in the calling domain: its 2ⁿ
+         utilities are evaluated once and summed in integers. *)
+      let players, g = Naive.game a db in
+      let values = Game.shapley_all_int g in
+      Array.to_list (Array.mapi (fun i f -> (f, Exact values.(i))) players)
+    | Strategy.Monte_carlo _ as route ->
       let indexed = List.mapi (fun i f -> (i, f)) (Database.endogenous db) in
       Batch.map ?jobs
         (fun (i, f) ->

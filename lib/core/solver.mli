@@ -84,7 +84,9 @@ val banzhaf :
 (** The Banzhaf value of an endogenous fact (Section 3.2's observation
     that [sum_k]-based algorithms compute every Shapley-like score):
     inside the frontier via the polynomial algorithms, outside via exact
-    enumeration. *)
+    enumeration. Staged: outside the frontier, [banzhaf a db] builds the
+    naive game once, and the resulting function reads every fact's
+    score from it — apply it to all the facts of a batch. *)
 
 val shapley_exact :
   Aggshap_agg.Agg_query.t ->
@@ -107,14 +109,17 @@ val shapley_all :
     per-fact loop fans out over [jobs] domains (default
     {!Pool.default_jobs}[ ()]; [1] is fully sequential) and DP tables are
     shared across facts when [cache] is [true] (the default). Outside the
-    frontier the planner's route runs — the fallback solvers fan across
-    the same pool; with [`Fail] the frontier error is raised up-front,
-    before any worker domain is spawned. [mc_seed] seeds a
-    [`Monte_carlo] fallback: each fact gets a distinct seed derived
+    frontier the planner's route runs; with [`Fail] the frontier error
+    is raised up-front, before any worker domain is spawned. A
+    [`Monte_carlo] fallback fans its per-fact estimates across the same
+    pool; [mc_seed] seeds it: each fact gets a distinct seed derived
     deterministically from [mc_seed] and its position, so estimates are
-    reproducible for every [jobs] value. A supported
-    [`Knowledge_compilation] (or auto-picked) batch runs in the calling
-    domain instead: one extraction and one compilation serve every
-    fact; if it aborts on [kc_node_budget] the batch re-runs on the
-    ladder's next rung. Exact results are bit-identical for every
-    [jobs]/[cache] combination and every exact route. *)
+    reproducible for every [jobs] value. The exact fallbacks run in the
+    calling domain, and [jobs] does not fan them out: a naive batch
+    builds one game and evaluates each of its [2ⁿ] coalitions once for
+    every fact ({!Game.shapley_all_int}); a supported
+    [`Knowledge_compilation] (or auto-picked) batch does one extraction
+    and one compilation for every fact, and if it aborts on
+    [kc_node_budget] the batch re-runs on the ladder's next rung. Exact
+    results are bit-identical for every [jobs]/[cache] combination and
+    every exact route. *)

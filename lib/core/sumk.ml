@@ -19,10 +19,6 @@ let banzhaf_coefficients : coefficients =
 
 module B = Aggshap_arith.Bigint
 
-let den_lcm acc q =
-  let d = Q.den q in
-  if B.is_one d || B.equal d acc then acc else B.lcm acc d
-
 (* The Shapley dot product in common-denominator form: the weight of
    size [k] is the integer [k! (n-k-1)!] over the shared denominator
    [n!], and the sum_k entries are lifted over the lcm of their
@@ -30,8 +26,8 @@ let den_lcm acc q =
    pass with a single normalization at the end — instead of reducing a
    factorial-scale rational per coalition size. *)
 let shapley_of_vectors_int ~players with_f without_f =
-  let l = Array.fold_left den_lcm B.one with_f in
-  let l = Array.fold_left den_lcm l without_f in
+  let l = Array.fold_left Q.den_lcm B.one with_f in
+  let l = Array.fold_left Q.den_lcm l without_f in
   let lift q =
     if Q.is_zero q then B.zero
     else if B.is_one l then Q.num q

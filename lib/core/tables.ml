@@ -223,21 +223,14 @@ let add_rat a b =
 
 let zeros_rat n = Array.make (n + 1) Q.zero
 
-(* Least common multiple of the denominators, with a fast path for the
-   (dominant) case where a denominator already divides the running
-   lcm. *)
-let den_lcm acc q =
-  let d = Q.den q in
-  if B.is_one d || B.equal d acc then acc else B.lcm acc d
-
 let convolve_rat a b =
   Atomic.incr c_convolve_rat;
   (* Common-denominator form: lift both operands to integer arrays over
      one denominator each, convolve exactly as integers, and normalize
      once per entry at the end — instead of one gcd per term inside
      [Q.add]/[Q.mul]. *)
-  let da = Array.fold_left den_lcm B.one a in
-  let db = Array.fold_left den_lcm B.one b in
+  let da = Array.fold_left Q.den_lcm B.one a in
+  let db = Array.fold_left Q.den_lcm B.one b in
   let lift d q =
     if Q.is_zero q then B.zero
     else B.mul (Q.num q) (B.div d (Q.den q))
@@ -255,7 +248,7 @@ let weighted_sum n pairs =
   Atomic.incr c_weighted_sums;
   (* Σ_i w_i * c_i over the lcm of the weights' denominators: all-integer
      accumulation, one gcd per subset size at the very end. *)
-  let d = List.fold_left (fun acc (w, _) -> den_lcm acc w) B.one pairs in
+  let d = List.fold_left (fun acc (w, _) -> Q.den_lcm acc w) B.one pairs in
   let accs = Array.init (n + 1) (fun _ -> B.Acc.create ()) in
   List.iter
     (fun (w, c) ->

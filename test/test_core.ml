@@ -144,6 +144,43 @@ let test_game_guard () =
     (try ignore (Core.Game.make ~n:60 (fun _ -> Q.zero)); false
      with Invalid_argument _ -> true)
 
+(* Games for the integer summation: up to 10 players, v(∅) free, and
+   utilities mixing zeros, small integers of both signs, fractions over
+   assorted denominators and numerators past 2⁶² — so the common
+   denominator L is rarely 1 and the per-size sums leave native ints. *)
+let arb_game =
+  let gen_utility =
+    QCheck.Gen.(
+      frequency
+        [ (2, return Q.zero);
+          (3, map Q.of_int (int_range (-20) 20));
+          (3, map2 Q.of_ints (int_range (-1000) 1000) (int_range 1 36));
+          (1,
+           let* neg = bool in
+           let* e = int_range 62 130 in
+           let* low = int_bound 1_000_000 in
+           let* d = int_range 1 12 in
+           let num = B.add (B.pow B.two e) (B.of_int low) in
+           return (Q.make (if neg then B.neg num else num) (B.of_int d))) ])
+  in
+  let gen =
+    QCheck.Gen.(
+      let* n = int_range 0 10 in
+      let* u = array_size (return (1 lsl n)) gen_utility in
+      return (n, u))
+  in
+  QCheck.make gen ~print:(fun (n, u) ->
+      Printf.sprintf "n=%d [%s]" n
+        (String.concat "; " (Array.to_list (Array.map Q.to_string u))))
+
+let shapley_all_int_agrees =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"shapley_all_int agrees with textbook shapley_all" ~count:100
+       arb_game (fun (n, u) ->
+         let g = Core.Game.make ~n (fun mask -> u.(mask)) in
+         let expected = Core.Game.shapley_all g and actual = Core.Game.shapley_all_int g in
+         Array.length actual = n && Array.for_all2 Q.equal expected actual))
+
 (* ------------------------------------------------------------------ *)
 (* Boolean membership DP                                               *)
 (* ------------------------------------------------------------------ *)
@@ -301,6 +338,50 @@ let test_solver_dispatch_and_fallback () =
     let a2 = Agg_query.make Aggregate.Max (vid "R" 0) Catalog.q_xyy in
     let _, report2 = Core.Solver.shapley a2 db f in
     Alcotest.(check bool) "inside frontier" true report2.Core.Solver.within_frontier
+
+let test_naive_one_game_per_solve () =
+  (* Avg on q_xyy is beyond its frontier, so every batch below runs
+     naive enumeration. A τ that counts its calls shows how many
+     coalitions were evaluated: one game's worth, not one per fact. *)
+  let calls = Atomic.make 0 in
+  let tau =
+    Value_fn.custom ~rel:"R" ~descr:"counted id" (fun args ->
+        Atomic.incr calls;
+        Value_fn.apply (vid "R" 0) args)
+  in
+  let a = Agg_query.make Aggregate.Avg tau Catalog.q_xyy in
+  let db = Generate.random_database ~seed:5 ~config:small_config Catalog.q_xyy in
+  let n = Database.endo_size db in
+  if n < 2 then Alcotest.fail "instance too small to tell one game from n";
+  let count f =
+    Atomic.set calls 0;
+    f ();
+    Atomic.get calls
+  in
+  let one_game =
+    count (fun () ->
+        let _, g = Core.Naive.game a db in
+        for mask = 0 to (1 lsl n) - 1 do
+          ignore (g.Core.Game.utility mask)
+        done)
+  in
+  if one_game = 0 then Alcotest.fail "the counting τ was never called";
+  Alcotest.(check int) "Solver.shapley_all, naive" one_game
+    (count (fun () -> ignore (Core.Solver.shapley_all ~fallback:`Naive a db)));
+  Alcotest.(check int) "Api.banzhaf_all beyond the frontier" one_game
+    (count (fun () -> ignore (Aggshap_api.Api.banzhaf_all a db)));
+  (* Without endogenous facts there is no game to play, so not even
+     A(Dˣ) is evaluated. *)
+  let exo_only =
+    List.fold_left
+      (fun db f -> Database.add ~provenance:Database.Exogenous f db)
+      Database.empty
+      [ Fact.of_ints "R" [ 1; 1 ]; Fact.of_ints "S" [ 1 ] ]
+  in
+  Alcotest.(check int) "no players, no evaluation" 0
+    (count (fun () ->
+         ignore (Core.Solver.shapley_all ~fallback:`Naive a exo_only);
+         ignore (Aggshap_api.Api.banzhaf_all a exo_only)))
 
 let test_solver_efficiency_axiom () =
   (* End-to-end: the DP Shapley values of all facts sum to A(D) − A(Dˣ). *)
@@ -512,6 +593,7 @@ let () =
           Alcotest.test_case "linearity" `Quick test_game_linearity;
           Alcotest.test_case "banzhaf" `Quick test_game_banzhaf;
           Alcotest.test_case "player guard" `Quick test_game_guard;
+          shapley_all_int_agrees;
         ] );
       ( "boolean dp",
         [ Alcotest.test_case "counts small" `Quick test_boolean_counts_small;
@@ -1050,5 +1132,7 @@ let () =
           Alcotest.test_case "dispatch and fallback" `Quick test_solver_dispatch_and_fallback;
           Alcotest.test_case "efficiency axiom end-to-end" `Quick
             test_solver_efficiency_axiom;
+          Alcotest.test_case "naive: one game per solve" `Quick
+            test_naive_one_game_per_solve;
         ] );
     ]
