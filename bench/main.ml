@@ -1050,7 +1050,9 @@ let a2 () =
       let f = first_endo db in
       let a = Agg_query.make Aggregate.Max (vid "R" 0) Catalog.q_xyy in
       let _, t_s = time (fun () -> Core.Minmax.shapley a db f) in
-      let _, t_b = time (fun () -> Core.Sumk.banzhaf_of Core.Minmax.sum_k a db f) in
+      let _, t_b =
+        time (fun () -> Core.Minmax.shapley ~score:Aggshap_arith.Score.Banzhaf a db f)
+      in
       Printf.printf "%8d %12s %12s\n" rows (pp_time (Some t_s)) (pp_time (Some t_b)))
     sizes
 

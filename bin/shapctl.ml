@@ -199,12 +199,12 @@ let run_solve query_s db_path agg_s tau_s fact_s fallback_s score_s jobs cache
     Aggshap_lineage.Ddnnf.reset_stats ()
   end;
   let result =
-    match (score, fact_s) with
-    | Api.Banzhaf, fact -> or_die (Api.banzhaf_all ?fact a db)
-    | Api.Shapley, Some fact_s ->
-      or_die (Api.shapley_fact ~fallback ?mc_seed ?kc_node_budget a db fact_s)
-    | Api.Shapley, None ->
-      or_die (Api.shapley_all ~fallback ?mc_seed ?jobs ~cache ?kc_node_budget a db)
+    match fact_s with
+    | Some fact_s ->
+      or_die (Api.shapley_fact ~score ~fallback ?mc_seed ?kc_node_budget a db fact_s)
+    | None ->
+      or_die
+        (Api.shapley_all ~score ~fallback ?mc_seed ?jobs ~cache ?kc_node_budget a db)
   in
   (match result.Api.report with
    | Some report ->

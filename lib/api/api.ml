@@ -165,7 +165,7 @@ let parse_wire_fallback s =
   | (`Auto | `Naive | `Knowledge_compilation | `Fail) as fb ->
     Ok (fb :> Strategy.fallback)
 
-type score = Shapley | Banzhaf
+type score = Aggshap_arith.Score.t = Shapley | Banzhaf
 
 let parse_score = function
   | "shapley" -> Ok Shapley
@@ -280,36 +280,24 @@ let eval a db = trap (fun () -> Agg_query.eval a db)
 
 type solve_result = {
   values : (Fact.t * Solver.outcome) list;
-  report : Solver.report option;  (** [None] for Banzhaf (no report attached) *)
+  report : Solver.report option;  (** always [Some] *)
 }
 
-let shapley_all ?fallback ?mc_seed ?jobs ?cache ?kc_node_budget a db =
+let shapley_all ?score ?fallback ?mc_seed ?jobs ?cache ?kc_node_budget a db =
   trap (fun () ->
       let values, report =
-        Solver.shapley_all ?fallback ?mc_seed ?jobs ?cache ?kc_node_budget a db
+        Solver.shapley_all ?score ?fallback ?mc_seed ?jobs ?cache ?kc_node_budget
+          a db
       in
       { values; report = Some report })
 
-let shapley_fact ?fallback ?mc_seed ?kc_node_budget a db fact_s =
+let shapley_fact ?score ?fallback ?mc_seed ?kc_node_budget a db fact_s =
   let* f, _prov = parse_fact fact_s in
   trap (fun () ->
       let outcome, report =
-        Solver.shapley ?fallback ?mc_seed ?kc_node_budget a db f
+        Solver.shapley ?score ?fallback ?mc_seed ?kc_node_budget a db f
       in
       { values = [ (f, outcome) ]; report = Some report })
-
-let banzhaf_all ?fact a db =
-  let* facts =
-    match fact with
-    | None -> Ok (Database.endogenous db)
-    | Some s ->
-      let* f, _prov = parse_fact s in
-      Ok [ f ]
-  in
-  trap (fun () ->
-      let banzhaf = Solver.banzhaf a db in
-      { values = List.map (fun f -> (f, Solver.Exact (banzhaf f))) facts;
-        report = None })
 
 (* ------------------------------------------------------------------ *)
 (* Sessions                                                            *)

@@ -63,7 +63,8 @@ val parse_wire_fallback : string -> (Strategy.fallback, string) result
     exact rationals only, so [mc:...] is rejected with the same message
     in [shapctl client] and raw-mode requests. *)
 
-type score = Shapley | Banzhaf
+type score = Aggshap_arith.Score.t = Shapley | Banzhaf
+(** The library's one score type, re-exported. *)
 
 val parse_score : string -> (score, string) result
 
@@ -119,22 +120,23 @@ val check_jobs : int option -> (unit, string) result
 
 type solve_result = {
   values : (Fact.t * Solver.outcome) list;
-  report : Solver.report option;  (** [None] for Banzhaf (no report attached) *)
+  report : Solver.report option;
+      (** always [Some], for either score; the option stays because
+          existing callers match on it *)
 }
 
 val shapley_all :
-  ?fallback:Strategy.fallback -> ?mc_seed:int -> ?jobs:int -> ?cache:bool ->
-  ?kc_node_budget:int ->
+  ?score:score -> ?fallback:Strategy.fallback -> ?mc_seed:int -> ?jobs:int ->
+  ?cache:bool -> ?kc_node_budget:int ->
   Agg_query.t -> Database.t -> (solve_result, string) result
-(** All endogenous facts, through {!Solver.shapley_all}. *)
+(** All endogenous facts, through {!Solver.shapley_all}; [score]
+    defaults to Shapley. *)
 
 val shapley_fact :
-  ?fallback:Strategy.fallback -> ?mc_seed:int -> ?kc_node_budget:int ->
+  ?score:score -> ?fallback:Strategy.fallback -> ?mc_seed:int ->
+  ?kc_node_budget:int ->
   Agg_query.t -> Database.t -> string -> (solve_result, string) result
-(** One fact, given in fact syntax. *)
-
-val banzhaf_all :
-  ?fact:string -> Agg_query.t -> Database.t -> (solve_result, string) result
+(** One fact, given in fact syntax, through {!Solver.shapley}. *)
 
 (** {1 Sessions} *)
 

@@ -9,7 +9,7 @@
     they fit, so the representation is canonical and the many tiny
     DP-table entries early in the recursions never touch the heap.
     All operations are purely functional. This module exists because
-    the Shapley coefficients [k!(n-k-1)!/n!] and the subset counts
+    the Shapley weights [k!(n-k-1)!/n!] and the subset counts
     manipulated by the dynamic programs exceed 63-bit integers for any
     interesting database size, and no bignum package is available in
     this environment. *)

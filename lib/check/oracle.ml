@@ -1,4 +1,5 @@
 module Q = Aggshap_arith.Rational
+module Score = Aggshap_arith.Score
 module Database = Aggshap_relational.Database
 module Fact = Aggshap_relational.Fact
 module Value = Aggshap_relational.Value
@@ -73,6 +74,29 @@ let symmetric_players (g : Game.t) i j =
       then ok := false
   done;
   !ok
+
+(* Banzhaf goes through the same plan and ladder as Shapley, so the
+   textbook Game.banzhaf loop over the naive game judges the planner's
+   [`Auto] pick — the DP inside the frontier, compilation or the integer
+   naive pass outside it — and forced knowledge compilation wherever the
+   lineage tier applies beyond the frontier. *)
+let check_banzhaf (a : Agg_query.t) db players game =
+  let reference =
+    Array.to_list (Array.mapi (fun i f -> (f, Game.banzhaf game i)) players)
+  in
+  let banzhaf fallback =
+    exact_results
+      (fst (Solver.shapley_all ~score:Score.Banzhaf ~fallback ~jobs:1 a db))
+  in
+  first_failure
+    [ (fun () -> same_exact_results "banzhaf-vs-naive" reference (banzhaf `Auto));
+      (fun () ->
+        if Solver.within_frontier a.alpha a.query || not (Lineage.supports a.alpha)
+        then None
+        else
+          same_exact_results "banzhaf-vs-naive" reference
+            (banzhaf `Knowledge_compilation));
+    ]
 
 let run_checks ~par_jobs ~kc_always ~auto_always (t : Trial.t) =
   let a = Trial.agg_query t in
@@ -309,7 +333,7 @@ let run_checks ~par_jobs ~kc_always ~auto_always (t : Trial.t) =
       [ check_oracle_sanity; check_agreement; check_efficiency; check_null_player;
         check_symmetry; check_sum_linearity; check_engine_equivalence;
         check_knowledge_compilation; check_auto; check_fail_up_front;
-        check_mc_reproducible ]
+        check_mc_reproducible; (fun () -> check_banzhaf a db players game) ]
   end
 
 let run ?(par_jobs = 2) ?(kc_always = false) ?(auto_always = false) t =
@@ -356,7 +380,14 @@ let run_update_checks (u : Utrial.t) =
       | Some failure -> Some failure
       | None -> go (step + 1) rest)
   in
-  (match check_step 0 with Some failure -> Some failure | None -> go 1 u.Utrial.ops)
+  (* Once every step agrees, the batch campaign's last check runs on the
+     final database and τ. *)
+  let check_final_banzhaf () =
+    let players, game = Naive.game ~visit:scan !a !db in
+    check_banzhaf !a !db players game
+  in
+  first_failure
+    [ (fun () -> check_step 0); (fun () -> go 1 u.Utrial.ops); check_final_banzhaf ]
 
 let run_updates (u : Utrial.t) =
   try run_update_checks u

@@ -6,7 +6,8 @@
     axioms; outside the frontier it checks the fallback plumbing
     (deterministic seeded Monte-Carlo, up-front [`Fail]). In both cases
     it checks that every engine configuration — cache on/off, one worker
-    vs a pool, batch vs per-fact loop — returns identical exact values. *)
+    vs a pool, batch vs per-fact loop — returns identical exact values,
+    and that the Banzhaf score agrees with its textbook reference. *)
 
 type failure = {
   check : string;  (** short name of the violated check *)
@@ -30,6 +31,11 @@ val run :
     The solve planner's [`Auto] route is likewise checked bit-identical
     to the naive reference on every trial outside the frontier;
     [auto_always] (default [false]) extends it to every trial.
+    The last check, ["banzhaf-vs-naive"], runs on every trial: the
+    solver's Banzhaf values under [`Auto] (one worker) must equal the
+    textbook {!Aggshap_core.Game.banzhaf} loop over the naive game, and
+    so must forced [`Knowledge_compilation] outside the frontier when
+    the lineage tier supports the aggregate.
     Exceptions escaping the system under test are reported as an
     ["exception"] failure rather than propagated. *)
 
@@ -38,6 +44,8 @@ val run_updates : Utrial.t -> failure option
     {!Aggshap_incr.Session}, checking after the initial build and after
     every op that the session's values are bit-identical to naive
     enumeration ({!Aggshap_core.Naive.shapley_all} on the scan
-    evaluator) over an independently tracked database and τ. Runs
-    entirely in the calling domain (safe while a fault is injected);
-    exceptions are reported as ["exception"] failures. *)
+    evaluator) over an independently tracked database and τ; once every
+    step agrees, {!run}'s ["banzhaf-vs-naive"] check runs on the final
+    database and τ. Runs entirely in the calling domain (safe while a
+    fault is injected); exceptions are reported as ["exception"]
+    failures. *)

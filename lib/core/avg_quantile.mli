@@ -65,13 +65,16 @@ val sum_k_memo :
 (** {!sum_k} with sub-table sharing across calls. *)
 
 val shapley :
+  ?score:Aggshap_arith.Score.t ->
   ?memo:memo ->
   Aggshap_agg.Agg_query.t ->
   Aggshap_relational.Database.t ->
   Aggshap_relational.Fact.t ->
   Aggshap_arith.Rational.t
+(** Shapley value (or [score], default Shapley) of an endogenous fact. *)
 
 val batch_worker :
+  ?score:Aggshap_arith.Score.t ->
   ?memo:memo ->
   Aggshap_agg.Agg_query.t ->
   Aggshap_relational.Database.t ->

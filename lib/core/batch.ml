@@ -67,27 +67,28 @@ let check_memo (a : Agg_query.t) m =
    the cache (when on) lives exactly as long as this batch run, so the
    τ-outside-the-key caveat of the per-algorithm memos is satisfied by
    construction; with [?memo] the fingerprint check above enforces it. *)
-let make_worker ~memo (a : Agg_query.t) db =
+let make_worker ~score ~memo (a : Agg_query.t) db =
   match a.alpha with
   | Aggregate.Sum | Aggregate.Count ->
     let memo = match memo with Some (M_sum_count m) -> Some m | _ -> None in
-    (Sum_count.batch_worker ?memo a db,
+    (Sum_count.batch_worker ~score ?memo a db,
      fun () -> Option.map Sum_count.memo_stats memo)
   | Aggregate.Count_distinct ->
     let memo = match memo with Some (M_cdist m) -> Some m | _ -> None in
-    (Cdist.batch_worker ?memo a db, fun () -> Option.map Cdist.memo_stats memo)
+    (Cdist.batch_worker ~score ?memo a db, fun () -> Option.map Cdist.memo_stats memo)
   | Aggregate.Min | Aggregate.Max ->
     let memo = match memo with Some (M_minmax m) -> Some m | _ -> None in
-    (Minmax.batch_worker ?memo a db, fun () -> Option.map Minmax.memo_stats memo)
+    (Minmax.batch_worker ~score ?memo a db, fun () -> Option.map Minmax.memo_stats memo)
   | Aggregate.Avg | Aggregate.Median | Aggregate.Quantile _ ->
     let memo = match memo with Some (M_avg m) -> Some m | _ -> None in
-    (Avg_quantile.batch_worker ?memo a db,
+    (Avg_quantile.batch_worker ~score ?memo a db,
      fun () -> Option.map Avg_quantile.memo_stats memo)
   | Aggregate.Has_duplicates ->
     let memo = match memo with Some (M_dup m) -> Some m | _ -> None in
-    (Dup.batch_worker ?memo a db, fun () -> Option.map Dup.memo_stats memo)
+    (Dup.batch_worker ~score ?memo a db, fun () -> Option.map Dup.memo_stats memo)
 
-let shapley_all ?jobs ?(cache = true) ?memo (a : Agg_query.t) db =
+let shapley_all ?(score = Aggshap_arith.Score.Shapley) ?jobs ?(cache = true) ?memo
+    (a : Agg_query.t) db =
   if not (Frontier.within a.alpha a.query) then
     invalid_arg "Batch.shapley_all: query is outside the tractability frontier";
   let jobs = match jobs with Some j -> max 1 j | None -> Pool.default_jobs () in
@@ -98,7 +99,7 @@ let shapley_all ?jobs ?(cache = true) ?memo (a : Agg_query.t) db =
       Some m.impl
     | None -> if cache then Some (create_memo a).impl else None
   in
-  let worker, stats_of = make_worker ~memo a db in
+  let worker, stats_of = make_worker ~score ~memo a db in
   let results = Pool.map ~jobs (fun f -> (f, worker f)) (Database.endogenous db) in
   (results, { jobs; cache = stats_of () })
 

@@ -49,14 +49,16 @@ val fingerprint_of : Aggshap_agg.Agg_query.t -> string
     distinguishing [descr]s for memo reuse to be sound. *)
 
 val shapley_all :
+  ?score:Aggshap_arith.Score.t ->
   ?jobs:int ->
   ?cache:bool ->
   ?memo:memo ->
   Aggshap_agg.Agg_query.t ->
   Aggshap_relational.Database.t ->
   (Aggshap_relational.Fact.t * Aggshap_arith.Rational.t) list * stats
-(** [shapley_all ?jobs ?cache ?memo a db] computes the exact Shapley
-    value of every endogenous fact, in [Database.endogenous] order.
+(** [shapley_all ?score ?jobs ?cache ?memo a db] computes the exact
+    Shapley value (or [score], default Shapley) of every endogenous
+    fact, in [Database.endogenous] order.
     [jobs] defaults to {!Pool.default_jobs}[ ()] ([1] runs sequentially
     in the calling domain); [cache] (default [true]) shares DP tables
     across facts and domains for the duration of the run. Passing

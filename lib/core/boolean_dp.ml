@@ -69,9 +69,5 @@ module E = Engine.Make (Alg)
 
 let counts ?memo q db = E.eval_top ?memo () q db
 
-let score ?coefficients ?memo q db f =
-  Sumk.score_of_db_fn ?coefficients
-    (fun db -> Tables.to_rationals (counts ?memo q db))
-    db f
-
-let shapley ?memo q db f = score ?memo q db f
+let shapley ?(score = Aggshap_arith.Score.Shapley) ?memo q db f =
+  Sumk.score_of_db_fn ~score (fun db -> Tables.to_rationals (counts ?memo q db)) db f

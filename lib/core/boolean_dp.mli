@@ -23,21 +23,12 @@ val counts : ?memo:memo -> Aggshap_cq.Cq.t -> Aggshap_relational.Database.t -> T
     @raise Invalid_argument if the Boolean query is not hierarchical. *)
 
 val shapley :
+  ?score:Aggshap_arith.Score.t ->
   ?memo:memo ->
   Aggshap_cq.Cq.t ->
   Aggshap_relational.Database.t ->
   Aggshap_relational.Fact.t ->
   Aggshap_arith.Rational.t
-(** Shapley value of an endogenous fact for Boolean query satisfaction
-    (the membership game).
+(** Shapley value (or [score], default Shapley) of an endogenous fact
+    for Boolean query satisfaction (the membership game).
     @raise Invalid_argument if the fact is not endogenous in [db]. *)
-
-val score :
-  ?coefficients:Sumk.coefficients ->
-  ?memo:memo ->
-  Aggshap_cq.Cq.t ->
-  Aggshap_relational.Database.t ->
-  Aggshap_relational.Fact.t ->
-  Aggshap_arith.Rational.t
-(** Any Shapley-like score of the membership game (defaults to Shapley;
-    pass {!Sumk.banzhaf_coefficients} for the Banzhaf value). *)

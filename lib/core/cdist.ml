@@ -31,31 +31,22 @@ let create_memo = Boolean_dp.create_memo
 let memo_stats = Boolean_dp.memo_stats
 
 (* Null players may be dropped for both the Shapley and the Banzhaf
-   coefficients, so the per-value decomposition supports both. *)
-let score_restricted ?coefficients ?memo (a : Agg_query.t) restricted db f =
-  (match Database.provenance db f with
-   | Some Database.Endogenous -> ()
-   | _ -> invalid_arg "Cdist.shapley: fact must be endogenous");
-  List.fold_left
-    (fun acc db_v ->
-      if Database.mem f db_v then
-        Q.add acc (Boolean_dp.score ?coefficients ?memo a.query db_v f)
-      else acc)
-    Q.zero restricted
-
-let restricted_dbs (a : Agg_query.t) db =
-  List.map (restrict_to_value a db) (distinct_values a db)
-
-let score ?coefficients ?memo a db f =
+   score, so the per-value decomposition supports both. *)
+let batch_worker ?score ?memo (a : Agg_query.t) db =
   check a;
-  score_restricted ?coefficients ?memo a (restricted_dbs a db) db f
+  let restricted = List.map (restrict_to_value a db) (distinct_values a db) in
+  fun f ->
+    (match Database.provenance db f with
+     | Some Database.Endogenous -> ()
+     | _ -> invalid_arg "Cdist.shapley: fact must be endogenous");
+    List.fold_left
+      (fun acc db_v ->
+        if Database.mem f db_v then
+          Q.add acc (Boolean_dp.shapley ?score ?memo a.query db_v f)
+        else acc)
+      Q.zero restricted
 
-let shapley ?memo a db f = score ?memo a db f
-
-let batch_worker ?memo a db =
-  check a;
-  let restricted = restricted_dbs a db in
-  fun f -> score_restricted ?memo a restricted db f
+let shapley ?score ?memo a db f = batch_worker ?score ?memo a db f
 
 let shapley_all a db =
   let worker = batch_worker a db in

@@ -18,15 +18,19 @@ val create_memo : unit -> memo
 val memo_stats : memo -> Memo.stats
 
 val shapley :
+  ?score:Aggshap_arith.Score.t ->
   ?memo:memo ->
   Aggshap_agg.Agg_query.t ->
   Aggshap_relational.Database.t ->
   Aggshap_relational.Fact.t ->
   Aggshap_arith.Rational.t
-(** @raise Invalid_argument if the aggregate is not [Count_distinct], the
+(** Shapley value (or [score], default Shapley: both are invariant
+    under null-player removal, which the per-value games rely on).
+    @raise Invalid_argument if the aggregate is not [Count_distinct], the
     CQ is not all-hierarchical, or the fact is not endogenous. *)
 
 val batch_worker :
+  ?score:Aggshap_arith.Score.t ->
   ?memo:memo ->
   Aggshap_agg.Agg_query.t ->
   Aggshap_relational.Database.t ->
@@ -35,16 +39,6 @@ val batch_worker :
 (** [batch_worker ?memo a db] hoists the per-value restricted databases
     out of the per-fact loop; the returned closure is safe to call from
     several domains. *)
-
-val score :
-  ?coefficients:Sumk.coefficients ->
-  ?memo:memo ->
-  Aggshap_agg.Agg_query.t ->
-  Aggshap_relational.Database.t ->
-  Aggshap_relational.Fact.t ->
-  Aggshap_arith.Rational.t
-(** Shapley-like scores; sound for coefficient families invariant under
-    null-player removal (Shapley and Banzhaf are). *)
 
 val shapley_all :
   Aggshap_agg.Agg_query.t ->

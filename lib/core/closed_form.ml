@@ -50,15 +50,11 @@ let max_single_atom_with tau_of a db f =
         else begin
           let m_le = count (fun w -> Q.compare w a_val <= 0) in
           let m_lt = count (fun w -> Q.compare w a_val < 0) in
-          let inner = ref Q.zero in
-          for k = 1 to n - 1 do
-            let diff = B.sub (C.binomial m_le k) (C.binomial m_lt k) in
-            if not (B.is_zero diff) then
-              inner :=
-                Q.add !inner
-                  (Q.mul (C.shapley_coefficient ~players:n ~before:k) (Q.of_bigint diff))
-          done;
-          Q.add acc (Q.mul (Q.sub v a_val) !inner)
+          let inner =
+            Aggshap_arith.Score.(finish Shapley) ~den:B.one ~n (fun k ->
+                B.sub (C.binomial m_le k) (C.binomial m_lt k))
+          in
+          Q.add acc (Q.mul (Q.sub v a_val) inner)
         end)
       Q.zero values
   in

@@ -146,15 +146,8 @@ let shapley t db f =
   in
   let with_f = satisfying_counts (replace True t) (Database.set_provenance Database.Exogenous f db) in
   let without_f = satisfying_counts (replace False t) (Database.remove f db) in
-  let acc = ref Q.zero in
-  for k = 0 to n - 1 do
-    let diff = Q.of_bigint (B.sub with_f.(k) without_f.(k)) in
-    if not (Q.is_zero diff) then
-      acc :=
-        Q.add !acc
-          (Q.mul (Aggshap_arith.Combinat.shapley_coefficient ~players:n ~before:k) diff)
-  done;
-  !acc
+  Aggshap_arith.Score.(finish Shapley) ~den:B.one ~n (fun k ->
+      B.sub with_f.(k) without_f.(k))
 
 let rec pp fmt = function
   | True -> Format.pp_print_string fmt "⊤"

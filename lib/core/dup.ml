@@ -177,10 +177,11 @@ let sum_k_memo ?memo (a : Agg_query.t) db =
 
 let sum_k a db = sum_k_memo a db
 
-let shapley ?memo a db f = Sumk.shapley_of (fun a db -> sum_k_memo ?memo a db) a db f
+let shapley ?(score = Aggshap_arith.Score.Shapley) ?memo a db f =
+  Sumk.score_of_db_fn ~score (fun db -> sum_k_memo ?memo a db) db f
 
-let batch_worker ?memo a db =
+let batch_worker ?score ?memo a db =
   check a;
-  fun f -> shapley ?memo a db f
+  fun f -> shapley ?score ?memo a db f
 
 let shapley_all a db = Sumk.shapley_all_of sum_k a db

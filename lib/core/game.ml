@@ -1,6 +1,7 @@
 module Q = Aggshap_arith.Rational
 module B = Aggshap_arith.Bigint
 module C = Aggshap_arith.Combinat
+module Score = Aggshap_arith.Score
 
 type t = {
   n : int;
@@ -45,17 +46,16 @@ let shapley g p =
 
 let shapley_all g = Array.init g.n (shapley g)
 
-(* Regroup the Shapley sum by coalition size. With u(S) = L·v(S) over
-   the common denominator L of all 2ⁿ utilities, in_p(s) the sum of u
-   over the size-s coalitions holding p and tot(s) the sum over all
-   size-s coalitions,
+(* Regroup the marginal contributions by coalition size. With
+   u(S) = L·v(S) over the common denominator L of all 2ⁿ utilities,
+   in_p(s) the sum of u over the size-s coalitions holding p and tot(s)
+   the sum over all size-s coalitions, player p's slice is
 
-     n!·L·φ_p = Σ_{s=1..n} w_{s−1}·in_p(s) − Σ_{s=0..n−1} w_s·(tot(s) − in_p(s))
+     L·Δ_p(k) = in_p(k+1) − (tot(k) − in_p(k)),   k = 0 … n−1.
 
-   with w_k = k!(n−k−1)!. The coalition pass only adds integers; each
-   player then costs one multiply-accumulate over n sizes and one
-   normalisation. *)
-let shapley_all_int g =
+   The coalition pass only adds integers; each player then costs n
+   subtractions and one finishing pass. *)
+let shapley_all_int ~score g =
   let n = g.n in
   if n = 0 then [||]
   else begin
@@ -74,19 +74,10 @@ let shapley_all_int g =
           done
         end)
       values;
-    let weights = C.shapley_weights n in
-    let den = B.mul (C.factorial n) l in
     Array.map
       (fun in_p ->
-        let acc = B.Acc.create () in
-        for s = 1 to n do
-          B.Acc.add_mul acc weights.(s - 1) in_p.(s)
-        done;
-        (* − w_s·(tot(s) − in_p(s)), as one product. *)
-        for s = 0 to n - 1 do
-          B.Acc.add_mul acc weights.(s) (B.sub in_p.(s) tot.(s))
-        done;
-        Q.make (B.Acc.value acc) den)
+        Score.finish score ~den:l ~n (fun k ->
+            B.add in_p.(k + 1) (B.sub in_p.(k) tot.(k))))
       inp
   end
 

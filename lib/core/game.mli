@@ -28,21 +28,23 @@ val shapley : t -> int -> Aggshap_arith.Rational.t
 val shapley_all : t -> Aggshap_arith.Rational.t array
 (** {!shapley} for every player, one textbook loop each. *)
 
-val shapley_all_int : t -> Aggshap_arith.Rational.t array
-(** Every player's Shapley value from one pass over the [2ⁿ]
-    coalitions, each utility evaluated once: the utilities are lifted
-    over their common denominator [L], summed as integers per coalition
-    size (all coalitions, and those holding each player), and each
-    player finishes with one dot product against
-    {!Aggshap_arith.Combinat.shapley_weights} over [n!·L]. Equal to
-    {!shapley_all}; [n·2ⁿ⁻¹] integer additions instead of as many
-    rational subtract-multiply-adds. The naive route of
+val shapley_all_int :
+  score:Aggshap_arith.Score.t -> t -> Aggshap_arith.Rational.t array
+(** Every player's [score] from one pass over the [2ⁿ] coalitions,
+    each utility evaluated once: the utilities are lifted over their
+    common denominator [L], summed as integers per coalition size (all
+    coalitions, and those holding each player), and each player's slice
+    goes to {!Aggshap_arith.Score.finish}. Equal to {!shapley_all} (to
+    {!banzhaf} for Banzhaf); [n·2ⁿ⁻¹] integer additions instead of as
+    many rational subtract-multiply-adds. The naive route of
     [Solver.shapley_all] reads its values here. [[||]] for [n = 0]. *)
 
 val banzhaf : t -> int -> Aggshap_arith.Rational.t
 (** The Banzhaf score [2^{-(n-1)} Σ_C (v(C∪p) − v(C))] — a Shapley-like
     score (Section 3.2 of the paper notes that all [sum_k]-based
-    algorithms extend to such scores). *)
+    algorithms extend to such scores) — by the textbook loop, one
+    rational marginal contribution per coalition: the oracle's Banzhaf
+    reference, as {!shapley} is its Shapley one. *)
 
 val efficiency_gap : t -> Aggshap_arith.Rational.t
 (** [v(P) - v(∅) - Σ_p Shapley(p)]; zero for every game (used by tests). *)

@@ -88,6 +88,8 @@ let dup_on_y_sum_k db =
   let n = Database.endo_size db in
   Tables.to_rationals (Tables.sub (Tables.full n) nodup)
 
-let avg_on_t_shapley tau db f = Sumk.shapley_of_db_fn (avg_on_t_sum_k tau) db f
-let median_on_t_shapley tau db f = Sumk.shapley_of_db_fn (median_on_t_sum_k tau) db f
-let dup_on_y_shapley db f = Sumk.shapley_of_db_fn dup_on_y_sum_k db f
+let shapley sum_k db f =
+  Sumk.score_of_db_fn ~score:Aggshap_arith.Score.Shapley sum_k db f
+let avg_on_t_shapley tau db f = shapley (avg_on_t_sum_k tau) db f
+let median_on_t_shapley tau db f = shapley (median_on_t_sum_k tau) db f
+let dup_on_y_shapley db f = shapley dup_on_y_sum_k db f

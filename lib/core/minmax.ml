@@ -209,7 +209,8 @@ let sum_k_memo ?memo (a : Agg_query.t) db =
 
 let sum_k a db = sum_k_memo a db
 
-let shapley ?memo a db f = Sumk.shapley_of (fun a db -> sum_k_memo ?memo a db) a db f
+let shapley ?(score = Aggshap_arith.Score.Shapley) ?memo a db f =
+  Sumk.score_of_db_fn ~score (fun db -> sum_k_memo ?memo a db) db f
 
 (* Batch path for Max. A fact only perturbs its own top-level hierarchy
    block, so the combined table of all the OTHER blocks is shared across
@@ -221,9 +222,9 @@ let shapley ?memo a db f = Sumk.shapley_of (fun a db -> sum_k_memo ?memo a db) a
    every block (irrelevant or dropped by the partition) take the plain
    memoized path. The top-level split comes from {!Engine} — the engine
    owns the decomposition. *)
-let max_batch_worker ?memo (a : Agg_query.t) db =
+let max_batch_worker ~score ?memo (a : Agg_query.t) db =
   let q = a.query and tau = a.tau in
-  let plain f = Sumk.shapley_of (fun a db -> sum_k_memo ?memo a db) a db f in
+  let plain f = shapley ~score ?memo a db f in
   match Engine.connected_root q with
   | Some x ->
     let db_rel, pad0 = Decompose.relevant_part q db in
@@ -273,16 +274,17 @@ let max_batch_worker ?memo (a : Agg_query.t) db =
           variant_vector (Database.set_provenance Database.Exogenous f db_rel) i
         in
         let without_f = variant_vector (Database.remove f db_rel) i in
-        Sumk.score_of_vectors ~players:n with_f without_f
+        Sumk.score_of_vectors ~score ~players:n with_f without_f
       end
   | None -> plain
 
-let batch_worker ?memo (a : Agg_query.t) db =
+let batch_worker ?(score = Aggshap_arith.Score.Shapley) ?memo
+    (a : Agg_query.t) db =
   check a;
   match a.alpha with
-  | Aggregate.Max -> max_batch_worker ?memo a db
+  | Aggregate.Max -> max_batch_worker ~score ?memo a db
   | Aggregate.Min ->
-    let worker = max_batch_worker ?memo (negate_tau a) db in
+    let worker = max_batch_worker ~score ?memo (negate_tau a) db in
     fun f -> Q.neg (worker f)
   | other ->
     invalid_arg ("Minmax: aggregate " ^ Aggregate.to_string other ^ " is not min/max")

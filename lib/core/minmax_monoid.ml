@@ -189,4 +189,5 @@ let sum_k m ~vars q db =
   let t = pad_table pad (table m vars q db_rel) in
   Tables.weighted_sum t.n (QMap.bindings t.by_value)
 
-let shapley m ~vars q db f = Sumk.shapley_of_db_fn (sum_k m ~vars q) db f
+let shapley m ~vars q db f =
+  Sumk.score_of_db_fn ~score:Aggshap_arith.Score.Shapley (sum_k m ~vars q) db f

@@ -26,9 +26,12 @@ let index_of players f =
   if !found < 0 then invalid_arg "Naive: fact is not endogenous in the database";
   !found
 
-let shapley a db f =
+let shapley ?(score = Aggshap_arith.Score.Shapley) a db f =
   let players, g = game a db in
-  Game.shapley g (index_of players f)
+  let i = index_of players f in
+  match score with
+  | Aggshap_arith.Score.Shapley -> Game.shapley g i
+  | Aggshap_arith.Score.Banzhaf -> Game.banzhaf g i
 
 let shapley_all ?visit a db =
   let players, g = game ?visit a db in

@@ -19,18 +19,15 @@ val game :
     @raise Invalid_argument if there are more than {!Game.max_players}
     endogenous facts. *)
 
-val index_of : Aggshap_relational.Fact.t array -> Aggshap_relational.Fact.t -> int
-(** Player index of a fact in the array returned by {!game} — the one
-    fact-to-index resolution shared by every naive score ({!shapley},
-    [Solver.banzhaf]).
-    @raise Invalid_argument if the fact is not among the players. *)
-
 val shapley :
+  ?score:Aggshap_arith.Score.t ->
   Aggshap_agg.Agg_query.t ->
   Aggshap_relational.Database.t ->
   Aggshap_relational.Fact.t ->
   Aggshap_arith.Rational.t
-(** @raise Invalid_argument if the fact is not endogenous. *)
+(** One fact's Shapley value (or [score], default Shapley) by the
+    textbook loop over its {!game} ({!Game.shapley}, {!Game.banzhaf}).
+    @raise Invalid_argument if the fact is not endogenous. *)
 
 val shapley_all :
   ?visit:Aggshap_agg.Agg_query.visit ->

@@ -1,4 +1,5 @@
 module Q = Aggshap_arith.Rational
+module Score = Aggshap_arith.Score
 module Hierarchy = Aggshap_cq.Hierarchy
 module Agg_query = Aggshap_agg.Agg_query
 module Aggregate = Aggshap_agg.Aggregate
@@ -20,14 +21,14 @@ type report = {
 let frontier = Frontier.frontier
 let within_frontier = Frontier.within
 
-let frontier_algorithm (a : Agg_query.t) =
+let frontier_algorithm ~score (a : Agg_query.t) db f =
   match a.alpha with
-  | Aggregate.Sum | Aggregate.Count -> fun a db f -> Sum_count.shapley a db f
-  | Aggregate.Count_distinct -> fun a db f -> Cdist.shapley a db f
-  | Aggregate.Min | Aggregate.Max -> fun a db f -> Minmax.shapley a db f
+  | Aggregate.Sum | Aggregate.Count -> Sum_count.shapley ~score a db f
+  | Aggregate.Count_distinct -> Cdist.shapley ~score a db f
+  | Aggregate.Min | Aggregate.Max -> Minmax.shapley ~score a db f
   | Aggregate.Avg | Aggregate.Median | Aggregate.Quantile _ ->
-    fun a db f -> Avg_quantile.shapley a db f
-  | Aggregate.Has_duplicates -> fun a db f -> Dup.shapley a db f
+    Avg_quantile.shapley ~score a db f
+  | Aggregate.Has_duplicates -> Dup.shapley ~score a db f
 
 let make_report (a : Agg_query.t) algorithm =
   let cls = Hierarchy.classify a.query in
@@ -49,12 +50,27 @@ let frontier_error (a : Agg_query.t) =
        (Hierarchy.cls_to_string (frontier a.alpha))
        (Aggregate.to_string a.alpha))
 
+(* The plan of one solve. Permutation sampling estimates Shapley values
+   only, so a Banzhaf request the plan would answer by sampling is
+   refused here, before any work. *)
+let plan ~score ?fallback ?kc_node_budget (a : Agg_query.t) db =
+  let p =
+    Strategy.plan ~stats:(Strategy.db_stats db) ?kc_node_budget ?fallback a
+  in
+  (match (score, p.Strategy.chosen) with
+   | Score.Banzhaf, Strategy.Monte_carlo _ ->
+     invalid_arg
+       "Solver.shapley: Monte-Carlo sampling estimates Shapley values only; \
+        the Banzhaf score needs an exact fallback"
+   | _ -> ());
+  p
+
 (* Execute one rung for a single fact. *)
-let run_route ?mc_seed ?kc_node_budget (a : Agg_query.t) db f = function
-  | Strategy.Frontier_dp -> Exact ((frontier_algorithm a) a db f)
+let run_route ?mc_seed ?kc_node_budget ~score (a : Agg_query.t) db f = function
+  | Strategy.Frontier_dp -> Exact (frontier_algorithm ~score a db f)
   | Strategy.Knowledge_compilation ->
-    Exact (Lineage.shapley ?budget:kc_node_budget a db f)
-  | Strategy.Naive -> Exact (Naive.shapley a db f)
+    Exact (Lineage.shapley ~score ?budget:kc_node_budget a db f)
+  | Strategy.Naive -> Exact (Naive.shapley ~score a db f)
   | Strategy.Monte_carlo samples ->
     Estimate (Monte_carlo.shapley ?seed:mc_seed ~samples a db f)
   | Strategy.Fail -> frontier_error a
@@ -77,30 +93,11 @@ let run_ladder (p : Strategy.plan) a exec =
   in
   go false p.Strategy.ladder
 
-let shapley ?fallback ?mc_seed ?kc_node_budget (a : Agg_query.t) db f =
-  let p =
-    Strategy.plan ~stats:(Strategy.db_stats db) ?kc_node_budget ?fallback a
-  in
-  run_ladder p a (fun route -> run_route ?mc_seed ?kc_node_budget a db f route)
-
-(* Staged on [a] and [db]: beyond the frontier the naive game is built
-   once, before the fact arrives, and serves every fact it is applied
-   to. *)
-let banzhaf (a : Agg_query.t) db =
-  if within_frontier a.alpha a.query then
-    match a.alpha with
-    | Aggregate.Sum | Aggregate.Count ->
-      Sum_count.score ~coefficients:Sumk.banzhaf_coefficients a db
-    | Aggregate.Count_distinct ->
-      Cdist.score ~coefficients:Sumk.banzhaf_coefficients a db
-    | Aggregate.Min | Aggregate.Max -> Sumk.banzhaf_of Minmax.sum_k a db
-    | Aggregate.Avg | Aggregate.Median | Aggregate.Quantile _ ->
-      Sumk.banzhaf_of Avg_quantile.sum_k a db
-    | Aggregate.Has_duplicates -> Sumk.banzhaf_of Dup.sum_k a db
-  else begin
-    let players, game = Naive.game a db in
-    fun f -> Game.banzhaf game (Naive.index_of players f)
-  end
+let shapley ?(score = Score.Shapley) ?fallback ?mc_seed ?kc_node_budget
+    (a : Agg_query.t) db f =
+  let p = plan ~score ?fallback ?kc_node_budget a db in
+  run_ladder p a (fun route ->
+      run_route ?mc_seed ?kc_node_budget ~score a db f route)
 
 let shapley_exact a db f =
   match shapley ~fallback:`Naive a db f with
@@ -113,38 +110,36 @@ let shapley_exact a db f =
 let per_fact_seed mc_seed i =
   Option.map (fun s -> s + ((i + 1) * 0x9e3779b9)) mc_seed
 
-let shapley_all ?fallback ?mc_seed ?jobs ?(cache = true) ?kc_node_budget
-    (a : Agg_query.t) db =
-  let p =
-    Strategy.plan ~stats:(Strategy.db_stats db) ?kc_node_budget ?fallback a
-  in
+let shapley_all ?(score = Score.Shapley) ?fallback ?mc_seed ?jobs ?(cache = true)
+    ?kc_node_budget (a : Agg_query.t) db =
+  let p = plan ~score ?fallback ?kc_node_budget a db in
   (* [`Fail] must raise before any worker domain is spawned: letting
      the pool fan out and every worker raise mid-batch reported the
      algorithm as "none" while workers died one by one. *)
   if p.Strategy.chosen = Strategy.Fail then frontier_error a;
   let run_batch = function
     | Strategy.Frontier_dp ->
-      let results, _stats = Batch.shapley_all ?jobs ~cache a db in
+      let results, _stats = Batch.shapley_all ~score ?jobs ~cache a db in
       List.map (fun (f, v) -> (f, Exact v)) results
     | Strategy.Knowledge_compilation ->
       (* One extraction + one compilation serve every fact, so the
          batch runs in the calling domain instead of fanning out. *)
       List.map
         (fun (f, v) -> (f, Exact v))
-        (Lineage.shapley_all ?budget:kc_node_budget a db)
+        (Lineage.shapley_all ~score ?budget:kc_node_budget a db)
     | Strategy.Fail -> frontier_error a
     | Strategy.Naive ->
       (* One game serves every fact, in the calling domain: its 2ⁿ
          utilities are evaluated once and summed in integers. *)
       let players, g = Naive.game a db in
-      let values = Game.shapley_all_int g in
+      let values = Game.shapley_all_int ~score g in
       Array.to_list (Array.mapi (fun i f -> (f, Exact values.(i))) players)
     | Strategy.Monte_carlo _ as route ->
       let indexed = List.mapi (fun i f -> (i, f)) (Database.endogenous db) in
       Batch.map ?jobs
         (fun (i, f) ->
-          run_route ?mc_seed:(per_fact_seed mc_seed i) ?kc_node_budget a db f
-            route)
+          run_route ?mc_seed:(per_fact_seed mc_seed i) ?kc_node_budget ~score a
+            db f route)
         indexed
       |> List.map (fun ((_, f), o) -> (f, o))
   in

@@ -19,7 +19,15 @@
     planner picks the cheapest applicable exact tier under its cost
     model. Execution walks the plan's degradation ladder: a
     knowledge-compilation run aborting on its d-DNNF node budget falls
-    to the next rung instead of failing. *)
+    to the next rung instead of failing.
+
+    The score is an argument of this one path. Section 3.2's
+    observation that every [sum_k]-based algorithm computes any
+    Shapley-like score holds for every exact route, each of which hands
+    its per-size counts to {!Aggshap_arith.Score.finish}. A Banzhaf
+    request therefore walks the same plan and ladder and gets
+    the same report; only Monte-Carlo sampling, which estimates Shapley
+    values, refuses it. *)
 
 type outcome =
   | Exact of Aggshap_arith.Rational.t
@@ -54,6 +62,7 @@ val report :
     this. *)
 
 val shapley :
+  ?score:Aggshap_arith.Score.t ->
   ?fallback:Strategy.fallback ->
   ?mc_seed:int ->
   ?kc_node_budget:int ->
@@ -61,10 +70,11 @@ val shapley :
   Aggshap_relational.Database.t ->
   Aggshap_relational.Fact.t ->
   outcome * report
-(** Computes the Shapley value of an endogenous fact. Within the frontier
-    the matching polynomial algorithm runs; outside, the planner's
-    choice for [fallback] (default [`Naive]) does. [`Knowledge_compilation]
-    runs the exact lineage tier ({!Aggshap_lineage.Lineage}) for the
+(** Computes the Shapley value (or [score], default Shapley) of an
+    endogenous fact. Within the frontier the matching polynomial
+    algorithm runs; outside, the planner's choice for [fallback]
+    (default [`Naive]) does. [`Knowledge_compilation] runs the exact
+    lineage tier ({!Aggshap_lineage.Lineage}) for the
     event-decomposable aggregates (Sum, Count, CDist, Min, Max,
     Has-dup) and keeps the naive behaviour for the others; [`Auto] lets
     the planner pick the cheapest applicable exact tier — the report's
@@ -73,20 +83,9 @@ val shapley :
     (to naive enumeration) and the report says so. [mc_seed] makes a
     [`Monte_carlo] fallback reproducible (it is ignored by the exact
     paths).
-    @raise Invalid_argument outside the frontier with [`Fail], or if the
-    fact is not endogenous. *)
-
-val banzhaf :
-  Aggshap_agg.Agg_query.t ->
-  Aggshap_relational.Database.t ->
-  Aggshap_relational.Fact.t ->
-  Aggshap_arith.Rational.t
-(** The Banzhaf value of an endogenous fact (Section 3.2's observation
-    that [sum_k]-based algorithms compute every Shapley-like score):
-    inside the frontier via the polynomial algorithms, outside via exact
-    enumeration. Staged: outside the frontier, [banzhaf a db] builds the
-    naive game once, and the resulting function reads every fact's
-    score from it — apply it to all the facts of a batch. *)
+    @raise Invalid_argument outside the frontier with [`Fail], for a
+    Banzhaf [score] the plan would answer by Monte-Carlo sampling
+    (before any work), or if the fact is not endogenous. *)
 
 val shapley_exact :
   Aggshap_agg.Agg_query.t ->
@@ -96,6 +95,7 @@ val shapley_exact :
 (** [shapley] with [`Naive] fallback, unwrapped. *)
 
 val shapley_all :
+  ?score:Aggshap_arith.Score.t ->
   ?fallback:Strategy.fallback ->
   ?mc_seed:int ->
   ?jobs:int ->
@@ -104,15 +104,17 @@ val shapley_all :
   Aggshap_agg.Agg_query.t ->
   Aggshap_relational.Database.t ->
   (Aggshap_relational.Fact.t * outcome) list * report
-(** Shapley values of {e all} endogenous facts, in [Database.endogenous]
-    order. Within the frontier this runs the {!Batch} engine: the
-    per-fact loop fans out over [jobs] domains (default
-    {!Pool.default_jobs}[ ()]; [1] is fully sequential) and DP tables are
-    shared across facts when [cache] is [true] (the default). Outside the
-    frontier the planner's route runs; with [`Fail] the frontier error
-    is raised up-front, before any worker domain is spawned. A
-    [`Monte_carlo] fallback fans its per-fact estimates across the same
-    pool; [mc_seed] seeds it: each fact gets a distinct seed derived
+(** Shapley values (or [score]s, default Shapley) of {e all}
+    endogenous facts, in [Database.endogenous] order. Within the
+    frontier this runs the {!Batch} engine: the per-fact loop fans out
+    over [jobs] domains (default {!Pool.default_jobs}[ ()]; [1] is fully
+    sequential) and DP tables are shared across facts when [cache] is
+    [true] (the default). Outside the frontier the planner's route
+    runs; with [`Fail] the frontier error is raised up-front, before
+    any worker domain is spawned, and so is the refusal of a Banzhaf
+    [score] under a [`Monte_carlo] fallback. A [`Monte_carlo] fallback
+    fans its per-fact estimates across the same pool; [mc_seed] seeds
+    it: each fact gets a distinct seed derived
     deterministically from [mc_seed] and its position, so estimates are
     reproducible for every [jobs] value. The exact fallbacks run in the
     calling domain, and [jobs] does not fan them out: a naive batch

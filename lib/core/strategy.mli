@@ -103,7 +103,10 @@ val kc_cost : int -> float
     guards the genuinely exponential cases at run time. *)
 
 val naive_cost : int -> float
-(** [n · 2ⁿ] — exact enumeration evaluates 2ⁿ subsets per fact. *)
+(** [n · 2ⁿ] — exact enumeration evaluates the 2ⁿ subsets once per
+    solve, plus [n·2ⁿ⁻¹] integer additions that sum them into every
+    fact's value; the formula overstates that and awaits a measured
+    fit. *)
 
 val mc_cost : int -> int -> float
 (** [mc_cost samples n = samples · n] — linear, but approximate. *)

@@ -41,22 +41,16 @@ let membership_games (a : Agg_query.t) db =
       else Some (membership_query a.query t, weight))
     (weighted_answers a db)
 
-let score ?coefficients ?memo a db f =
-  check a;
-  List.fold_left
-    (fun acc (mq, weight) ->
-      Q.add acc (Q.mul weight (Boolean_dp.score ?coefficients ?memo mq db f)))
-    Q.zero (membership_games a db)
-
-let shapley ?memo a db f = score ?memo a db f
-
-let batch_worker ?memo a db =
+let batch_worker ?score ?memo a db =
   check a;
   let games = membership_games a db in
   fun f ->
     List.fold_left
-      (fun acc (mq, weight) -> Q.add acc (Q.mul weight (Boolean_dp.shapley ?memo mq db f)))
+      (fun acc (mq, weight) ->
+        Q.add acc (Q.mul weight (Boolean_dp.shapley ?score ?memo mq db f)))
       Q.zero games
+
+let shapley ?score ?memo a db f = batch_worker ?score ?memo a db f
 
 let shapley_all a db =
   let worker = batch_worker a db in

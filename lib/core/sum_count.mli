@@ -28,15 +28,19 @@ val membership_games :
     @raise Invalid_argument if τ is not localized on the database. *)
 
 val shapley :
+  ?score:Aggshap_arith.Score.t ->
   ?memo:memo ->
   Aggshap_agg.Agg_query.t ->
   Aggshap_relational.Database.t ->
   Aggshap_relational.Fact.t ->
   Aggshap_arith.Rational.t
-(** @raise Invalid_argument if the aggregate is not [Sum] or [Count], if
+(** Shapley value (or [score], default Shapley: any Shapley-like score
+    is linear in the utility, so the same decomposition holds).
+    @raise Invalid_argument if the aggregate is not [Sum] or [Count], if
     the CQ is not ∃-hierarchical, or the fact is not endogenous. *)
 
 val batch_worker :
+  ?score:Aggshap_arith.Score.t ->
   ?memo:memo ->
   Aggshap_agg.Agg_query.t ->
   Aggshap_relational.Database.t ->
@@ -50,13 +54,3 @@ val shapley_all :
   Aggshap_agg.Agg_query.t ->
   Aggshap_relational.Database.t ->
   (Aggshap_relational.Fact.t * Aggshap_arith.Rational.t) list
-
-val score :
-  ?coefficients:Sumk.coefficients ->
-  ?memo:memo ->
-  Aggshap_agg.Agg_query.t ->
-  Aggshap_relational.Database.t ->
-  Aggshap_relational.Fact.t ->
-  Aggshap_arith.Rational.t
-(** Shapley-like scores through the same linearity argument (any such
-    score is linear in the utility). *)

@@ -1,14 +1,17 @@
-(** From [sum_k] vectors to Shapley values (Section 3.2).
+(** From [sum_k] vectors to Shapley-like scores (Section 3.2).
 
     Every exact algorithm in this library produces, for a database [D],
     the vector [sum_k(A, D) = Σ_{E ∈ (Dⁿ choose k)} A(Dˣ ∪ E)]. The
-    folklore identity then gives the Shapley value of a fact [f]:
+    folklore identity then gives the slice of a fact [f]
+    ({!Aggshap_arith.Score}):
 
-    {v Shapley(f, A) = Σ_{k=0}^{n-1} q_k · (sum_k(A, F) − sum_k(A, G)) v}
+    {v Δ_f(k) = sum_k(A, F) − sum_k(A, G),   k = 0 … n−1 v}
 
     where [n = |Dⁿ|], [F] is [D] with [f] made exogenous and [G] is [D]
-    without [f]. Because the formula only uses differences, any constant
-    offset (such as the [−A(Dˣ)] in the game definition) cancels. *)
+    without [f]; the Shapley value is [Σ_k q_k · Δ_f(k)] and the
+    Banzhaf value [Σ_k Δ_f(k) / 2ⁿ⁻¹]. Because only differences are
+    used, any constant offset (such as the [−A(Dˣ)] in the game
+    definition) cancels. *)
 
 type sum_k_fn =
   Aggshap_agg.Agg_query.t ->
@@ -16,69 +19,33 @@ type sum_k_fn =
   Aggshap_arith.Rational.t array
 (** Must return an array of length [endo_size db + 1]. *)
 
-type coefficients = players:int -> before:int -> Aggshap_arith.Rational.t
-(** A {e Shapley-like score} (Karmakar et al. 2024) is given by the
-    weight of a marginal contribution over a coalition of size [before]
-    out of [players] players. Every [sum_k]-based algorithm in this
-    library computes any such score (Section 3.2 of the paper). *)
-
-val shapley_coefficients : coefficients
-val banzhaf_coefficients : coefficients
-(** [1 / 2^(players-1)], independent of the coalition size. *)
-
-val score_of :
-  ?coefficients:coefficients ->
-  sum_k_fn ->
-  Aggshap_agg.Agg_query.t ->
-  Aggshap_relational.Database.t ->
-  Aggshap_relational.Fact.t ->
-  Aggshap_arith.Rational.t
-(** Defaults to the Shapley coefficients. *)
-
-val banzhaf_of :
-  sum_k_fn ->
-  Aggshap_agg.Agg_query.t ->
-  Aggshap_relational.Database.t ->
-  Aggshap_relational.Fact.t ->
-  Aggshap_arith.Rational.t
-
 val score_of_vectors :
-  ?coefficients:coefficients ->
+  score:Aggshap_arith.Score.t ->
   players:int ->
   Aggshap_arith.Rational.t array ->
   Aggshap_arith.Rational.t array ->
   Aggshap_arith.Rational.t
-(** [score_of_vectors ~players with_f without_f] applies the coefficient
-    formula to precomputed [sum_k] vectors of [D] with [f] exogenous and
+(** [score_of_vectors ~score ~players with_f without_f] finishes the
+    slice of precomputed [sum_k] vectors of [D] with [f] exogenous and
     [D] without [f] ([players] is the endogenous count {e including}
-    [f]; both vectors have that length). The building block for batch
-    workers that share table prefixes across facts.
+    [f]; both vectors have that length) with [score]. The building
+    block for batch workers that share table prefixes across facts.
     @raise Invalid_argument on a length mismatch. *)
 
 val score_of_db_fn :
-  ?coefficients:coefficients ->
+  score:Aggshap_arith.Score.t ->
   (Aggshap_relational.Database.t -> Aggshap_arith.Rational.t array) ->
   Aggshap_relational.Database.t ->
   Aggshap_relational.Fact.t ->
   Aggshap_arith.Rational.t
-
-val shapley_of_db_fn :
-  (Aggshap_relational.Database.t -> Aggshap_arith.Rational.t array) ->
-  Aggshap_relational.Database.t ->
-  Aggshap_relational.Fact.t ->
-  Aggshap_arith.Rational.t
-(** Like {!shapley_of} for a [sum_k] function closed over its query. *)
-
-val shapley_of :
-  sum_k_fn ->
-  Aggshap_agg.Agg_query.t ->
-  Aggshap_relational.Database.t ->
-  Aggshap_relational.Fact.t ->
-  Aggshap_arith.Rational.t
-(** @raise Invalid_argument if the fact is not endogenous. *)
+(** The score of an endogenous fact from a [sum_k] function closed over
+    its query.
+    @raise Invalid_argument if the fact is not endogenous. *)
 
 val shapley_all_of :
   sum_k_fn ->
   Aggshap_agg.Agg_query.t ->
   Aggshap_relational.Database.t ->
   (Aggshap_relational.Fact.t * Aggshap_arith.Rational.t) list
+(** Every endogenous fact's Shapley value, in [Database.endogenous]
+    order. *)

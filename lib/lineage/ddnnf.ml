@@ -24,6 +24,7 @@ module B = Aggshap_arith.Bigint
 module Fault = Aggshap_arith.Fault
 module Combinat = Aggshap_arith.Combinat
 module Q = Aggshap_arith.Rational
+module Score = Aggshap_arith.Score
 module ISet = Formula.ISet
 
 type node =
@@ -185,8 +186,8 @@ let compile mgr f =
 
 (* {1 Weighted model counting} *)
 
-(* Exact polynomial product (coefficients are model counts, degrees are
-   subset sizes; lengths stay ≤ n+1). *)
+(* Exact polynomial product (each entry is a model count, its degree a
+   subset size; lengths stay ≤ n+1). *)
 let poly_mul a b =
   let la = Array.length a and lb = Array.length b in
   let res = Array.make (la + lb - 1) B.zero in
@@ -254,28 +255,20 @@ let condition mgr node v b =
   in
   go node
 
-(* The Boolean-event Shapley difference for player p over a ground set
-   of n players:
-
-     φ_p = Σ_{k=0}^{n-1} w_k (C1_k − C0_k) / n!
-
-   with w_k = k!(n−k−1)! ({!Combinat.shapley_weights}) and C1/C0 the
-   per-size model counts of the circuit conditioned on p over the
-   remaining n−1 players. A player outside the circuit's variables is a
-   null player of the event: both cofactors coincide and the value is
-   exactly zero, no counting pass needed. *)
-let shapley_diff mgr ~n node p =
+(* The Boolean-event score of player p over a ground set of n players:
+   p's slice in the game 1[circuit] is Δ_p(k) = C1_k − C0_k, with
+   C1/C0 the per-size model counts of the circuit conditioned on p over
+   the remaining n−1 players, and {!Score.finish} weighs it. A player
+   outside the circuit's variables is a null player of the event: both
+   cofactors coincide and the value is exactly zero, no counting pass
+   needed. *)
+let shapley_diff ~score mgr ~n node p =
   if not (ISet.mem p (node_vars node)) then Q.zero
   else
     timed t_wmc (fun () ->
         Atomic.incr c_wmc_passes;
         let c1 = model_counts mgr ~n:(n - 1) (condition mgr node p true) in
         let c0 = model_counts mgr ~n:(n - 1) (condition mgr node p false) in
-        let w = Combinat.shapley_weights n in
-        let acc = B.Acc.create () in
-        for k = 0 to n - 1 do
-          B.Acc.add_mul acc w.(k) (B.sub c1.(k) c0.(k))
-        done;
-        Q.make (B.Acc.value acc) (Combinat.factorial n))
+        Score.finish score ~den:B.one ~n (fun k -> B.sub c1.(k) c0.(k)))
 
 let node_count mgr = mgr.next_id

@@ -54,11 +54,13 @@ val model_counts :
     lift). *)
 
 val shapley_diff :
+  score:Aggshap_arith.Score.t ->
   manager -> n:int -> node -> int -> Aggshap_arith.Rational.t
-(** [shapley_diff mgr ~n c p] = Σ_k k!(n−k−1)!/n! · (C1_k − C0_k), the
-    exact Shapley value of player [p] in the Boolean game 1\[c\] over
-    [n] players; [0] immediately when [p] is outside the circuit (null
-    player). *)
+(** [shapley_diff ~score mgr ~n c p] finishes the slice [C1_k − C0_k]
+    (the model counts of [c] conditioned on [p] and on [¬p]) with
+    [score] (for Shapley, Σ_k k!(n−k−1)!/n! · (C1_k − C0_k)): the exact
+    score of player [p] in the Boolean game 1\[c\] over [n] players;
+    [0] immediately when [p] is outside the circuit (null player). *)
 
 val node_id : node -> int
 (** Unique within the manager; [-1]/[-2] for the constants. *)

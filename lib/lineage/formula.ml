@@ -159,37 +159,9 @@ let rec cond store f v b =
       g
   end
 
-(* Branch-variable heuristic: the variable with the most occurrences in
-   the formula DAG (shared subterms counted once); ties break to the
-   smallest index, so compilation is deterministic. *)
-let pick_var f =
-  if ISet.is_empty f.vars then None
-  else begin
-    let seen = Hashtbl.create 64 in
-    let occs = Hashtbl.create 16 in
-    let rec go f =
-      if not (Hashtbl.mem seen f.id) then begin
-        Hashtbl.add seen f.id ();
-        match f.node with
-        | Var v ->
-          Hashtbl.replace occs v
-            (1 + Option.value (Hashtbl.find_opt occs v) ~default:0)
-        | And xs | Or xs -> List.iter go xs
-        | True | False -> ()
-      end
-    in
-    go f;
-    let best =
-      ISet.fold
-        (fun v best ->
-          let c = Option.value (Hashtbl.find_opt occs v) ~default:0 in
-          match best with
-          | Some (_, bc) when bc >= c -> best
-          | _ -> Some (v, c))
-        f.vars None
-    in
-    Option.map fst best
-  end
+(* Branch variable: the smallest index, so compilation is
+   deterministic. *)
+let pick_var f = ISet.min_elt_opt f.vars
 
 let eval f env =
   let memo = Hashtbl.create 64 in

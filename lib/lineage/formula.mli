@@ -54,8 +54,7 @@ val is_false : t -> bool
 val view : t -> node
 
 val pick_var : t -> int option
-(** The Shannon branch variable: most occurrences in the formula DAG
-    (shared subterms counted once), ties to the smallest index — so
+(** The Shannon branch variable: the smallest variable index — so
     compilation is deterministic. [None] iff the formula is constant. *)
 
 val eval : t -> (int -> bool) -> bool

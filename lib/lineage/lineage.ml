@@ -30,13 +30,16 @@
       constant shift −α(exogenous part) of the utility has Shapley
       value zero and is never encoded.
 
-   3. Counting. Each distinct event formula (coefficients of shared
+   3. Counting. Each distinct event formula (the weights of shared
       formulas are merged first) compiles to a d-DNNF once; the value
-      of fact p in event φ is the weighted-model-counting sum of
-      {!Ddnnf.shapley_diff} — facts outside vars(φ) are null players of
-      the event and cost nothing. *)
+      of fact p in event φ is {!Ddnnf.shapley_diff}, its conditioned
+      model counts finished under the requested score — facts outside
+      vars(φ) are null players of the event and cost nothing. Any
+      Shapley-like score is linear in the utility, so the events'
+      values sum to the aggregate's. *)
 
 module Q = Aggshap_arith.Rational
+module Score = Aggshap_arith.Score
 module Cq = Aggshap_cq.Cq
 module Eval = Aggshap_cq.Eval
 module Database = Aggshap_relational.Database
@@ -200,8 +203,8 @@ let events alpha store answers =
          (Aggregate.to_string alpha))
 
 (* Merge events sharing a formula (Max/Min suffix chains reuse them)
-   and drop the trivial ones: constants are constant shifts (Shapley
-   zero) and zero coefficients contribute nothing. *)
+   and drop the trivial ones: constants are constant shifts (score
+   zero) and zero weights contribute nothing. *)
 let merge_events evs =
   let order = ref [] in
   let coeffs = Hashtbl.create 16 in
@@ -229,7 +232,7 @@ let check_supported alpha =
 (* Shared solve core: compile each merged event once, then fill the
    requested player columns. [budget] caps the total d-DNNF node count
    across all events; Ddnnf.Budget_exceeded escapes to the caller. *)
-let solve ?(cache = true) ?budget (a : Agg_query.t) db select =
+let solve ~score ?(cache = true) ?budget (a : Agg_query.t) db select =
   check_supported a.Agg_query.alpha;
   let ext = extract a db in
   let n = Array.length ext.players in
@@ -243,17 +246,18 @@ let solve ?(cache = true) ?budget (a : Agg_query.t) db select =
         Formula.ISet.iter
           (fun p ->
             if select p then
-              acc.(p) <- Q.add acc.(p) (Q.mul c (Ddnnf.shapley_diff mgr ~n circuit p)))
+              acc.(p) <-
+                Q.add acc.(p) (Q.mul c (Ddnnf.shapley_diff ~score mgr ~n circuit p)))
           (Ddnnf.node_vars circuit))
       evs
   end;
   (ext.players, acc)
 
-let shapley_all ?cache ?budget (a : Agg_query.t) db =
-  let players, acc = solve ?cache ?budget a db (fun _ -> true) in
+let shapley_all ?(score = Score.Shapley) ?cache ?budget (a : Agg_query.t) db =
+  let players, acc = solve ~score ?cache ?budget a db (fun _ -> true) in
   Array.to_list (Array.mapi (fun i f -> (f, acc.(i))) players)
 
-let shapley ?cache ?budget (a : Agg_query.t) db f =
+let shapley ?(score = Score.Shapley) ?cache ?budget (a : Agg_query.t) db f =
   match Database.provenance db f with
   | Some Database.Endogenous ->
     let target =
@@ -263,6 +267,6 @@ let shapley ?cache ?budget (a : Agg_query.t) db f =
       in
       idx 0 (Database.endogenous db)
     in
-    let _, acc = solve ?cache ?budget a db (fun p -> p = target) in
+    let _, acc = solve ~score ?cache ?budget a db (fun p -> p = target) in
     acc.(target)
   | _ -> invalid_arg ("Lineage.shapley: fact is not endogenous: " ^ Fact.to_string f)

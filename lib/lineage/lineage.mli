@@ -8,10 +8,10 @@
     aggregate is decomposed into a linear combination of Boolean-event
     indicators (sound for Sum, Count, Count-distinct, Min, Max and
     Has-duplicates — see {!supports}); each event compiles once by
-    Shannon expansion ({!Ddnnf}) and every fact's exact Shapley value
-    is a weighted-model-counting sum. Exponential only in the treewidth
-    of the lineage, not in the number of facts — and exact-rational
-    identical to naive enumeration wherever both run. *)
+    Shannon expansion ({!Ddnnf}) and every fact's exact Shapley (or
+    Banzhaf) value is a weighted-model-counting sum. Exponential only in
+    the treewidth of the lineage, not in the number of facts — and
+    exact-rational identical to naive enumeration wherever both run. *)
 
 type extraction = {
   players : Aggshap_relational.Fact.t array;
@@ -43,21 +43,23 @@ val events :
     @raise Invalid_argument on an unsupported aggregate. *)
 
 val shapley_all :
+  ?score:Aggshap_arith.Score.t ->
   ?cache:bool ->
   ?budget:int ->
   Aggshap_agg.Agg_query.t ->
   Aggshap_relational.Database.t ->
   (Aggshap_relational.Fact.t * Aggshap_arith.Rational.t) list
-(** Exact Shapley values of all endogenous facts, in
-    [Database.endogenous] order. [cache] (default [true]) toggles the
-    compiler's formula-keyed cache — results are identical either way
-    (a qcheck invariant). [budget] caps the total d-DNNF node count
-    across all compiled events.
+(** Exact Shapley values (or [score]s, default Shapley) of all
+    endogenous facts, in [Database.endogenous] order. [cache] (default
+    [true]) toggles the compiler's formula-keyed cache — results are
+    identical either way (a qcheck invariant). [budget] caps the total
+    d-DNNF node count across all compiled events.
     @raise Ddnnf.Budget_exceeded when the budget would be exceeded.
     @raise Invalid_argument on an unsupported aggregate or a
     non-localized τ. *)
 
 val shapley :
+  ?score:Aggshap_arith.Score.t ->
   ?cache:bool ->
   ?budget:int ->
   Aggshap_agg.Agg_query.t ->

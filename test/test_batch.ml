@@ -348,8 +348,14 @@ let test_engine_counts_jobs_stable () =
   Alcotest.(check bool) "the solve entered engine nodes" true (s1.Engine.nodes > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Solver.banzhaf: fact lookup on the out-of-frontier path             *)
+(* Banzhaf through the solver: fact lookup on the out-of-frontier path *)
 (* ------------------------------------------------------------------ *)
+
+let banzhaf = Aggshap_arith.Score.Banzhaf
+
+let exact = function
+  | Core.Solver.Exact v -> v
+  | Core.Solver.Estimate _ -> Alcotest.fail "expected an exact value"
 
 let test_banzhaf_not_endogenous () =
   let a = Agg_query.make Aggregate.Avg (vid "R" 0) Catalog.q_xyy in
@@ -361,24 +367,28 @@ let test_banzhaf_not_endogenous () =
   in
   Alcotest.check_raises "missing fact raises"
     (Invalid_argument "Naive: fact is not endogenous in the database")
-    (fun () -> ignore (Core.Solver.banzhaf a db (Fact.of_ints "R" [ 9; 9 ])))
+    (fun () -> ignore (Core.Solver.shapley ~score:banzhaf a db (Fact.of_ints "R" [ 9; 9 ])))
 
 let test_banzhaf_naive_lookup () =
   (* Outside the frontier, banzhaf of every endogenous fact must match a
      direct Game.banzhaf at that fact's own index — the old lookup kept
-     scanning past the match. *)
+     scanning past the match — per fact and in the one-game batch. *)
   let a = Agg_query.make Aggregate.Avg (vid "R" 0) Catalog.q_xyy in
   let db = Generate.random_database ~seed:2 ~config:small_config Catalog.q_xyy in
   if Database.endo_size db = 0 then Alcotest.fail "empty instance"
   else begin
     let players, game = Core.Naive.game a db in
+    let batch, _ = Core.Solver.shapley_all ~score:banzhaf a db in
     Array.iteri
       (fun i f ->
         let expected = Core.Game.banzhaf game i in
-        let actual = Core.Solver.banzhaf a db f in
-        if not (Q.equal expected actual) then
-          Alcotest.failf "banzhaf(%s): expected %s got %s" (Fact.to_string f)
-            (Q.to_string expected) (Q.to_string actual))
+        let check what actual =
+          if not (Q.equal expected actual) then
+            Alcotest.failf "banzhaf(%s) %s: expected %s got %s" (Fact.to_string f) what
+              (Q.to_string expected) (Q.to_string actual)
+        in
+        check "per fact" (exact (fst (Core.Solver.shapley ~score:banzhaf a db f)));
+        check "batch" (exact (List.assoc f batch)))
       players
   end
 

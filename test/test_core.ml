@@ -7,6 +7,7 @@
    and the solver's dispatch logic. *)
 
 module B = Aggshap_arith.Bigint
+module Score = Aggshap_arith.Score
 module Q = Aggshap_arith.Rational
 module Cq = Aggshap_cq.Cq
 module Parser = Aggshap_cq.Parser
@@ -173,12 +174,24 @@ let arb_game =
       Printf.sprintf "n=%d [%s]" n
         (String.concat "; " (Array.to_list (Array.map Q.to_string u))))
 
+(* Both scores: the integer path's Banzhaf values are judged by the
+   textbook Game.banzhaf loop. *)
+let arb_score =
+  QCheck.make
+    ~print:(function Score.Shapley -> "shapley" | Score.Banzhaf -> "banzhaf")
+    (QCheck.Gen.oneofl [ Score.Shapley; Score.Banzhaf ])
+
 let shapley_all_int_agrees =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"shapley_all_int agrees with textbook shapley_all" ~count:100
-       arb_game (fun (n, u) ->
+    (QCheck.Test.make ~name:"shapley_all_int agrees with textbook shapley_all" ~count:200
+       (QCheck.pair arb_score arb_game) (fun (score, (n, u)) ->
          let g = Core.Game.make ~n (fun mask -> u.(mask)) in
-         let expected = Core.Game.shapley_all g and actual = Core.Game.shapley_all_int g in
+         let expected =
+           match score with
+           | Score.Shapley -> Core.Game.shapley_all g
+           | Score.Banzhaf -> Array.init n (Core.Game.banzhaf g)
+         in
+         let actual = Core.Game.shapley_all_int ~score g in
          Array.length actual = n && Array.for_all2 Q.equal expected actual))
 
 (* ------------------------------------------------------------------ *)
@@ -368,8 +381,8 @@ let test_naive_one_game_per_solve () =
   if one_game = 0 then Alcotest.fail "the counting τ was never called";
   Alcotest.(check int) "Solver.shapley_all, naive" one_game
     (count (fun () -> ignore (Core.Solver.shapley_all ~fallback:`Naive a db)));
-  Alcotest.(check int) "Api.banzhaf_all beyond the frontier" one_game
-    (count (fun () -> ignore (Aggshap_api.Api.banzhaf_all a db)));
+  Alcotest.(check int) "Api.shapley_all ~score:Banzhaf beyond the frontier" one_game
+    (count (fun () -> ignore (Aggshap_api.Api.shapley_all ~score:Score.Banzhaf a db)));
   (* Without endogenous facts there is no game to play, so not even
      A(Dˣ) is evaluated. *)
   let exo_only =
@@ -381,7 +394,7 @@ let test_naive_one_game_per_solve () =
   Alcotest.(check int) "no players, no evaluation" 0
     (count (fun () ->
          ignore (Core.Solver.shapley_all ~fallback:`Naive a exo_only);
-         ignore (Aggshap_api.Api.banzhaf_all a exo_only)))
+         ignore (Aggshap_api.Api.shapley_all ~score:Score.Banzhaf a exo_only)))
 
 let test_solver_efficiency_axiom () =
   (* End-to-end: the DP Shapley values of all facts sum to A(D) − A(Dˣ). *)
@@ -960,7 +973,7 @@ let () =
                   Array.iteri
                     (fun i f ->
                       let expected = Core.Game.banzhaf game i in
-                      let actual = Core.Sumk.banzhaf_of Core.Minmax.sum_k a db f in
+                      let actual = Core.Minmax.shapley ~score:Score.Banzhaf a db f in
                       if not (Q.equal expected actual) then
                         Alcotest.failf "banzhaf max seed %d: %s" seed (Fact.to_string f))
                     players
@@ -983,7 +996,11 @@ let () =
                       Array.iteri
                         (fun i f ->
                           let expected = Core.Game.banzhaf game i in
-                          let actual = Core.Solver.banzhaf a db f in
+                          let actual =
+                            match Core.Solver.shapley ~score:Score.Banzhaf a db f with
+                            | Core.Solver.Exact v, _ -> v
+                            | Core.Solver.Estimate _, _ -> Alcotest.fail "estimate"
+                          in
                           if not (Q.equal expected actual) then
                             Alcotest.failf "banzhaf %s seed %d: %s"
                               (Aggregate.to_string alpha) seed (Fact.to_string f))
@@ -1003,7 +1020,7 @@ let () =
                   Array.iteri
                     (fun i f ->
                       let expected = Core.Game.banzhaf game i in
-                      let actual = Core.Sumk.banzhaf_of Core.Dup.sum_k a db f in
+                      let actual = Core.Dup.shapley ~score:Score.Banzhaf a db f in
                       if not (Q.equal expected actual) then
                         Alcotest.failf "banzhaf dup seed %d: %s" seed (Fact.to_string f))
                     players

@@ -7,6 +7,7 @@
 
 module B = Aggshap_arith.Bigint
 module Q = Aggshap_arith.Rational
+module Score = Aggshap_arith.Score
 module F = Aggshap_lineage.Formula
 module D = Aggshap_lineage.Ddnnf
 module L = Aggshap_lineage.Lineage
@@ -249,7 +250,8 @@ let ddnnf_props =
         let c = D.compile mgr (build store fd) in
         let ok = ref true in
         for p = 0 to n - 1 do
-          if not (Q.equal (D.shapley_diff mgr ~n c p) (brute_shapley n fd p)) then
+          let actual = D.shapley_diff ~score:Score.Shapley mgr ~n c p in
+          if not (Q.equal actual (brute_shapley n fd p)) then
             ok := false
         done;
         !ok);
@@ -260,7 +262,7 @@ let ddnnf_props =
         let c = D.compile mgr (build store fd) in
         let total = ref Q.zero in
         for p = 0 to n - 1 do
-          total := Q.add !total (D.shapley_diff mgr ~n c p)
+          total := Q.add !total (D.shapley_diff ~score:Score.Shapley mgr ~n c p)
         done;
         let grand = eval_fd (fun _ -> true) fd and empty = eval_fd (fun _ -> false) fd in
         let expected =
@@ -278,7 +280,10 @@ let ddnnf_props =
         let m2 = D.model_counts uncached ~n c2 in
         Array.for_all2 B.equal m1 m2
         && List.for_all
-             (fun p -> Q.equal (D.shapley_diff cached ~n c1 p) (D.shapley_diff uncached ~n c2 p))
+             (fun p ->
+               Q.equal
+                 (D.shapley_diff ~score:Score.Shapley cached ~n c1 p)
+                 (D.shapley_diff ~score:Score.Shapley uncached ~n c2 p))
              (List.init n Fun.id));
   ]
 
