@@ -747,7 +747,7 @@ let e20 () =
     "naive column is one fact (2^n subsets); kc column is ALL facts through\n\
      one shared compilation. naive(all) cross-checks the full vector at small n.\n";
   Printf.printf "%-14s %6s %8s %12s %12s %9s %7s %7s %7s\n" "workload" "m" "players"
-    "naive(1)" "kc(all)" "speedup" "nodes" "wmc" "agree";
+    "naive(1)" "kc(all)" "speedup" "nodes" "passes" "agree";
   let module Lineage = Aggshap_lineage.Lineage in
   let module Ddnnf = Aggshap_lineage.Ddnnf in
   let q_rst = Parser.parse_query_exn "Q() <- R(x), T(x, y), S(y)" in
@@ -854,9 +854,9 @@ let e20 () =
       sizes
   in
   run "count_rst" Aggregate.Count (Value_fn.const ~rel:"R" Q.one)
-    (if quick then [ 3; 4 ] else [ 3; 4; 6; 8; 10; 12 ]);
+    (if quick then [ 3; 4 ] else [ 3; 4; 6; 8; 10; 12; 16; 24; 32; 64 ]);
   run "max_rst" Aggregate.Max (Value_fn.const ~rel:"R" Q.one)
-    (if quick then [ 3 ] else [ 3; 4; 6 ]);
+    (if quick then [ 3 ] else [ 3; 4; 6; 12; 24 ]);
   List.rev !results
 
 (* E21: the solve planner (`Auto) vs each forced exact tier on E20's
@@ -925,7 +925,7 @@ let e21 () =
   (* Naive evaluates all 2^n coalitions once per solve: only run it
      where that is sane. *)
   let naive_cap = 14 in
-  let sizes = if quick then [ 3; 4 ] else [ 3; 4; 6; 8 ] in
+  let sizes = if quick then [ 3; 4 ] else [ 3; 4; 6; 8; 12; 16; 24 ] in
   List.iter
     (fun m ->
       let db = rst_db m in

@@ -18,13 +18,25 @@
 
    where gap_child = |V| − 1 − |vars(child)| smooths the variables the
    child never mentions (each is free: a factor (1+x)). All arithmetic
-   is exact over {!Aggshap_arith.Bigint}. *)
+   is exact over {!Aggshap_arith.Bigint}.
+
+   Every variable's Shapley slice then comes from one more, top-down
+   pass (the differential approach: Darwiche, JACM 2003). The adjoint
+   A(node) is the size polynomial of the paths from the root to the
+   node: it counts the variables above it, so A(root) = 1 and each
+   parent adds its own edge factor,
+
+     A(hi) += A(node) · x · (1+x)^gap_hi     A(lo) += A(node) · (1+x)^gap_lo
+
+   A variable p is decided on every root-to-leaf path that mentions it
+   and smoothed (free: it contributes the same to both cofactors) on
+   every other, so the slice of p is the sum over the nodes deciding p
+   of A(node) · ((1+x)^gap_hi · P(hi) − (1+x)^gap_lo · P(lo)): its
+   cofactors' per-size counts over the other variables, differenced. *)
 
 module B = Aggshap_arith.Bigint
 module Fault = Aggshap_arith.Fault
 module Combinat = Aggshap_arith.Combinat
-module Q = Aggshap_arith.Rational
-module Score = Aggshap_arith.Score
 module ISet = Formula.ISet
 
 type node =
@@ -53,7 +65,7 @@ type stats = {
   cache_hits : int;  (* formula-keyed cache hits *)
   cache_misses : int;  (* sub-formulas actually expanded *)
   compiles : int;  (* circuits compiled *)
-  wmc_passes : int;  (* per-fact conditioned counting passes *)
+  wmc_passes : int;  (* slice passes, one per circuit *)
   budget_aborts : int;  (* compilations aborted at the node budget *)
   compile_s : float;  (* time spent compiling *)
   wmc_s : float;  (* time spent counting *)
@@ -90,13 +102,14 @@ type manager = {
   unique : (int * int * int, node) Hashtbl.t;  (* (var, hi, lo) -> node *)
   compile_cache : (int, node) Hashtbl.t;  (* formula id -> circuit *)
   count_memo : (int, B.t array) Hashtbl.t;  (* node id -> size polynomial *)
+  mutable rank : int array;  (* variable -> branch rank, set per compile *)
   mutable next_id : int;
 }
 
 let create ?(cache = true) ?budget store =
   { store; use_cache = cache; budget; unique = Hashtbl.create 256;
     compile_cache = Hashtbl.create 256; count_memo = Hashtbl.create 256;
-    next_id = 0 }
+    rank = [||]; next_id = 0 }
 
 let node_id = function True -> -1 | False -> -2 | Decision d -> d.id
 let node_vars = function True | False -> ISet.empty | Decision d -> d.vars
@@ -161,7 +174,7 @@ let rec expand mgr f =
     | None ->
       Atomic.incr c_cache_misses;
       let v =
-        match Formula.pick_var f with
+        match Formula.pick_var ~rank:mgr.rank f with
         | Some v -> v
         | None -> invalid_arg "Ddnnf.compile: non-constant formula without variables"
       in
@@ -180,9 +193,40 @@ let rec expand mgr f =
       else n
   end
 
+(* The branch order of one compilation: each variable of [f] ranked by
+   its first appearance in a depth-first walk of [f], children in their
+   interned order. Lineage lists a minterm's facts together, so this
+   decides one minterm (one homomorphism) after another; the residual
+   formulas stay few where id order, which lists every fact of one
+   relation first, leaves exponentially many. Only [f]'s variables are
+   ranked, and every formula [expand] meets below [f] is a cofactor of
+   it. Circuits cached by earlier compilations were built in their own
+   order; each is still equivalent to its formula, so reusing them is
+   sound. *)
+let rank_vars mgr f =
+  match ISet.max_elt_opt (Formula.var_set f) with
+  | None -> ()
+  | Some top ->
+    if Array.length mgr.rank <= top then mgr.rank <- Array.make (top + 1) 0;
+    let seen = Hashtbl.create 64 and next = ref 0 in
+    let rec walk g =
+      if not (Hashtbl.mem seen (Formula.id g)) then begin
+        Hashtbl.add seen (Formula.id g) ();
+        match Formula.view g with
+        | Formula.Var v ->
+          mgr.rank.(v) <- !next;
+          incr next
+        | Formula.And xs | Formula.Or xs -> List.iter walk xs
+        | Formula.True | Formula.False -> ()
+      end
+    in
+    walk f
+
 let compile mgr f =
   Atomic.incr c_compiles;
-  timed t_compile (fun () -> expand mgr f)
+  timed t_compile (fun () ->
+      rank_vars mgr f;
+      expand mgr f)
 
 (* {1 Weighted model counting} *)
 
@@ -232,43 +276,58 @@ let model_counts mgr ~n node =
   | False -> Array.make (n + 1) B.zero
   | _ -> lift (polynomial mgr node) gap
 
-(* Conditioning on one variable: O(|circuit|) rebuild replacing every
-   decision on v by the chosen child (memoized per traversal; the
-   result shares the manager's unique table, so its polynomials land in
-   the shared counting memo). *)
-let condition mgr node v b =
-  let memo = Hashtbl.create 64 in
-  let rec go node =
-    match node with
-    | True | False -> node
-    | Decision d ->
-      if not (ISet.mem v d.vars) then node
-      else if d.var = v then (if b then d.hi else d.lo)
-      else begin
-        match Hashtbl.find_opt memo d.id with
-        | Some m -> m
-        | None ->
-          let m = mk mgr d.var (go d.hi) (go d.lo) in
-          Hashtbl.add memo d.id m;
-          m
-      end
-  in
-  go node
-
-(* The Boolean-event score of player p over a ground set of n players:
-   p's slice in the game 1[circuit] is Δ_p(k) = C1_k − C0_k, with
-   C1/C0 the per-size model counts of the circuit conditioned on p over
-   the remaining n−1 players, and {!Score.finish} weighs it. A player
-   outside the circuit's variables is a null player of the event: both
-   cofactors coincide and the value is exactly zero, no counting pass
-   needed. *)
-let shapley_diff ~score mgr ~n node p =
-  if not (ISet.mem p (node_vars node)) then Q.zero
-  else
+(* Every variable's slice in one top-down pass (see the header): the
+   decision nodes reachable from the root, parents first (the reverse
+   of a depth-first post-order), each pushing its adjoint down its two
+   edges and adding its share to its own variable's slice. *)
+let slices mgr root =
+  match root with
+  | True | False -> []
+  | Decision r ->
     timed t_wmc (fun () ->
         Atomic.incr c_wmc_passes;
-        let c1 = model_counts mgr ~n:(n - 1) (condition mgr node p true) in
-        let c0 = model_counts mgr ~n:(n - 1) (condition mgr node p false) in
-        Score.finish score ~den:B.one ~n (fun k -> B.sub c1.(k) c0.(k)))
+        let s = ISet.cardinal r.vars in
+        let seen = Hashtbl.create 64 and order = ref [] in
+        let rec visit = function
+          | Decision d as node when not (Hashtbl.mem seen d.id) ->
+            Hashtbl.add seen d.id ();
+            visit d.hi;
+            visit d.lo;
+            order := node :: !order
+          | _ -> ()
+        in
+        visit root;
+        let adjoint = Hashtbl.create 64 and slice = Hashtbl.create 64 in
+        let add_into tbl key len p =
+          let acc =
+            match Hashtbl.find_opt tbl key with
+            | Some acc -> acc
+            | None ->
+              let acc = Array.make len B.zero in
+              Hashtbl.add tbl key acc;
+              acc
+          in
+          Array.iteri (fun i c -> acc.(i) <- B.add acc.(i) c) p
+        in
+        let push child p =
+          match child with
+          | True | False -> ()
+          | Decision c -> add_into adjoint c.id (s - size child + 1) p
+        in
+        Hashtbl.add adjoint r.id [| B.one |];
+        List.iter
+          (function
+            | True | False -> ()
+            | Decision d ->
+              let a = Hashtbl.find adjoint d.id in
+              let sv = ISet.cardinal d.vars in
+              let gap_hi = sv - 1 - size d.hi and gap_lo = sv - 1 - size d.lo in
+              push d.hi (Array.append [| B.zero |] (lift a gap_hi));
+              push d.lo (lift a gap_lo);
+              let p_hi = lift (polynomial mgr d.hi) gap_hi in
+              let p_lo = lift (polynomial mgr d.lo) gap_lo in
+              add_into slice d.var s (poly_mul a (Array.map2 B.sub p_hi p_lo)))
+          !order;
+        List.map (fun v -> (v, Hashtbl.find slice v)) (ISet.elements r.vars))
 
 let node_count mgr = mgr.next_id

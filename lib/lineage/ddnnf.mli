@@ -36,15 +36,14 @@ val create : ?cache:bool -> ?budget:int -> Formula.store -> manager
 (** [cache] (default [true]) enables the formula-keyed compile cache;
     disabling it re-expands shared sub-formulas (exponentially slower,
     semantically identical — a qcheck invariant). [budget] caps the
-    number of decision nodes the manager may ever allocate; exceeding
-    it raises {!Budget_exceeded} and bumps the [budget_aborts]
-    counter. *)
+    number of decision nodes the manager may ever compile (counting
+    allocates none); exceeding it raises {!Budget_exceeded} and bumps
+    the [budget_aborts] counter. *)
 
 val compile : manager -> Formula.t -> node
-
-val condition : manager -> node -> int -> bool -> node
-(** [condition mgr c v b]: the circuit with every decision on [v]
-    replaced by its [b]-child; [v] no longer occurs. O(|circuit|). *)
+(** Shannon expansion, branching on the variable that appears first in
+    a depth-first walk of the formula ({!Formula.pick_var}); the rank
+    table lives in the manager and is rebuilt per call. *)
 
 val model_counts :
   manager -> n:int -> node -> Aggshap_arith.Bigint.t array
@@ -53,14 +52,24 @@ val model_counts :
     (variables outside the circuit are free — smoothing by binomial
     lift). *)
 
-val shapley_diff :
-  score:Aggshap_arith.Score.t ->
-  manager -> n:int -> node -> int -> Aggshap_arith.Rational.t
-(** [shapley_diff ~score mgr ~n c p] finishes the slice [C1_k − C0_k]
-    (the model counts of [c] conditioned on [p] and on [¬p]) with
-    [score] (for Shapley, Σ_k k!(n−k−1)!/n! · (C1_k − C0_k)): the exact
-    score of player [p] in the Boolean game 1\[c\] over [n] players;
-    [0] immediately when [p] is outside the circuit (null player). *)
+val slices :
+  manager -> node -> (int * Aggshap_arith.Bigint.t array) list
+(** [slices mgr c] pairs every variable [p] of [c], ascending, with its
+    slice [|Δ_p(0); …; Δ_p(s−1)|] in the Boolean game 1\[c\] over
+    [c]'s own [s = size c] variables:
+    Δ_p(k) = C1_k − C0_k, the size-[k] model counts of [c]
+    conditioned on [p] and on [¬p] over the other [s − 1] variables.
+    One bottom-up pass (the memoized polynomials of {!model_counts})
+    and one top-down pass of adjoint polynomials give every slice at
+    once. Empty for a constant circuit.
+
+    The ground set is the circuit's variables, not the database's
+    facts: a fact outside them is a null player of the event, and both
+    Shapley and Banzhaf give every other player the same value with or
+    without null players. So [Aggshap_arith.Score.finish score ~n:s]
+    on a slice is the player's exact score in the event's game over
+    any ground set containing [c]'s variables, and a fact outside them
+    scores zero. *)
 
 val node_id : node -> int
 (** Unique within the manager; [-1]/[-2] for the constants. *)
@@ -72,14 +81,14 @@ val node_count : manager -> int
 (** {1 Instrumentation} *)
 
 type stats = {
-  nodes : int;  (** decision nodes created (after hash-consing) *)
+  nodes : int;  (** decision nodes compiled (after hash-consing) *)
   cache_hits : int;  (** formula-keyed cache hits *)
   cache_misses : int;  (** sub-formulas actually expanded *)
   compiles : int;  (** circuits compiled *)
-  wmc_passes : int;  (** conditioned counting passes *)
+  wmc_passes : int;  (** {!slices} passes: one per circuit counted *)
   budget_aborts : int;  (** compilations aborted at the node budget *)
   compile_s : float;  (** time spent compiling *)
-  wmc_s : float;  (** time spent counting *)
+  wmc_s : float;  (** time spent in {!slices} *)
 }
 
 val stats : unit -> stats

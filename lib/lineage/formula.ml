@@ -159,9 +159,16 @@ let rec cond store f v b =
       g
   end
 
-(* Branch variable: the smallest index, so compilation is
-   deterministic. *)
-let pick_var f = ISet.min_elt_opt f.vars
+(* Branch variable: the lowest-ranked one. Ranks are distinct, so the
+   pick is deterministic; a tie (an unranked caller) goes to the smaller
+   index, as the fold visits variables ascending. *)
+let pick_var ~rank f =
+  ISet.fold
+    (fun v best ->
+      match best with
+      | Some b when rank.(b) <= rank.(v) -> best
+      | _ -> Some v)
+    f.vars None
 
 let eval f env =
   let memo = Hashtbl.create 64 in

@@ -53,9 +53,14 @@ val is_true : t -> bool
 val is_false : t -> bool
 val view : t -> node
 
-val pick_var : t -> int option
-(** The Shannon branch variable: the smallest variable index — so
-    compilation is deterministic. [None] iff the formula is constant. *)
+val pick_var : rank:int array -> t -> int option
+(** The Shannon branch variable: the variable [v] of the formula with
+    the lowest [rank.(v)] ([rank] must cover every variable of the
+    formula; ties go to the smaller index). {!Ddnnf.compile} ranks an
+    event's variables by their first appearance in a depth-first walk
+    of its formula, so the branch order follows the lineage's own
+    structure (one minterm after another) rather than fact ids.
+    [None] iff the formula is constant. *)
 
 val eval : t -> (int -> bool) -> bool
 (** Evaluate under an assignment (memoized over the DAG). *)

@@ -31,13 +31,18 @@
       value zero and is never encoded.
 
    3. Counting. Each distinct event formula (the weights of shared
-      formulas are merged first) compiles to a d-DNNF once; the value
-      of fact p in event φ is {!Ddnnf.shapley_diff}, its conditioned
-      model counts finished under the requested score — facts outside
-      vars(φ) are null players of the event and cost nothing. Any
-      Shapley-like score is linear in the utility, so the events'
-      values sum to the aggregate's. *)
+      formulas are merged first) compiles to a d-DNNF once, branching
+      in the order the formula first mentions its facts. One
+      {!Ddnnf.slices} pass over the circuit gives every variable's
+      slice Δ_p(k) = C1_k − C0_k (its conditioned model counts,
+      differenced), and {!Score.finish} weighs it over the circuit's
+      own s variables, not all n facts: the facts outside vars(φ) are
+      null players of the event, which changes neither the Shapley
+      nor the Banzhaf value of the others and leaves their own at
+      zero, so they cost nothing. Any Shapley-like score is linear in
+      the utility, so the events' values sum to the aggregate's. *)
 
+module B = Aggshap_arith.Bigint
 module Q = Aggshap_arith.Rational
 module Score = Aggshap_arith.Score
 module Cq = Aggshap_cq.Cq
@@ -229,9 +234,11 @@ let check_supported alpha =
       (Printf.sprintf "Lineage: %s is outside the knowledge-compilation tier"
          (Aggregate.to_string alpha))
 
-(* Shared solve core: compile each merged event once, then fill the
-   requested player columns. [budget] caps the total d-DNNF node count
-   across all events; Ddnnf.Budget_exceeded escapes to the caller. *)
+(* Shared solve core: compile each merged event once, take every slice
+   of its circuit in one pass, and finish the requested players' slices
+   over the circuit's own variables. [budget] caps the total d-DNNF
+   node count across all events; Ddnnf.Budget_exceeded escapes to the
+   caller. *)
 let solve ~score ?(cache = true) ?budget (a : Agg_query.t) db select =
   check_supported a.Agg_query.alpha;
   let ext = extract a db in
@@ -243,12 +250,14 @@ let solve ~score ?(cache = true) ?budget (a : Agg_query.t) db select =
     List.iter
       (fun (c, fml) ->
         let circuit = Ddnnf.compile mgr fml in
-        Formula.ISet.iter
-          (fun p ->
+        let s = Ddnnf.size circuit in
+        List.iter
+          (fun (p, slice) ->
             if select p then
               acc.(p) <-
-                Q.add acc.(p) (Q.mul c (Ddnnf.shapley_diff ~score mgr ~n circuit p)))
-          (Ddnnf.node_vars circuit))
+                Q.add acc.(p)
+                  (Q.mul c (Score.finish score ~den:B.one ~n:s (Array.get slice))))
+          (Ddnnf.slices mgr circuit))
       evs
   end;
   (ext.players, acc)

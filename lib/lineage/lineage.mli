@@ -8,8 +8,9 @@
     aggregate is decomposed into a linear combination of Boolean-event
     indicators (sound for Sum, Count, Count-distinct, Min, Max and
     Has-duplicates — see {!supports}); each event compiles once by
-    Shannon expansion ({!Ddnnf}) and every fact's exact Shapley (or
-    Banzhaf) value is a weighted-model-counting sum. Exponential only in
+    Shannon expansion ({!Ddnnf}), and one counting pass per circuit
+    gives every fact's slice, finished into its exact Shapley (or
+    Banzhaf) value. Exponential only in
     the treewidth of the lineage, not in the number of facts — and
     exact-rational identical to naive enumeration wherever both run. *)
 
@@ -66,7 +67,8 @@ val shapley :
   Aggshap_relational.Database.t ->
   Aggshap_relational.Fact.t ->
   Aggshap_arith.Rational.t
-(** Single-fact variant: only the requested fact's counting passes run
-    (compilation is shared work regardless).
+(** Single-fact variant: every circuit still compiles and takes its
+    one counting pass, and only the requested fact's slices are
+    finished.
     @raise Ddnnf.Budget_exceeded when [budget] would be exceeded.
     @raise Invalid_argument if the fact is not endogenous. *)

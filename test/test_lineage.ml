@@ -1,9 +1,11 @@
 (* Property tests (qcheck) for the knowledge-compilation tier: the
    Shannon d-DNNF compiler against brute-force model counting (≤16
-   variables), circuit-level Shapley against the permutation definition,
-   structural d-DNNF invariants (decomposability, determinism, support),
-   the formula-keyed cache as a pure optimization, and the whole
-   lineage pipeline against naive enumeration on random trials. *)
+   variables), every variable's slice against brute force, circuit-level
+   Shapley and Banzhaf against their subset-sum definitions, structural
+   d-DNNF invariants (decomposability, determinism, support), the
+   formula-keyed cache as a pure optimization, a node bound that pins
+   the compiler's branch order, and the whole lineage pipeline against
+   naive enumeration on random trials. *)
 
 module B = Aggshap_arith.Bigint
 module Q = Aggshap_arith.Rational
@@ -94,13 +96,20 @@ let brute_counts n fd =
   done;
   counts
 
-(* The permutation definition of the Shapley value of player [p] in the
-   Boolean game u(S) = 1[fd(S)], as a subset sum. *)
-let brute_shapley n fd p =
+(* The definition of the score of player [p] in the n-player Boolean
+   game u(S) = 1[fd(S)], as a subset sum: Shapley weighs a coalition of
+   size s by s!(n−s−1)!/n! (the permutation definition), Banzhaf every
+   coalition by 1/2ⁿ⁻¹. *)
+let brute_score score n fd p =
   let fact k =
     let r = ref 1 in
     for i = 2 to k do r := !r * i done;
     !r
+  in
+  let weight s =
+    match score with
+    | Score.Shapley -> Q.of_ints (fact s * fact (n - 1 - s)) (fact n)
+    | Score.Banzhaf -> Q.of_ints 1 (1 lsl (n - 1))
   in
   let total = ref Q.zero in
   for mask = 0 to (1 lsl n) - 1 do
@@ -108,13 +117,47 @@ let brute_shapley n fd p =
       let u0 = eval_fd (mem mask) fd in
       let u1 = eval_fd (mem (mask lor (1 lsl p))) fd in
       if u1 <> u0 then begin
-        let s = popcount mask in
-        let w = Q.of_ints (fact s * fact (n - 1 - s)) (fact n) in
+        let w = weight (popcount mask) in
         total := (if u1 then Q.add !total w else Q.sub !total w)
       end
     end
   done;
   !total
+
+(* The slice of [p] over the ground set [ground] (a variable list
+   containing it), by enumeration: Δ_p(k) is the number of size-k
+   coalitions of the other ground variables that [p] turns from losing
+   to winning, minus those it turns the other way. Variables outside
+   [ground] are absent. *)
+let brute_slice ground fd p =
+  let others = Array.of_list (List.filter (fun v -> v <> p) ground) in
+  let m = Array.length others in
+  let slice = Array.make (m + 1) 0 in
+  for mask = 0 to (1 lsl m) - 1 do
+    let member b v =
+      v = p && b
+      || (let rec go i = i < m && ((others.(i) = v && mem mask i) || go (i + 1)) in
+          go 0)
+    in
+    let d = Bool.to_int (eval_fd (member true) fd) - Bool.to_int (eval_fd (member false) fd) in
+    slice.(popcount mask) <- slice.(popcount mask) + d
+  done;
+  slice
+
+(* A circuit's score for every player of an n-player ground set, from
+   its slices over its own variables; players outside them score 0. *)
+let circuit_scores score mgr ~n c =
+  let values = Array.make n Q.zero in
+  let s = D.size c in
+  List.iter
+    (fun (p, slice) -> values.(p) <- Score.finish score ~den:B.one ~n:s (Array.get slice))
+    (D.slices mgr c);
+  values
+
+let arb_score =
+  QCheck.make
+    ~print:(function Score.Shapley -> "shapley" | Score.Banzhaf -> "banzhaf")
+    (QCheck.Gen.oneofl [ Score.Shapley; Score.Banzhaf ])
 
 (* ------------------------------------------------------------------ *)
 (* Formula layer                                                       *)
@@ -215,62 +258,48 @@ let ddnnf_props =
         let store = F.create_store () in
         let mgr = D.create store in
         circuit_wellformed (Hashtbl.create 16) (D.compile mgr (build store fd)));
-    prop "conditioning removes the variable and fixes it" 200 (arb_inst 1 8)
-      (fun (n, fd) ->
+    prop "slices match brute force" 200 (arb_inst 1 8)
+      (fun (_, fd) ->
         let store = F.create_store () in
         let mgr = D.create store in
         let c = D.compile mgr (build store fd) in
-        let ok = ref true in
-        for v = 0 to n - 1 do
-          List.iter
-            (fun b ->
-              let c' = D.condition mgr c v b in
-              if F.ISet.mem v (D.node_vars c') then ok := false;
-              (* Counting c' over the other n-1 players must match the
-                 brute force of the description with v fixed to b.
-                 Reduced player u < v keeps its index; u ≥ v was u+1. *)
-              let counts = D.model_counts mgr ~n:(n - 1) c' in
-              let expected = Array.make n 0 in
-              for mask = 0 to (1 lsl (n - 1)) - 1 do
-                let a u = if u = v then b else mem mask (if u < v then u else u - 1) in
-                if eval_fd a fd then
-                  expected.(popcount mask) <- expected.(popcount mask) + 1
-              done;
-              if
-                not
-                  (Array.for_all2 (fun bb e -> B.equal bb (B.of_int e)) counts expected)
-              then ok := false)
-            [ true; false ]
-        done;
-        !ok);
-    prop "shapley_diff matches the permutation definition" 200 (arb_inst 1 7)
-      (fun (n, fd) ->
+        let ground = F.ISet.elements (D.node_vars c) in
+        let s = List.length ground in
+        let slices = D.slices mgr c in
+        List.map fst slices = ground
+        && List.for_all
+             (fun (p, slice) ->
+               let expected = brute_slice ground fd p in
+               Array.length slice = s
+               && Array.for_all2 (fun b e -> B.equal b (B.of_int e)) slice expected)
+             slices);
+    (* Two players beyond the formula's range widen the ground set, so
+       the null players' zero is checked too. *)
+    prop "shapley_diff matches the permutation definition" 200
+      (QCheck.pair arb_score (arb_inst 1 7))
+      (fun (score, (n, fd)) ->
+        let n = n + 2 in
         let store = F.create_store () in
         let mgr = D.create store in
         let c = D.compile mgr (build store fd) in
-        let ok = ref true in
-        for p = 0 to n - 1 do
-          let actual = D.shapley_diff ~score:Score.Shapley mgr ~n c p in
-          if not (Q.equal actual (brute_shapley n fd p)) then
-            ok := false
-        done;
-        !ok);
+        let values = circuit_scores score mgr ~n c in
+        List.for_all
+          (fun p -> Q.equal values.(p) (brute_score score n fd p))
+          (List.init n Fun.id));
     prop "circuit Shapley satisfies efficiency" 200 (arb_inst 1 8)
       (fun (n, fd) ->
         let store = F.create_store () in
         let mgr = D.create store in
         let c = D.compile mgr (build store fd) in
-        let total = ref Q.zero in
-        for p = 0 to n - 1 do
-          total := Q.add !total (D.shapley_diff ~score:Score.Shapley mgr ~n c p)
-        done;
+        let total = Array.fold_left Q.add Q.zero (circuit_scores Score.Shapley mgr ~n c) in
         let grand = eval_fd (fun _ -> true) fd and empty = eval_fd (fun _ -> false) fd in
         let expected =
           Q.sub (if grand then Q.one else Q.zero) (if empty then Q.one else Q.zero)
         in
-        Q.equal !total expected);
-    prop "cache off is semantically identical" 200 (arb_inst 1 9)
-      (fun (n, fd) ->
+        Q.equal total expected);
+    prop "cache off is semantically identical" 200
+      (QCheck.pair arb_score (arb_inst 1 9))
+      (fun (score, (n, fd)) ->
         let store = F.create_store () in
         let cached = D.create ~cache:true store in
         let uncached = D.create ~cache:false store in
@@ -279,12 +308,48 @@ let ddnnf_props =
         let m1 = D.model_counts cached ~n c1 in
         let m2 = D.model_counts uncached ~n c2 in
         Array.for_all2 B.equal m1 m2
-        && List.for_all
-             (fun p ->
-               Q.equal
-                 (D.shapley_diff ~score:Score.Shapley cached ~n c1 p)
-                 (D.shapley_diff ~score:Score.Shapley uncached ~n c2 p))
-             (List.init n Fun.id));
+        && Array.for_all2 Q.equal
+             (circuit_scores score cached ~n c1)
+             (circuit_scores score uncached ~n c2));
+  ]
+
+(* E20's RST family, Q() <- R(x), T(x,y), S(y) over m R-, S- and
+   matching T-facts plus two cross edges: n = 3m + 2 endogenous facts
+   and one Boolean lineage. Branching in the lineage's first-appearance
+   order compiles it to n + 3 decision nodes at m = 12; id order, which
+   decides every R fact before any T fact, needs 77,566. *)
+let rst_db m =
+  let db = ref Database.empty in
+  let add rel args = db := Database.add (Aggshap_relational.Fact.of_ints rel args) !db in
+  for i = 0 to m - 1 do
+    add "R" [ i ];
+    add "S" [ i ];
+    add "T" [ i; i ]
+  done;
+  for i = 0 to min 1 (m - 1) do
+    add "T" [ i; (i + 1) mod m ]
+  done;
+  !db
+
+let ddnnf_order_tests =
+  [ Alcotest.test_case "RST lineage at m = 12 compiles to at most 100 nodes" `Quick
+      (fun () ->
+        let a =
+          Agg_query.make Aggshap_agg.Aggregate.Count
+            (Aggshap_agg.Value_fn.const ~rel:"R" Q.one)
+            (Aggshap_cq.Parser.parse_query_exn "Q() <- R(x), T(x, y), S(y)")
+        in
+        let ext = L.extract a (rst_db 12) in
+        let lin =
+          match ext.L.answers with
+          | [ (_, lin) ] -> lin
+          | _ -> Alcotest.fail "a Boolean query has one answer"
+        in
+        let mgr = D.create ext.L.store in
+        let c = D.compile mgr lin in
+        Alcotest.(check int) "every fact is a variable" 38 (D.size c);
+        let nodes = D.node_count mgr in
+        if nodes > 100 then Alcotest.failf "%d decision nodes, bound 100" nodes);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -345,5 +410,6 @@ let () =
   Alcotest.run "lineage"
     [ ("formula", formula_props);
       ("ddnnf", ddnnf_props);
+      ("ddnnf order", ddnnf_order_tests);
       ("pipeline", lineage_pipeline_props);
     ]
