@@ -255,7 +255,7 @@ let run_session query_s db_path agg_s tau_s updates_path jobs stats =
     | Error msg -> die "%s: %s" updates_path msg
   in
   let session =
-    match Api.trap (fun () -> Session.open_ ?jobs a db) with
+    match Api.trap (fun () -> Session.open_ a db) with
     | Ok s -> s
     | Error msg -> die "%s" msg
   in
@@ -580,14 +580,17 @@ let kc_budget_arg =
 
 let jobs_arg =
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N"
-         ~doc:"Worker domains for the all-facts batch (default: the \
-               recommended domain count of the machine; 1 disables \
-               parallelism). Results are identical for every N.")
+         ~doc:"Worker domains for Monte-Carlo sampling and for fuzz's \
+               parallel equivalence checks (default: the recommended domain \
+               count of the machine; 1 disables parallelism). Frontier, \
+               knowledge-compilation and naive solves, sessions and the \
+               server run in the calling domain whatever N says. Results \
+               are identical for every N.")
 
 let cache_arg =
   Arg.(value & opt bool true & info [ "cache" ] ~docv:"BOOL"
-         ~doc:"Share dynamic-programming tables across the per-fact batch \
-               loop (default true). Results are identical either way.")
+         ~doc:"Share dynamic-programming tables across the passes of one \
+               solve (default true). Results are identical either way.")
 
 let stats_arg =
   Arg.(value & flag & info [ "stats" ]

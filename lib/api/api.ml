@@ -325,7 +325,7 @@ let open_session (spec : session_spec) =
   let* db = parse_database_text spec.db in
   let* a = make_agg_query ~agg:spec.agg ~tau:spec.tau q in
   let* () = check_jobs spec.jobs in
-  trap (fun () -> Session.open_ ?jobs:spec.jobs a db)
+  trap (fun () -> Session.open_ a db)
 
 (* The current database of [session], rendered back to database text;
    [parse_database_text] inverts it. The snapshot half of the session

@@ -149,6 +149,8 @@ type session_spec = {
   agg : string;
   tau : string option;
   jobs : int option;
+      (** validated (at least 1) and kept in snapshots; a session solves
+          in the calling domain whatever it says *)
 }
 
 val open_session : session_spec -> (Session.t, string) result

@@ -356,7 +356,7 @@ let run_update_checks (u : Utrial.t) =
   let t = u.Utrial.trial in
   let a = ref (Trial.agg_query t) in
   let db = ref t.Trial.db in
-  let session = Session.open_ ~jobs:1 !a !db in
+  let session = Session.open_ !a !db in
   let check_step step =
     (* The reference is the batch campaign's: coalition enumeration on
        the scan evaluator, which shares no DP, kernel or index code

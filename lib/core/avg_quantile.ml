@@ -133,7 +133,8 @@ module Alg = struct
   let memo_prefix ctx = Q.to_string ctx.a ^ "\x01"
 
   let leaf ctx q db =
-    if Cq.is_boolean q then Some (boolean_valued ?bool_memo:ctx.bool ctx.tau ctx.a q db)
+    if Cq.is_boolean q then
+      Some (fun () -> boolean_valued ?bool_memo:ctx.bool ctx.tau ctx.a q db)
     else None
 
   let connected_leaf _ _ _ = None
@@ -141,9 +142,10 @@ module Alg = struct
   let root_mode = `Free_root
   let root_error = "Avg_quantile: query is not q-hierarchical: "
 
-  let merge _ ~root:_ blocks =
-    List.fold_left (fun acc (_, _, t) -> combine_vtables vec_add acc t) neutral_union
-      blocks
+  let neutral = neutral_union
+  let union _ = combine_vtables vec_add
+  let merge ctx ~root:_ blocks =
+    List.fold_left (fun acc (_, _, t) -> union ctx acc t) neutral blocks
 
   let combine ctx _q _db comps =
     let rel = ctx.tau.Value_fn.rel in
@@ -160,9 +162,30 @@ module Alg = struct
     | _ -> invalid_arg "Avg_quantile: τ-relation must occur in exactly one component"
 
   let pad _ p t = pad_vtable p t
+
+  (* A variant's answer, if any, has the τ-value the whole block's
+     answer has (τ is localized), so only the satisfaction counts
+     change; a block whose answer carries no τ-value keeps every subset
+     under the empty bag. *)
+  let leaf_variants ctx q db t =
+    let lvec =
+      LMap.fold (fun l _ acc -> if l = (0, 0, 0) then acc else Some l) t.entries None
+    in
+    let of_sat sat =
+      let n = Array.length sat - 1 in
+      match lvec with
+      | None -> { n; entries = LMap.singleton (0, 0, 0) (Tables.full n) }
+      | Some l ->
+        { n;
+          entries =
+            LMap.empty |> add_entry l sat |> add_entry (0, 0, 0) (Tables.complement n sat) }
+    in
+    List.map
+      (fun (v : _ Engine.variant) -> { v with exo = of_sat v.exo; rm = of_sat v.rm })
+      (snd (Boolean_dp.variants ?memo:ctx.bool q db))
 end
 
-module E = Engine.Make (Alg)
+module E = Engine.Pass (Alg)
 
 let ctx_of ?memo tau a =
   { Alg.tau;
@@ -200,15 +223,18 @@ let quantile_weight q (l_lt, l_eq, l_gt) =
     Q.div_int (Q.of_int (hit i1 + hit i2)) 2
   end
 
+let weight_of (a : Agg_query.t) =
+  match Aggregate.quantile_of a.alpha with
+  | Some q -> quantile_weight q
+  | None -> avg_weight
+
+let reference_values (a : Agg_query.t) db =
+  List.sort_uniq Q.compare (List.map snd (Agg_query.answer_values a db))
+
 let sum_k_memo ?memo (a : Agg_query.t) db =
   check a;
-  let weight =
-    match Aggregate.quantile_of a.alpha with
-    | Some q -> quantile_weight q
-    | None -> avg_weight
-  in
+  let weight = weight_of a in
   let db_rel, pad = Decompose.relevant_part a.query db in
-  let values = List.sort_uniq Q.compare (List.map snd (Agg_query.answer_values a db)) in
   let n = Database.endo_size db in
   (* Collect every (weight, counts) term across all reference values and
      accumulate them in one integer pass over a common denominator
@@ -222,7 +248,7 @@ let sum_k_memo ?memo (a : Agg_query.t) db =
             let w = weight lvec in
             if Q.is_zero w then acc else (Q.mul v w, counts) :: acc)
           t.entries [])
-      values
+      (reference_values a db)
   in
   Tables.weighted_sum n pairs
 
@@ -231,8 +257,96 @@ let sum_k a db = sum_k_memo a db
 let shapley ?(score = Aggshap_arith.Score.Shapley) ?memo a db f =
   Sumk.score_of_db_fn ~score (fun db -> sum_k_memo ?memo a db) db f
 
-let batch_worker ?score ?memo a db =
+(* The slice read-out of reference value [v] at one group of the
+   variant pass. With L the group's context, the read-out of the union
+   U(L, t) is linear in t:
+
+     R_v(U(L, t)) = Σ_ℓ′ g_ℓ′ ⊛ t(ℓ′),   g_ℓ′ = Σ_ℓ″ v·w(ℓ″+ℓ′)·L(ℓ″),
+
+   one kernel per ℓ-vector the group's variants carry, integers over
+   the lcm [d] of the coefficients, padded once per group. Returns [d]
+   and the slice function of a variant. *)
+let readout ~weight ~v ~pad l vs =
+  let keys t acc = LMap.fold (fun lvec _ acc -> LMap.add lvec () acc) t.entries acc in
+  let wanted =
+    List.fold_left
+      (fun acc (var : _ Engine.variant) -> keys var.exo (keys var.rm acc))
+      LMap.empty vs
+  in
+  let coeffs =
+    LMap.mapi
+      (fun l' () ->
+        LMap.fold
+          (fun l'' c acc ->
+            let w = Q.mul v (weight (vec_add l'' l')) in
+            if Q.is_zero w then acc else (w, c) :: acc)
+          l.entries [])
+      wanted
+  in
+  let d =
+    LMap.fold
+      (fun _ terms acc -> List.fold_left (fun acc (w, _) -> Q.den_lcm acc w) acc terms)
+      coeffs B.one
+  in
+  let kernels =
+    LMap.map
+      (fun terms ->
+        let accs = Array.init (l.n + 1) (fun _ -> B.Acc.create ()) in
+        List.iter
+          (fun (w, c) ->
+            let x = B.mul (Q.num w) (B.div d (Q.den w)) in
+            Array.iteri (fun k y -> B.Acc.add_mul accs.(k) x y) c)
+          terms;
+        Tables.pad pad (Array.map B.Acc.value accs))
+      (LMap.filter (fun _ terms -> terms <> []) coeffs)
+  in
+  let slice (var : _ Engine.variant) =
+    let n_i = var.exo.n in
+    let get t lvec = Option.value (LMap.find_opt lvec t.entries) ~default:(Tables.zeros n_i) in
+    LMap.fold
+      (fun lvec kernel acc ->
+        let diff = Tables.sub (get var.exo lvec) (get var.rm lvec) in
+        if Array.for_all B.is_zero diff then acc
+        else Tables.add acc (Tables.convolve kernel diff))
+      kernels
+      (Tables.zeros (l.n + pad + n_i))
+  in
+  (d, slice)
+
+(* Two integer slices over their denominators, summed over the lcm. *)
+let add_slices (d1, x1) (d2, x2) =
+  let d = B.lcm d1 d2 in
+  let lift d' x = if B.equal d d' then x else Array.map (B.mul (B.div d d')) x in
+  (d, Tables.add (lift d1 x1) (lift d2 x2))
+
+(* All facts from one variant pass per reference value: a fact's slice
+   sums its per-value slices, and is finished once. *)
+let batch ?(score = Aggshap_arith.Score.Shapley) ?memo (a : Agg_query.t) db =
   check a;
-  fun f -> shapley ?score ?memo a db f
+  let weight = weight_of a in
+  let n = Database.endo_size db in
+  let acc = Hashtbl.create 64 in
+  List.iter
+    (fun v ->
+      let s =
+        E.split ?memo:(Option.map (fun m -> m.self) memo) (ctx_of ?memo a.tau v) a.query db
+      in
+      List.iter
+        (fun (l, vs) ->
+          let d, slice = readout ~weight ~v ~pad:s.Engine.pad l vs in
+          List.iter
+            (fun (var : _ Engine.variant) ->
+              let x = (d, slice var) in
+              Hashtbl.replace acc var.fact
+                (match Hashtbl.find_opt acc var.fact with
+                 | Some y -> add_slices y x
+                 | None -> x))
+            vs)
+        s.Engine.groups)
+    (reference_values a db);
+  Sumk.in_order db
+    (Hashtbl.fold
+       (fun f (d, x) out -> (f, Aggshap_arith.Score.finish score ~den:d ~n (fun k -> x.(k))) :: out)
+       acc [])
 
 let shapley_all a db = Sumk.shapley_all_of sum_k a db

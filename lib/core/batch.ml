@@ -4,13 +4,10 @@ module Aggregate = Aggshap_agg.Aggregate
 module Value_fn = Aggshap_agg.Value_fn
 module Database = Aggshap_relational.Database
 
-type stats = {
-  jobs : int;
-  cache : Memo.stats option;
-}
+type stats = { cache : Memo.stats option }
 
 let stats_to_string s =
-  Printf.sprintf "jobs=%d, cache=%s" s.jobs
+  Printf.sprintf "cache=%s"
     (match s.cache with None -> "off" | Some m -> Memo.stats_to_string m)
 
 (* The per-algorithm memos are keyed on (sub-query, block fingerprint)
@@ -49,13 +46,14 @@ let create_memo (a : Agg_query.t) =
   in
   { impl; fingerprint = fingerprint_of a }
 
-let memo_stats m =
-  match m.impl with
+let impl_stats = function
   | M_sum_count m -> Sum_count.memo_stats m
   | M_cdist m -> Cdist.memo_stats m
   | M_minmax m -> Minmax.memo_stats m
   | M_avg m -> Avg_quantile.memo_stats m
   | M_dup m -> Dup.memo_stats m
+
+let memo_stats m = impl_stats m.impl
 
 let check_memo (a : Agg_query.t) m =
   if m.fingerprint <> fingerprint_of a then
@@ -63,35 +61,34 @@ let check_memo (a : Agg_query.t) m =
       "Batch: memo was created for a different (aggregate, tau, query); \
        create a fresh one (tau is outside the DP-table cache key)"
 
-(* One worker per tractable aggregate family. Without an explicit memo
-   the cache (when on) lives exactly as long as this batch run, so the
-   τ-outside-the-key caveat of the per-algorithm memos is satisfied by
-   construction; with [?memo] the fingerprint check above enforces it. *)
-let make_worker ~score ~memo (a : Agg_query.t) db =
+(* One all-facts solve per tractable aggregate family. Without an
+   explicit memo the cache (when on) lives exactly as long as this
+   batch run, so the τ-outside-the-key caveat of the per-algorithm
+   memos is satisfied by construction; with [?memo] the fingerprint
+   check above enforces it. *)
+let solve ~score ~memo (a : Agg_query.t) db =
+  let pick f = Option.bind memo f in
   match a.alpha with
   | Aggregate.Sum | Aggregate.Count ->
-    let memo = match memo with Some (M_sum_count m) -> Some m | _ -> None in
-    (Sum_count.batch_worker ~score ?memo a db,
-     fun () -> Option.map Sum_count.memo_stats memo)
+    let memo = pick (function M_sum_count m -> Some m | _ -> None) in
+    Sum_count.batch ~score ?memo a db
   | Aggregate.Count_distinct ->
-    let memo = match memo with Some (M_cdist m) -> Some m | _ -> None in
-    (Cdist.batch_worker ~score ?memo a db, fun () -> Option.map Cdist.memo_stats memo)
+    let memo = pick (function M_cdist m -> Some m | _ -> None) in
+    Cdist.batch ~score ?memo a db
   | Aggregate.Min | Aggregate.Max ->
-    let memo = match memo with Some (M_minmax m) -> Some m | _ -> None in
-    (Minmax.batch_worker ~score ?memo a db, fun () -> Option.map Minmax.memo_stats memo)
+    let memo = pick (function M_minmax m -> Some m | _ -> None) in
+    Minmax.batch ~score ?memo a db
   | Aggregate.Avg | Aggregate.Median | Aggregate.Quantile _ ->
-    let memo = match memo with Some (M_avg m) -> Some m | _ -> None in
-    (Avg_quantile.batch_worker ~score ?memo a db,
-     fun () -> Option.map Avg_quantile.memo_stats memo)
+    let memo = pick (function M_avg m -> Some m | _ -> None) in
+    Avg_quantile.batch ~score ?memo a db
   | Aggregate.Has_duplicates ->
-    let memo = match memo with Some (M_dup m) -> Some m | _ -> None in
-    (Dup.batch_worker ~score ?memo a db, fun () -> Option.map Dup.memo_stats memo)
+    let memo = pick (function M_dup m -> Some m | _ -> None) in
+    Dup.batch ~score ?memo a db
 
-let shapley_all ?(score = Aggshap_arith.Score.Shapley) ?jobs ?(cache = true) ?memo
+let shapley_all ?(score = Aggshap_arith.Score.Shapley) ?jobs:_ ?(cache = true) ?memo
     (a : Agg_query.t) db =
   if not (Frontier.within a.alpha a.query) then
     invalid_arg "Batch.shapley_all: query is outside the tractability frontier";
-  let jobs = match jobs with Some j -> max 1 j | None -> Pool.default_jobs () in
   let memo =
     match memo with
     | Some m ->
@@ -99,8 +96,7 @@ let shapley_all ?(score = Aggshap_arith.Score.Shapley) ?jobs ?(cache = true) ?me
       Some m.impl
     | None -> if cache then Some (create_memo a).impl else None
   in
-  let worker, stats_of = make_worker ~score ~memo a db in
-  let results = Pool.map ~jobs (fun f -> (f, worker f)) (Database.endogenous db) in
-  (results, { jobs; cache = stats_of () })
+  let results = solve ~score ~memo a db in
+  (results, { cache = Option.map impl_stats memo })
 
 let map ?jobs f facts = Pool.map ?jobs (fun x -> (x, f x)) facts

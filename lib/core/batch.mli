@@ -1,25 +1,25 @@
 (** Batch Shapley evaluation: all endogenous facts of one aggregate
-    query, with shared-DP caching and domain-parallel fan-out.
+    query in one solve.
 
-    The per-fact algorithms rerun the full Figure-2 dynamic program for
-    every fact, yet a fact only perturbs the hierarchy block it lives in:
-    sibling sub-trees produce identical tables across the whole loop
-    (Livshits et al. make the same observation for Boolean CQs, and the
-    experimental follow-up work shows all-facts batches are the workload
-    that matters). This module exploits both directions at once:
-
-    - a {!Memo}-backed cache of DP tables keyed by
-      [(sub-query, block fingerprint)], shared by every fact — and by
-      every domain — of one batch run;
-    - a {!Pool} of OCaml 5 domains fanning the per-fact outer loop across
-      cores, with deterministic, input-ordered results.
+    The per-fact algorithms rerun the full Figure-2 dynamic program
+    twice for every fact, yet a fact only perturbs the hierarchy block
+    it lives in: sibling sub-trees produce identical tables across the
+    whole per-fact loop (Livshits et al. make the same observation for
+    Boolean CQs, and the experimental follow-up work shows all-facts
+    batches are the workload that matters). Every family therefore
+    solves all facts from one variant pass per dynamic program
+    ({!Engine.Pass}): each node is evaluated once, each fact pays only
+    the nodes on its own path, and at a root partition its block's
+    siblings collapse to one kernel per table key. A {!Memo}-backed
+    cache of DP tables keyed by [(sub-query, block fingerprint)] is
+    shared by the passes of one run (membership games, τ-values,
+    reference values) and, through {!memo}, across runs.
 
     Results are bit-identical to the sequential, uncached per-fact path:
     every value is an exact rational and caching only reuses tables that
     would have been recomputed equal. *)
 
 type stats = {
-  jobs : int;  (** worker domains actually used *)
   cache : Memo.stats option;  (** [None] when caching was off *)
 }
 
@@ -56,12 +56,12 @@ val shapley_all :
   Aggshap_agg.Agg_query.t ->
   Aggshap_relational.Database.t ->
   (Aggshap_relational.Fact.t * Aggshap_arith.Rational.t) list * stats
-(** [shapley_all ?score ?jobs ?cache ?memo a db] computes the exact
-    Shapley value (or [score], default Shapley) of every endogenous
-    fact, in [Database.endogenous] order.
-    [jobs] defaults to {!Pool.default_jobs}[ ()] ([1] runs sequentially
-    in the calling domain); [cache] (default [true]) shares DP tables
-    across facts and domains for the duration of the run. Passing
+(** [shapley_all ?score ?cache ?memo a db] computes the exact Shapley
+    value (or [score], default Shapley) of every endogenous fact, in
+    [Database.endogenous] order, in the calling domain. [jobs] is
+    accepted so that callers can pass one pool width to every route; a
+    frontier solve does not split across domains. [cache] (default
+    [true]) shares DP tables across the passes of the run. Passing
     [?memo] instead shares tables across {e runs} (and overrides
     [cache]).
     @raise Invalid_argument if the query is outside the aggregate's
@@ -74,4 +74,5 @@ val map :
   'a list ->
   ('a * 'b) list
 (** Domain-parallel tagged map with deterministic ordering — the
-    building block {!Solver} uses to fan fallback solvers across cores. *)
+    building block {!Solver} uses to fan Monte-Carlo sampling across
+    cores. *)

@@ -43,7 +43,7 @@ module Alg = struct
   let leaf () _q _db = None
 
   let connected_leaf () q db =
-    if Decompose.is_ground q then Some (ground_case q db) else None
+    if Decompose.is_ground q then Some (fun () -> ground_case q db) else None
 
   let empty () db = Tables.full (Database.endo_size db)
   let root_mode = `Any_root
@@ -63,11 +63,44 @@ module Alg = struct
     Tables.convolve_many (List.map (fun (_, _, table) -> table ()) comps)
 
   let pad () p t = Tables.pad p t
+
+  (* The empty block is never satisfied. *)
+  let neutral = [| B.zero |]
+
+  let complement t = Tables.complement (Array.length t - 1) t
+
+  (* In complement space the union is a convolution: the union fails iff
+     both sides fail. *)
+  let union () t1 t2 = complement (Tables.convolve (complement t1) (complement t2))
+  let leaf_variants () q db _ = Engine.each_variant db (ground_case q)
 end
 
-module E = Engine.Make (Alg)
+module E = Engine.Pass (Alg)
 
 let counts ?memo q db = E.eval_top ?memo () q db
+let variants ?memo q db = E.variants ?memo () q db
+
+(* A fact in block i has slice sat(F) − sat(G) = P (U L_i (exo − rm)):
+   in complement space the union is a convolution with L_i's
+   complement, and the complements of the two variants differ by
+   −(exo − rm), so the two signs cancel. *)
+let slices ?memo q db =
+  let s = E.split ?memo () q db in
+  List.concat_map
+    (fun (l, vs) ->
+      let kernel = Tables.pad s.Engine.pad (Alg.complement l) in
+      List.map
+        (fun (v : _ Engine.variant) ->
+          (v.fact, Tables.convolve kernel (Tables.sub v.exo v.rm)))
+        vs)
+    s.Engine.groups
+
+let shapley_all ?(score = Aggshap_arith.Score.Shapley) ?memo q db =
+  let n = Database.endo_size db in
+  List.map
+    (fun (f, slice) ->
+      (f, Aggshap_arith.Score.finish score ~den:B.one ~n (fun k -> slice.(k))))
+    (slices ?memo q db)
 
 let shapley ?(score = Aggshap_arith.Score.Shapley) ?memo q db f =
   Sumk.score_of_db_fn ~score (fun db -> Tables.to_rationals (counts ?memo q db)) db f

@@ -22,6 +22,27 @@ val counts : ?memo:memo -> Aggshap_cq.Cq.t -> Aggshap_relational.Database.t -> T
     tables are reused across calls.
     @raise Invalid_argument if the Boolean query is not hierarchical. *)
 
+val variants :
+  ?memo:memo ->
+  Aggshap_cq.Cq.t ->
+  Aggshap_relational.Database.t ->
+  Tables.counts * Tables.counts Engine.variant list
+(** The satisfaction counts of [q] on [db] and every endogenous fact's
+    variant counts ({!Engine.Pass.variants}): the [leaf_variants] of the
+    algebras that cut off Boolean sub-queries. Every fact of [db] must
+    match an atom of [q]. *)
+
+val shapley_all :
+  ?score:Aggshap_arith.Score.t ->
+  ?memo:memo ->
+  Aggshap_cq.Cq.t ->
+  Aggshap_relational.Database.t ->
+  (Aggshap_relational.Fact.t * Aggshap_arith.Rational.t) list
+(** The score (default Shapley) of every endogenous fact of [db] that is
+    not a null player, in no particular order, from one variant pass
+    ({!Engine.Pass.split}); null players, whose score is 0, are left
+    out. Bit-identical to {!shapley} fact by fact. *)
+
 val shapley :
   ?score:Aggshap_arith.Score.t ->
   ?memo:memo ->
@@ -30,5 +51,7 @@ val shapley :
   Aggshap_relational.Fact.t ->
   Aggshap_arith.Rational.t
 (** Shapley value (or [score], default Shapley) of an endogenous fact
-    for Boolean query satisfaction (the membership game).
+    for Boolean query satisfaction (the membership game), by the
+    per-fact reduction of {!Sumk}: the reference {!shapley_all} is
+    tested against.
     @raise Invalid_argument if the fact is not endogenous in [db]. *)

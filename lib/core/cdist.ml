@@ -30,24 +30,35 @@ type memo = Boolean_dp.memo
 let create_memo = Boolean_dp.create_memo
 let memo_stats = Boolean_dp.memo_stats
 
+let check_endogenous db f =
+  match Database.provenance db f with
+  | Some Database.Endogenous -> ()
+  | _ -> invalid_arg "Cdist.shapley: fact must be endogenous"
+
 (* Null players may be dropped for both the Shapley and the Banzhaf
-   score, so the per-value decomposition supports both. *)
-let batch_worker ?score ?memo (a : Agg_query.t) db =
+   score, so the per-value decomposition supports both. The restricted
+   databases are built once, before the fact arrives. *)
+let per_fact ?score ?memo (a : Agg_query.t) db =
   check a;
   let restricted = List.map (restrict_to_value a db) (distinct_values a db) in
   fun f ->
-    (match Database.provenance db f with
-     | Some Database.Endogenous -> ()
-     | _ -> invalid_arg "Cdist.shapley: fact must be endogenous");
+    check_endogenous db f;
     List.fold_left
       (fun acc db_v ->
-        if Database.mem f db_v then
-          Q.add acc (Boolean_dp.shapley ?score ?memo a.query db_v f)
+        if Database.mem f db_v then Q.add acc (Boolean_dp.shapley ?score ?memo a.query db_v f)
         else acc)
       Q.zero restricted
 
-let shapley ?score ?memo a db f = batch_worker ?score ?memo a db f
+let shapley ?score ?memo a db f = per_fact ?score ?memo a db f
+
+(* One Boolean variant pass per value. *)
+let batch ?score ?memo (a : Agg_query.t) db =
+  check a;
+  Sumk.in_order db
+    (List.concat_map
+       (fun v -> Boolean_dp.shapley_all ?score ?memo a.query (restrict_to_value a db v))
+       (distinct_values a db))
 
 let shapley_all a db =
-  let worker = batch_worker a db in
-  List.map (fun f -> (f, worker f)) (Database.endogenous db)
+  let per_fact = per_fact a db in
+  List.map (fun f -> (f, per_fact f)) (Database.endogenous db)

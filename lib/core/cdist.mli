@@ -29,16 +29,16 @@ val shapley :
     @raise Invalid_argument if the aggregate is not [Count_distinct], the
     CQ is not all-hierarchical, or the fact is not endogenous. *)
 
-val batch_worker :
+val batch :
   ?score:Aggshap_arith.Score.t ->
   ?memo:memo ->
   Aggshap_agg.Agg_query.t ->
   Aggshap_relational.Database.t ->
-  Aggshap_relational.Fact.t ->
-  Aggshap_arith.Rational.t
-(** [batch_worker ?memo a db] hoists the per-value restricted databases
-    out of the per-fact loop; the returned closure is safe to call from
-    several domains. *)
+  (Aggshap_relational.Fact.t * Aggshap_arith.Rational.t) list
+(** Every endogenous fact's score (default Shapley), in
+    [Database.endogenous] order, from one Boolean variant pass per
+    τ-value ({!Boolean_dp.shapley_all}). Bit-identical to {!shapley}
+    fact by fact. *)
 
 val shapley_all :
   Aggshap_agg.Agg_query.t ->

@@ -86,14 +86,12 @@ module Alg = struct
   let memo_prefix ctx =
     match ctx.cap with None -> "" | Some c -> string_of_int c ^ "\x02"
 
+  let of_sat sat =
+    let n = Array.length sat - 1 in
+    { n; entries = IntMap.empty |> add_entry 1 sat |> add_entry 0 (Tables.complement n sat) }
+
   let leaf ctx q db =
-    if Cq.is_boolean q then begin
-      let n = Database.endo_size db in
-      let sat = Boolean_dp.counts ?memo:ctx.bool q db in
-      let unsat = Tables.complement n sat in
-      let entries = IntMap.empty |> add_entry 1 sat |> add_entry 0 unsat in
-      Some { n; entries }
-    end
+    if Cq.is_boolean q then Some (fun () -> of_sat (Boolean_dp.counts ?memo:ctx.bool q db))
     else None
 
   let connected_leaf _ _ _ = None
@@ -101,9 +99,10 @@ module Alg = struct
   let root_mode = `Free_root
   let root_error = "Count_dp: query is not q-hierarchical: "
 
+  let neutral = neutral_union
+  let union ctx = combine (saturating ctx.cap ( + ))
   let merge ctx ~root:_ blocks =
-    let op = saturating ctx.cap ( + ) in
-    List.fold_left (fun acc (_, _, t) -> combine op acc t) neutral_union blocks
+    List.fold_left (fun acc (_, _, t) -> union ctx acc t) neutral blocks
 
   let combine ctx _ _ comps =
     let op = saturating ctx.cap ( * ) in
@@ -111,11 +110,19 @@ module Alg = struct
       comps
 
   let pad _ p t = pad_table p t
+
+  let leaf_variants ctx q db _ =
+    List.map
+      (fun (v : _ Engine.variant) -> { v with exo = of_sat v.exo; rm = of_sat v.rm })
+      (snd (Boolean_dp.variants ?memo:ctx.bool q db))
 end
 
-module E = Engine.Make (Alg)
+module E = Engine.Pass (Alg)
 
 let ctx_of memo cap = { Alg.bool = Option.map (fun m -> m.bool) memo; cap }
 
 let answer_counts ?memo ?cap q db =
   E.eval_top ?memo:(Option.map (fun m -> m.self) memo) (ctx_of memo cap) q db
+
+let variants ?memo ?cap q db =
+  E.variants ?memo:(Option.map (fun m -> m.self) memo) (ctx_of memo cap) q db

@@ -34,6 +34,16 @@ val answer_counts :
     keys, so one memo may serve both.
     @raise Invalid_argument if the CQ is not q-hierarchical. *)
 
+val variants :
+  ?memo:memo ->
+  ?cap:int ->
+  Aggshap_cq.Cq.t ->
+  Aggshap_relational.Database.t ->
+  t * t Engine.variant list
+(** {!answer_counts} with every endogenous fact's variant tables
+    ({!Engine.Pass.variants}). Every fact of [db] must match an atom of
+    [q]. *)
+
 val get : t -> int -> Tables.counts
 (** [get t ℓ] (zeros when absent). *)
 

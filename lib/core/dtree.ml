@@ -56,7 +56,8 @@ module Alg = struct
 
   let memo_prefix () = ""
   let leaf () _ _ = None
-  let connected_leaf () q db = if Decompose.is_ground q then Some (ground q db) else None
+  let connected_leaf () q db =
+    if Decompose.is_ground q then Some (fun () -> ground q db) else None
   let empty () _ = True
   let root_mode = `Any_root
   let root_error = "Dtree.compile: query is not hierarchical: "

@@ -67,16 +67,15 @@ let memo_stats m =
 (* Counts of k-subsets with at most one answer. Only rows 0 and 1 are
    read, so the answer-count DP lumps every ℓ ≥ 2 together ([~cap:2]):
    the rows it reads are exact (see {!Count_dp.answer_counts}). *)
-let at_most_one ?memo q db =
-  let t = Count_dp.answer_counts ?memo ~cap:2 q db in
-  Tables.add (Count_dp.get t 0) (Count_dp.get t 1)
+let at_most_one_of t = Tables.add (Count_dp.get t 0) (Count_dp.get t 1)
+let at_most_one ?memo q db = at_most_one_of (Count_dp.answer_counts ?memo ~cap:2 q db)
 
-(* Figure 5: NoDup counts for a connected sq-hierarchical CQ containing
-   the τ-relation. The bag is duplicate-free iff every τ-value class of
-   facts yields at most one answer. The memo key omits τ, so a memo is
-   only sound across calls sharing one value function. *)
-let connected_dup_counts ?count_memo tau q db =
-  let n = Database.endo_size db in
+(* Figure 5, for a connected sq-hierarchical CQ containing the
+   τ-relation: the bag is duplicate-free iff every τ-value class of
+   facts yields at most one answer. Groups the facts by the τ-value of
+   the answer they can contribute to, in value order; the facts in no
+   class (their answer is not one of the query's) are null players. *)
+let classes tau q db =
   let aq = Agg_query.make Aggregate.Has_duplicates tau q in
   let answer_values =
     List.fold_left
@@ -84,28 +83,43 @@ let connected_dup_counts ?count_memo tau q db =
       TupleMap.empty
       (Agg_query.answer_values aq db)
   in
-  (* Group facts by the τ-value of the answer they can contribute to. *)
-  let classes, padding =
+  let classes, outside =
     Database.fold
-      (fun f p (classes, padding) ->
+      (fun f p (classes, outside) ->
         match head_tuple_of_fact q f with
         | Some t when TupleMap.mem t answer_values ->
           let v = TupleMap.find t answer_values in
           let cls = Option.value (QMap.find_opt v classes) ~default:Database.empty in
-          (QMap.add v (Database.add ~provenance:p f cls) classes, padding)
-        | Some _ | None ->
-          (classes, if p = Database.Endogenous then padding + 1 else padding))
+          (QMap.add v (Database.add ~provenance:p f cls) classes, outside)
+        | Some _ | None -> (classes, Database.add ~provenance:p f outside))
       db
-      (QMap.empty, 0)
+      (QMap.empty, Database.empty)
   in
+  (List.map snd (QMap.bindings classes), outside)
+
+(* NoDup counts, complemented. The memo key omits τ, so a memo is only
+   sound across calls sharing one value function. *)
+let connected_dup_counts ?count_memo tau q db =
+  let classes, outside = classes tau q db in
   let nodup =
-    Tables.convolve_many
-      (QMap.fold
-         (fun _ class_db acc -> at_most_one ?memo:count_memo q class_db :: acc)
-         classes [])
+    Tables.convolve_many (List.rev_map (at_most_one ?memo:count_memo q) classes)
   in
-  let nodup = Tables.pad padding nodup in
-  Tables.sub (Tables.full n) nodup
+  Tables.sub (Tables.full (Database.endo_size db))
+    (Tables.pad (Database.endo_size outside) nodup)
+
+(* The variant pass of Figure 5: a fact changes only its own class, so
+   its NoDup counts are the product of the other classes' at-most-one
+   counts ({!Engine.leave_one_out}) with its class's variants from
+   {!Count_dp.variants}. Returns the facts in no class and, per class,
+   the product of the others with the class's answer-count variants. *)
+let connected_split ?count_memo tau q db =
+  let classes, outside = classes tau q db in
+  let parts = List.map (Count_dp.variants ?memo:count_memo ~cap:2 q) classes in
+  let others =
+    Engine.leave_one_out ~unit:[| B.one |] ~op:Tables.convolve
+      (Array.of_list (List.map (fun (t, _) -> at_most_one_of t) parts))
+  in
+  (outside, List.mapi (fun i (_, vs) -> (others.(i), vs)) parts)
 
 (* The Figure-2 template instantiated with Dup counts. The connected
    case is resolved whole (Figure 5, via [connected_leaf]); only the
@@ -119,7 +133,7 @@ module Alg = struct
   let leaf _ _ _ = None
 
   let connected_leaf ctx q db =
-    Some (connected_dup_counts ?count_memo:ctx.count ctx.tau q db)
+    Some (fun () -> connected_dup_counts ?count_memo:ctx.count ctx.tau q db)
 
   let empty _ _ = invalid_arg "Dup: τ-relation vanished from the query"
 
@@ -128,6 +142,10 @@ module Alg = struct
   let root_mode = `Any_root
   let root_error = "Dup: query is not sq-hierarchical: "
   let merge _ ~root:_ _ = assert false
+  let union _ _ _ = assert false
+
+  (* The table of the empty database: no subset has duplicates. *)
+  let neutral = [| B.zero |]
 
   let combine ctx q db comps =
     let rel = ctx.tau.Value_fn.rel in
@@ -155,9 +173,14 @@ module Alg = struct
         (Tables.convolve dup1 (Count_dp.get t2 1))
 
   let pad _ p t = Tables.pad p t
+
+  (* Only a cross product nests a connected component under the root;
+     its facts re-evaluate Figure 5 on their variant databases. *)
+  let leaf_variants ctx q db _ =
+    Engine.each_variant db (connected_dup_counts ?count_memo:ctx.count ctx.tau q)
 end
 
-module E = Engine.Make (Alg)
+module E = Engine.Pass (Alg)
 
 let ctx_of ?memo tau = { Alg.tau; count = Option.map (fun m -> m.count) memo }
 
@@ -180,8 +203,45 @@ let sum_k a db = sum_k_memo a db
 let shapley ?(score = Aggshap_arith.Score.Shapley) ?memo a db f =
   Sumk.score_of_db_fn ~score (fun db -> sum_k_memo ?memo a db) db f
 
-let batch_worker ?score ?memo a db =
+(* All facts from one variant pass. For a connected query the read-out
+   follows Figure 5: a fact's slice is its class's at-most-one
+   difference times the product of the other classes, padded; a
+   cross product takes whole-query variants from the engine (its root is
+   never a partition, so the context is always [neutral]). *)
+let batch ?(score = Aggshap_arith.Score.Shapley) ?memo (a : Agg_query.t) db =
   check a;
-  fun f -> shapley ?score ?memo a db f
+  let n = Database.endo_size db in
+  let ctx = ctx_of ?memo a.tau in
+  let finish (v : _ Engine.variant) slice =
+    (v.fact, Aggshap_arith.Score.finish score ~den:B.one ~n (fun k -> slice.(k)))
+  in
+  Sumk.in_order db
+    (match Decompose.connected_components a.query with
+     | [ _ ] ->
+       let db_rel, irrelevant = Decompose.relevant_part a.query db in
+       let outside, groups = connected_split ?count_memo:ctx.count a.tau a.query db_rel in
+       let pad = irrelevant + Database.endo_size outside in
+       List.concat_map
+         (fun (others, vs) ->
+           let kernel = Tables.pad pad others in
+           List.filter_map
+             (fun (v : _ Engine.variant) ->
+               if v.exo == v.rm then None
+               else
+                 Some
+                   (finish v
+                      (Tables.convolve kernel
+                         (Tables.sub (at_most_one_of v.rm) (at_most_one_of v.exo)))))
+             vs)
+         groups
+     | _ ->
+       let s = E.split ?memo:(Option.map (fun m -> m.self) memo) ctx a.query db in
+       List.concat_map
+         (fun (_, vs) ->
+           List.map
+             (fun (v : _ Engine.variant) ->
+               finish v (Tables.pad s.Engine.pad (Tables.sub v.exo v.rm)))
+             vs)
+         s.Engine.groups)
 
 let shapley_all a db = Sumk.shapley_all_of sum_k a db

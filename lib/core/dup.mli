@@ -39,17 +39,20 @@ val shapley :
   Aggshap_relational.Database.t ->
   Aggshap_relational.Fact.t ->
   Aggshap_arith.Rational.t
-(** Shapley value (or [score], default Shapley) of an endogenous fact. *)
+(** Shapley value (or [score], default Shapley) of an endogenous fact,
+    by the per-fact reduction of {!Sumk}. *)
 
-val batch_worker :
+val batch :
   ?score:Aggshap_arith.Score.t ->
   ?memo:memo ->
   Aggshap_agg.Agg_query.t ->
   Aggshap_relational.Database.t ->
-  Aggshap_relational.Fact.t ->
-  Aggshap_arith.Rational.t
-(** Per-fact worker for the batch engine; safe to call from several
-    domains when sharing a [memo]. *)
+  (Aggshap_relational.Fact.t * Aggshap_arith.Rational.t) list
+(** Every endogenous fact's score (default Shapley), in
+    [Database.endogenous] order, from one variant pass: a fact pays its
+    own τ-value class's answer-count variants ({!Count_dp.variants}),
+    and the other classes collapse to one product. Bit-identical to
+    {!shapley} fact by fact. *)
 
 val shapley_all :
   Aggshap_agg.Agg_query.t ->

@@ -2,6 +2,7 @@ module Cq = Aggshap_cq.Cq
 module Decompose = Aggshap_cq.Decompose
 module Database = Aggshap_relational.Database
 module Value = Aggshap_relational.Value
+module Fact = Aggshap_relational.Fact
 module Fault = Aggshap_arith.Fault
 
 type stats = {
@@ -35,7 +36,7 @@ let reset_stats () =
    padding: the table stays length-consistent — the block's facts are
    still accounted for — but its contribution to the merge is lost, so
    every aggregate's values go wrong whenever that block matters. *)
-let faulty_partition q x db =
+let root_blocks q x db =
   let blocks, dropped = Decompose.partition q x db in
   match !Fault.current with
   | `Block_drop when List.length blocks >= 2 -> begin
@@ -49,59 +50,13 @@ let faulty_partition q x db =
   end
   | _ -> (blocks, dropped)
 
-(* Partition results are pure functions of (query, database) — the root
-   is chosen deterministically from the query — so they are shared
-   process-wide under the same injective key the DP memos use. The big
-   winners are solves that revisit the same sub-database with different
-   table contexts: Avg/Quantile re-runs the engine once per reference
-   value, and the per-fact batch loops revisit every block the fact is
-   not in. The cache is bypassed (neither read nor written) whenever a
-   fault is armed, so a faulty partition is never cached and a
-   fault-free one never hides a fault. Bounded: wholesale reset at
-   [partition_cache_cap] entries — stale entries are never wrong (the
-   key is injective), only unused. *)
-let partition_cache :
-    (string, (Value.t * Database.t) list * Database.t) Hashtbl.t =
-  Hashtbl.create 1024
-
-let partition_lock = Mutex.create ()
-let partition_cache_cap = 8192
-
-let cached_partition q root db =
-  if !Fault.current <> `None then
-    faulty_partition q root db
-  else begin
-    let key = Decompose.block_key q db in
-    Mutex.lock partition_lock;
-    match Hashtbl.find_opt partition_cache key with
-    | Some r ->
-      Mutex.unlock partition_lock;
-      r
-    | None ->
-      Mutex.unlock partition_lock;
-      let r = Decompose.partition q root db in
-      Mutex.lock partition_lock;
-      if Hashtbl.length partition_cache >= partition_cache_cap then
-        Hashtbl.reset partition_cache;
-      if not (Hashtbl.mem partition_cache key) then Hashtbl.add partition_cache key r;
-      Mutex.unlock partition_lock;
-      r
-  end
-
-let connected_root q =
-  match Decompose.connected_components q with
-  | [ _ ] when not (Decompose.is_ground q) -> Decompose.choose_root q
-  | _ -> None
-
-let root_partition q ~root db = faulty_partition q root db
-
 module type TABLE_ALGEBRA = sig
   type table
   type ctx
 
   val memo_prefix : ctx -> string
-  val leaf : ctx -> Cq.t -> Database.t -> table option
-  val connected_leaf : ctx -> Cq.t -> Database.t -> table option
+  val leaf : ctx -> Cq.t -> Database.t -> (unit -> table) option
+  val connected_leaf : ctx -> Cq.t -> Database.t -> (unit -> table) option
   val empty : ctx -> Database.t -> table
   val root_mode : [ `Any_root | `Free_root ]
   val root_error : string
@@ -113,18 +68,77 @@ module type TABLE_ALGEBRA = sig
   val pad : ctx -> int -> table -> table
 end
 
+type 'table variant = {
+  fact : Fact.t;
+  exo : 'table;
+  rm : 'table;
+}
+
+type 'table split = {
+  pad : int;
+  groups : ('table * 'table variant list) list;
+}
+
+let variant_dbs f db =
+  (Database.set_provenance Database.Exogenous f db, Database.remove f db)
+
+let each_variant db table_of =
+  List.map
+    (fun f ->
+      let db_exo, db_rm = variant_dbs f db in
+      { fact = f; exo = table_of db_exo; rm = table_of db_rm })
+    (Database.endogenous db)
+
+let leave_one_out ~unit ~op tables =
+  let op a b = if a == unit then b else if b == unit then a else op a b in
+  let g = Array.length tables in
+  let pre = Array.make (g + 1) unit and suf = Array.make (g + 1) unit in
+  for i = 0 to g - 2 do
+    pre.(i + 1) <- op pre.(i) tables.(i)
+  done;
+  for i = g - 1 downto 1 do
+    suf.(i) <- op tables.(i) suf.(i + 1)
+  done;
+  Array.init g (fun i -> op pre.(i) suf.(i + 1))
+
+module type PASS_ALGEBRA = sig
+  include TABLE_ALGEBRA
+
+  val neutral : table
+  val union : ctx -> table -> table -> table
+  val leaf_variants : ctx -> Cq.t -> Database.t -> table -> table variant list
+end
+
 module Make (A : TABLE_ALGEBRA) = struct
+  let key ctx q db () = A.memo_prefix ctx ^ Decompose.block_key q db
+
+  let components comps db =
+    List.map
+      (fun comp -> (comp, fst (Database.restrict_relations (Cq.relations comp) db)))
+      comps
+
+  let partition q db =
+    let root =
+      match Decompose.choose_root q with
+      | Some x
+        when (match A.root_mode with
+              | `Any_root -> true
+              | `Free_root -> Cq.is_free q x) ->
+        x
+      | Some _ | None -> invalid_arg (A.root_error ^ Cq.to_string q)
+    in
+    let blocks, dropped = root_blocks q root db in
+    (root, blocks, dropped)
+
   let rec eval ?memo ctx q db =
-    Memo.find_or_compute memo
-      ~key:(fun () -> A.memo_prefix ctx ^ Decompose.block_key q db)
-      (fun () -> eval_uncached ?memo ctx q db)
+    Memo.find_or_compute memo ~key:(key ctx q db) (fun () -> eval_uncached ?memo ctx q db)
 
   and eval_uncached ?memo ctx q db =
     Atomic.incr c_nodes;
     match A.leaf ctx q db with
-    | Some t ->
+    | Some compute ->
       Atomic.incr c_leaves;
-      t
+      compute ()
     | None -> begin
       match Decompose.connected_components q with
       | [] -> A.empty ctx db
@@ -133,38 +147,175 @@ module Make (A : TABLE_ALGEBRA) = struct
         Atomic.incr c_combines;
         A.combine ctx q db
           (List.map
-             (fun comp ->
-               let db_c, _ = Database.restrict_relations (Cq.relations comp) db in
-               (comp, db_c, fun () -> eval ?memo ctx comp db_c))
-             comps)
+             (fun (comp, db_c) -> (comp, db_c, fun () -> eval ?memo ctx comp db_c))
+             (components comps db))
     end
 
   and connected ?memo ctx q db =
     match A.connected_leaf ctx q db with
-    | Some t ->
+    | Some compute ->
       Atomic.incr c_leaves;
-      t
+      compute ()
     | None ->
-      let root =
-        match Decompose.choose_root q with
-        | Some x
-          when (match A.root_mode with
-                | `Any_root -> true
-                | `Free_root -> Cq.is_free q x) ->
-          x
-        | Some _ | None -> invalid_arg (A.root_error ^ Cq.to_string q)
-      in
-      Atomic.incr c_merges;
-      let blocks, dropped = cached_partition q root db in
+      let root, blocks, dropped = partition q db in
       let subst = Cq.substituter q root in
+      Atomic.incr c_merges;
       let tables =
         List.map (fun (v, block) -> (v, block, eval ?memo ctx (subst v) block)) blocks
       in
       A.pad ctx (Database.endo_size dropped) (A.merge ctx ~root tables)
 
+
   let eval_top ?memo ctx q db =
     let db_rel, pad = Decompose.relevant_part q db in
     A.pad ctx pad (eval ?memo ctx q db_rel)
+end
+
+(* The variant pass. A fact's two variant databases differ from [db]
+   only along the fact's own path down the decomposition: at a root
+   partition only its block changes, at a conjunction only its
+   component. So every node is evaluated once, and a fact's variant
+   table of a node is rebuilt from its variant table one level down:
+
+   - at a root partition, by the union of the block's variant with the
+     leave-one-out table L_i of its siblings (prefix/suffix sweeps of
+     [union]); a fact in no block keeps the node's own table (minus one
+     null player) for both variants;
+   - at a conjunction, by the algebra's [combine] on the variant
+     database with the fact's component replaced. Components the algebra
+     hands to a sub-algorithm (it never forces their thunk) are thereby
+     re-evaluated on the variant database; only a forced thunk recurses
+     into the pass;
+   - at a leaf, by [leaf_variants].
+
+   A fact whose removal dissolves its block keeps it as a block whose
+   sub-query has no answer in any subset: a table that unions like null
+   players, which is what the dissolved block's facts become. *)
+module Pass (A : PASS_ALGEBRA) = struct
+  include Make (A)
+
+  let node ?memo ctx q db compute =
+    Memo.find_or_compute memo ~key:(key ctx q db) (fun () ->
+        Atomic.incr c_nodes;
+        compute ())
+
+  let union ctx a b =
+    if a == A.neutral then b else if b == A.neutral then a else A.union ctx a b
+
+  let rec variants ?memo ctx q db =
+    match A.leaf ctx q db with
+    | Some compute -> leaf ?memo ctx q db compute
+    | None -> begin
+      match Decompose.connected_components q with
+      | [] -> (node ?memo ctx q db (fun () -> A.empty ctx db), each_variant db (A.empty ctx))
+      | [ _ ] -> begin
+        match A.connected_leaf ctx q db with
+        | Some compute -> leaf ?memo ctx q db compute
+        | None -> partitioned ?memo ctx q db
+      end
+      | comps -> conjunction ?memo ctx q db comps
+    end
+
+  and leaf ?memo ctx q db compute =
+    let t =
+      node ?memo ctx q db (fun () ->
+          Atomic.incr c_leaves;
+          compute ())
+    in
+    (t, A.leaf_variants ctx q db t)
+
+  and blocks ?memo ctx q db =
+    let root, blocks, dropped = partition q db in
+    let subst = Cq.substituter q root in
+    let children =
+      List.map (fun (v, block) -> (v, block, variants ?memo ctx (subst v) block)) blocks
+    in
+    let tables = Array.of_list (List.map (fun (_, _, (t, _)) -> t) children) in
+    (root, children, leave_one_out ~unit:A.neutral ~op:(A.union ctx) tables, dropped)
+
+  and partitioned ?memo ctx q db =
+    let root, children, ls, dropped = blocks ?memo ctx q db in
+    let p = Database.endo_size dropped in
+    let merged =
+      lazy
+        (Atomic.incr c_merges;
+         A.merge ctx ~root (List.map (fun (v, block, (t, _)) -> (v, block, t)) children))
+    in
+    let t = node ?memo ctx q db (fun () -> A.pad ctx p (Lazy.force merged)) in
+    let in_blocks =
+      List.concat
+        (List.mapi
+           (fun i (_, _, (_, vs)) ->
+             let lift t = A.pad ctx p (union ctx ls.(i) t) in
+             List.map (fun v -> { v with exo = lift v.exo; rm = lift v.rm }) vs)
+           children)
+    in
+    let null = lazy (A.pad ctx (p - 1) (Lazy.force merged)) in
+    let outside =
+      List.map
+        (fun f -> { fact = f; exo = Lazy.force null; rm = Lazy.force null })
+        (Database.endogenous dropped)
+    in
+    (t, in_blocks @ outside)
+
+  and conjunction ?memo ctx q db comps =
+    let parts = components comps db in
+    let entries =
+      List.map (fun (comp, db_c) -> (comp, db_c, fun () -> eval ?memo ctx comp db_c)) parts
+    in
+    let conj db entries =
+      Atomic.incr c_combines;
+      A.combine ctx q db entries
+    in
+    let t = node ?memo ctx q db (fun () -> conj db entries) in
+    let vs =
+      List.concat
+        (List.mapi
+           (fun j (comp, db_c) ->
+             let inner =
+               lazy
+                 (let tbl = Hashtbl.create 16 in
+                  List.iter
+                    (fun v -> Hashtbl.replace tbl v.fact v)
+                    (snd (variants ?memo ctx comp db_c));
+                  tbl)
+             in
+             let at f db' db_c' pick =
+               conj db'
+                 (List.mapi
+                    (fun j' e ->
+                      if j' <> j then e
+                      else (comp, db_c', fun () -> pick (Hashtbl.find (Lazy.force inner) f)))
+                    entries)
+             in
+             List.map
+               (fun f ->
+                 let db_exo, db_rm = variant_dbs f db in
+                 let c_exo, c_rm = variant_dbs f db_c in
+                 { fact = f;
+                   exo = at f db_exo c_exo (fun v -> v.exo);
+                   rm = at f db_rm c_rm (fun v -> v.rm) })
+               (Database.endogenous db_c))
+           parts)
+    in
+    (t, vs)
+
+  let split ?memo ctx q db =
+    let db_rel, irrelevant = Decompose.relevant_part q db in
+    let live vs = List.filter (fun v -> v.exo != v.rm) vs in
+    let partitions =
+      Option.is_none (A.leaf ctx q db_rel)
+      && (match Decompose.connected_components q with
+          | [ _ ] -> Option.is_none (A.connected_leaf ctx q db_rel)
+          | _ -> false)
+    in
+    if partitions then begin
+      let _, children, ls, dropped = blocks ?memo ctx q db_rel in
+      { pad = irrelevant + Database.endo_size dropped;
+        groups = List.mapi (fun i (_, _, (_, vs)) -> (ls.(i), live vs)) children }
+    end
+    else
+      { pad = irrelevant; groups = [ (A.neutral, live (snd (variants ?memo ctx q db_rel))) ] }
 end
 
 type shape =

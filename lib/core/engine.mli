@@ -25,9 +25,11 @@
 
     The engine is the {e only} module that calls
     {!Aggshap_cq.Decompose.choose_root} and
-    {!Aggshap_cq.Decompose.partition}; algorithms that need the raw
-    top-level split (the Min/Max batch worker's sibling precombination)
-    go through {!connected_root} and {!root_partition}. *)
+    {!Aggshap_cq.Decompose.partition}. All-facts solves go through
+    {!Pass}: one walk of the decomposition gives every fact the two
+    variant tables its slice needs, and at a root partition the
+    leave-one-out table of its block's siblings, so no caller needs the
+    raw top-level split. *)
 
 (** {1 Per-node statistics}
 
@@ -69,16 +71,19 @@ module type TABLE_ALGEBRA = sig
       components outside the key (τ itself) make a memo sound only
       within one run — see {!Memo}. *)
 
-  val leaf : ctx -> Aggshap_cq.Cq.t -> Aggshap_relational.Database.t -> table option
+  val leaf :
+    ctx -> Aggshap_cq.Cq.t -> Aggshap_relational.Database.t -> (unit -> table) option
   (** Pre-decomposition base case, checked before connected components
-      are computed. The Count and Avg/Quantile algebras cut off Boolean
-      sub-queries here (delegating to the Boolean engine); [None]
-      continues with the generic decomposition. *)
+      are computed: [Some compute] when [(q, db)] is a base case, with
+      [compute] building its table (the check itself must be cheap).
+      The Count and Avg/Quantile algebras cut off Boolean sub-queries
+      here (delegating to the Boolean engine); [None] continues with
+      the generic decomposition. *)
 
   val connected_leaf :
-    ctx -> Aggshap_cq.Cq.t -> Aggshap_relational.Database.t -> table option
+    ctx -> Aggshap_cq.Cq.t -> Aggshap_relational.Database.t -> (unit -> table) option
   (** Base case for a single connected component, checked before a root
-      variable is chosen. Ground atoms land here; the Has-duplicates
+      variable is chosen, in the form of {!leaf}. Ground atoms land here; the Has-duplicates
       algebra resolves {e every} connected sub-query here (Figure 5
       treats the connected case whole, so its recursion only ever
       decomposes cross products). *)
@@ -157,28 +162,111 @@ module Make (A : TABLE_ALGEBRA) : sig
       every aggregate. *)
 end
 
-(** {1 Controlled access to the decomposition}
+(** {1 The variant pass}
 
-    For the one algorithm that needs the top-level split outside the
-    recursion: the Min/Max batch worker precombines sibling blocks with
-    prefix/suffix sweeps and re-partitions per-fact variant databases.
-    Keeping these here preserves the invariant that only the engine
-    touches [Decompose.choose_root]/[partition] (and that the
-    [`Block_drop] fault covers every partition). *)
+    An all-facts solve needs, for every endogenous fact [f], the tables
+    of two variant databases: [D] with [f] exogenous and [D] without
+    [f] (the folklore reduction of {!Sumk}). Re-running {!Make.eval} on
+    both costs two full dynamic programs per fact. The variant pass
+    walks the decomposition once instead, evaluating every node once
+    (memoized as {!Make.eval}) and rebuilding a fact's variant tables
+    only along its own path: at a root partition by the union of its
+    block's variant with the leave-one-out table of the block's
+    siblings, at a conjunction by [combine] with the fact's component
+    replaced (components the algebra hands to a sub-algorithm are
+    re-evaluated on the variant database), and at a leaf by
+    [leaf_variants]. *)
 
-val connected_root : Aggshap_cq.Cq.t -> string option
-(** [Some x] iff the query is a single non-ground connected component
-    with root variable [x] (the preferred root, as chosen by the
-    engine). *)
+type 'table variant = {
+  fact : Aggshap_relational.Fact.t;
+  exo : 'table;  (** the node's table with [fact] exogenous *)
+  rm : 'table;  (** the node's table without [fact] *)
+}
+(** A fact's two variant tables of one node. A null player of the node
+    (a fact in no block of a root partition) shares one table between
+    [exo] and [rm]. *)
 
-val root_partition :
-  Aggshap_cq.Cq.t ->
-  root:string ->
+type 'table split = {
+  pad : int;
+      (** endogenous null players at the top: facts irrelevant to the
+          query, and facts in no block of a root partition *)
+  groups : ('table * 'table variant list) list;
+      (** [(context, variants)]: with [U] the algebra's [union] and [P]
+          padding by [pad], the query's table on a fact's variant
+          database is [P (U context t)] for its variant table [t].
+          A root partition gives one group per block, the context being
+          the union of its siblings' tables; any other root gives one
+          group with the [neutral] context and whole-query variants.
+          Null players are left out. *)
+}
+(** The top of the variant pass. Since [U] is bilinear and every
+    aggregate reads its [sum_k] vector linearly off the padded table, a
+    fact's slice is [R (P (U context (exo − rm)))]: one kernel per
+    group and table key, applied to the difference of two block-sized
+    tables. *)
+
+val each_variant :
   Aggshap_relational.Database.t ->
-  (Aggshap_relational.Value.t * Aggshap_relational.Database.t) list
-  * Aggshap_relational.Database.t
-(** The engine's partition step: the per-value blocks of [root] and the
-    facts falling in no block, with the [`Block_drop] fault applied. *)
+  (Aggshap_relational.Database.t -> 'table) ->
+  'table variant list
+(** Variants of every endogenous fact of [db] by re-evaluating a table
+    function on both variant databases: the [leaf_variants] of leaves
+    that read a few facts directly (ground atoms). *)
+
+val leave_one_out : unit:'a -> op:('a -> 'a -> 'a) -> 'a array -> 'a array
+(** [leave_one_out ~unit ~op ts]: for every [i], the product under [op]
+    of every [ts.(j)] with [j <> i], from one prefix and one suffix
+    sweep ([3g − 6] applications of [op] for [g ≥ 2] tables; none where
+    an operand is [unit], compared physically). [op] must be
+    associative and commutative with unit [unit]. *)
+
+(** What the variant pass needs beyond {!TABLE_ALGEBRA}. *)
+module type PASS_ALGEBRA = sig
+  include TABLE_ALGEBRA
+
+  val neutral : table
+  (** The table of the empty block, the unit of [union]. *)
+
+  val union : ctx -> table -> table -> table
+  (** The union of two sibling blocks, associative and commutative:
+      [merge ctx ~root blocks] equals the fold of [union] over the
+      blocks' tables from [neutral], and [union] is bilinear in the
+      tables' counts. The Boolean algebra's works in complement space
+      (the query fails iff every block fails). *)
+
+  val leaf_variants :
+    ctx ->
+    Aggshap_cq.Cq.t ->
+    Aggshap_relational.Database.t ->
+    table ->
+    table variant list
+  (** [leaf_variants ctx q db t]: the variants of a node resolved by
+      [leaf] or [connected_leaf] with table [t], one per endogenous fact
+      of [db]. A leaf that delegates to another dynamic program can take
+      them from that program's pass. *)
+end
+
+module Pass (A : PASS_ALGEBRA) : sig
+  include module type of Make (A)
+
+  val variants :
+    ?memo:A.table Memo.t ->
+    A.ctx ->
+    Aggshap_cq.Cq.t ->
+    Aggshap_relational.Database.t ->
+    A.table * A.table variant list
+  (** The node's table (as {!Make.eval}) and the variants of every
+      endogenous fact of [db], under the same assumption as {!Make.eval}. *)
+
+  val split :
+    ?memo:A.table Memo.t ->
+    A.ctx ->
+    Aggshap_cq.Cq.t ->
+    Aggshap_relational.Database.t ->
+    A.table split
+  (** The top of the pass on the relevant part of [db], as {!Make.eval_top}
+      does. The root partition's own merge is never built. *)
+end
 
 (** {1 Static decomposition trees}
 

@@ -127,12 +127,13 @@ module Alg = struct
   let memo_prefix _ = ""
   let leaf _ _ _ = None
 
+  let ground_atom q =
+    match q.Cq.body with
+    | [ atom ] -> atom
+    | _ -> invalid_arg "Minmax: ground component with several atoms"
+
   let connected_leaf ctx q db =
-    if Decompose.is_ground q then begin
-      match q.Cq.body with
-      | [ atom ] -> Some (ground_base ctx.tau atom db)
-      | _ -> invalid_arg "Minmax: ground component with several atoms"
-    end
+    if Decompose.is_ground q then Some (fun () -> ground_base ctx.tau (ground_atom q) db)
     else None
 
   let empty _ _ = invalid_arg "Minmax: τ-relation vanished from the query"
@@ -171,14 +172,16 @@ module Alg = struct
     | _ -> invalid_arg "Minmax: τ-relation must occur in exactly one component"
 
   let pad _ p t = pad_table p t
+  let neutral = neutral
+  let union _ = combine_union
+
+  let leaf_variants ctx q db _ =
+    Engine.each_variant db (ground_base ctx.tau (ground_atom q))
 end
 
-module E = Engine.Make (Alg)
+module E = Engine.Pass (Alg)
 
 let ctx_of ?memo tau = { Alg.tau; bool = Option.map (fun m -> m.bool) memo }
-
-let valued_table ?memo tau q db =
-  E.eval ?memo:(Option.map (fun m -> m.self) memo) (ctx_of ?memo tau) q db
 
 let check (a : Agg_query.t) =
   if not (Hierarchy.is_all_hierarchical a.query) then
@@ -212,81 +215,89 @@ let sum_k a db = sum_k_memo a db
 let shapley ?(score = Aggshap_arith.Score.Shapley) ?memo a db f =
   Sumk.score_of_db_fn ~score (fun db -> sum_k_memo ?memo a db) db f
 
-(* Batch path for Max. A fact only perturbs its own top-level hierarchy
-   block, so the combined table of all the OTHER blocks is shared across
-   the whole per-fact loop: two prefix/suffix sweeps precompute it for
-   every block, and each fact then pays one [combine_union] instead of a
-   full fold over the root partition. Exactness of the arithmetic (and
-   commutativity/associativity of [combine_union]) makes the recombined
-   table identical to the one the sequential path folds up. Facts outside
-   every block (irrelevant or dropped by the partition) take the plain
-   memoized path. The top-level split comes from {!Engine} — the engine
-   owns the decomposition. *)
-let max_batch_worker ~score ?memo (a : Agg_query.t) db =
-  let q = a.query and tau = a.tau in
-  let plain f = shapley ~score ?memo a db f in
-  match Engine.connected_root q with
-  | Some x ->
-    let db_rel, pad0 = Decompose.relevant_part q db in
-    let blocks, _dropped = Engine.root_partition q ~root:x db_rel in
-    let blocks = Array.of_list blocks in
-    let g = Array.length blocks in
-    let table_of v block = valued_table ?memo tau (Cq.substitute q x v) block in
-    let tables = Array.map (fun (v, block) -> table_of v block) blocks in
-    let pre = Array.make (g + 1) neutral in
-    for i = 0 to g - 1 do
-      pre.(i + 1) <- combine_union pre.(i) tables.(i)
-    done;
-    let suf = Array.make (g + 1) neutral in
-    for i = g - 1 downto 0 do
-      suf.(i) <- combine_union tables.(i) suf.(i + 1)
-    done;
-    let siblings = Array.init g (fun i -> combine_union pre.(i) suf.(i + 1)) in
-    let n = Database.endo_size db in
-    (* The sum_k vector of a variant of [db] in which only block [i] (or
-       its membership in the root partition) may have changed. *)
-    let variant_vector db_rel' i =
-      let v, _ = blocks.(i) in
-      let blocks', dropped' = Engine.root_partition q ~root:x db_rel' in
-      let t =
-        match
-          List.find_opt
-            (fun (v', _) -> Aggshap_relational.Value.equal v v')
-            blocks'
-        with
-        | Some (_, block') -> combine_union siblings.(i) (table_of v block')
-        | None -> siblings.(i)
-      in
-      sum_of_table (pad_table (Database.endo_size dropped' + pad0) t)
-    in
-    fun f ->
-      (match Database.provenance db f with
-       | Some Database.Endogenous -> ()
-       | _ -> invalid_arg "Sumk: fact must be endogenous");
-      let idx = ref (-1) in
-      Array.iteri
-        (fun i (_, block) -> if !idx < 0 && Database.mem f block then idx := i)
-        blocks;
-      if !idx < 0 then plain f
-      else begin
-        let i = !idx in
-        let with_f =
-          variant_vector (Database.set_provenance Database.Exogenous f db_rel) i
-        in
-        let without_f = variant_vector (Database.remove f db_rel) i in
-        Sumk.score_of_vectors ~score ~players:n with_f without_f
-      end
-  | None -> plain
+(* The slice read-out of Max at one group of the variant pass. With
+   L = the group's context, the read-out R(t) = Σ_a a·t(a) of the union
+   U(L, t) is linear in t:
 
-let batch_worker ?(score = Aggshap_arith.Score.Shapley) ?memo
-    (a : Agg_query.t) db =
+     R(U(L, t)) = G_∅ ⊛ t(∅) + Σ_b G_b ⊛ t(b),
+     G_∅ = Σ_a a·p_L(a),   G_b = Σ_(a ≥ b) a·p_L(a) + b·lt_L(b),
+
+   where lt_L(b) counts L's subsets whose maximum is below b, empty
+   ones included. The kernels are integers over the lcm [d] of every
+   value the group's tables carry, padded once per group. Returns
+   [d] and the slice function of a variant. *)
+let readout ~pad l vs =
+  let keys t acc = QMap.fold (fun a _ acc -> QMap.add a () acc) t.by_value acc in
+  let wanted =
+    List.fold_left
+      (fun acc (v : _ Engine.variant) -> keys v.exo (keys v.rm acc))
+      QMap.empty vs
+  in
+  let d = QMap.fold (fun a () acc -> Q.den_lcm acc a) (keys l wanted) B.one in
+  let scale a c =
+    let x = B.mul (Q.num a) (B.div d (Q.den a)) in
+    Array.map (B.mul x) c
+  in
+  let total =
+    QMap.fold (fun a c acc -> Tables.add acc (scale a c)) l.by_value (Tables.zeros l.n)
+  in
+  (* One ascending sweep over L's and the wanted values: [below] is
+     Σ_(a < b) a·p_L(a) and [lt] is lt_L(b). *)
+  let kernels, _, _ =
+    QMap.fold
+      (fun b () (kernels, below, lt) ->
+        let kernels =
+          if QMap.mem b wanted then
+            QMap.add b
+              (Tables.pad pad (Tables.add (Tables.sub total below) (scale b lt)))
+              kernels
+          else kernels
+        in
+        match QMap.find_opt b l.by_value with
+        | Some c -> (kernels, Tables.add below (scale b c), Tables.add lt c)
+        | None -> (kernels, below, lt))
+      (keys l wanted)
+      (QMap.empty, Tables.zeros l.n, l.empty)
+  in
+  let k_empty = Tables.pad pad total in
+  let slice (v : _ Engine.variant) =
+    let n_i = v.exo.n in
+    let get t b = Option.value (QMap.find_opt b t.by_value) ~default:(Tables.zeros n_i) in
+    let term kernel diff acc =
+      if Array.for_all B.is_zero diff then acc
+      else Tables.add acc (Tables.convolve kernel diff)
+    in
+    QMap.fold
+      (fun b () acc ->
+        term (QMap.find b kernels) (Tables.sub (get v.exo b) (get v.rm b)) acc)
+      (keys v.exo (keys v.rm QMap.empty))
+      (term k_empty (Tables.sub v.exo.empty v.rm.empty) (Tables.zeros (l.n + pad + n_i)))
+  in
+  (d, slice)
+
+(* All facts of Max from one variant pass: per group one read-out, per
+   fact one kernel application to its block-sized variant tables. *)
+let max_batch ~score ?memo (a : Agg_query.t) db =
+  let s = E.split ?memo:(Option.map (fun m -> m.self) memo) (ctx_of ?memo a.tau) a.query db in
+  let n = Database.endo_size db in
+  List.concat_map
+    (fun (l, vs) ->
+      let d, slice = readout ~pad:s.Engine.pad l vs in
+      List.map
+        (fun (v : _ Engine.variant) ->
+          let x = slice v in
+          (v.fact, Aggshap_arith.Score.finish score ~den:d ~n (fun k -> x.(k))))
+        vs)
+    s.Engine.groups
+
+let batch ?(score = Aggshap_arith.Score.Shapley) ?memo (a : Agg_query.t) db =
   check a;
-  match a.alpha with
-  | Aggregate.Max -> max_batch_worker ~score ?memo a db
-  | Aggregate.Min ->
-    let worker = max_batch_worker ~score ?memo (negate_tau a) db in
-    fun f -> Q.neg (worker f)
-  | other ->
-    invalid_arg ("Minmax: aggregate " ^ Aggregate.to_string other ^ " is not min/max")
+  Sumk.in_order db
+    (match a.alpha with
+     | Aggregate.Max -> max_batch ~score ?memo a db
+     | Aggregate.Min ->
+       List.map (fun (f, v) -> (f, Q.neg v)) (max_batch ~score ?memo (negate_tau a) db)
+     | other ->
+       invalid_arg ("Minmax: aggregate " ^ Aggregate.to_string other ^ " is not min/max"))
 
 let shapley_all a db = Sumk.shapley_all_of sum_k a db

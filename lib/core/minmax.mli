@@ -63,20 +63,21 @@ val shapley :
   Aggshap_relational.Database.t ->
   Aggshap_relational.Fact.t ->
   Aggshap_arith.Rational.t
-(** Shapley value (or [score], default Shapley) of an endogenous fact. *)
+(** Shapley value (or [score], default Shapley) of an endogenous fact,
+    by the per-fact reduction of {!Sumk}. *)
 
-val batch_worker :
+val batch :
   ?score:Aggshap_arith.Score.t ->
   ?memo:memo ->
   Aggshap_agg.Agg_query.t ->
   Aggshap_relational.Database.t ->
-  Aggshap_relational.Fact.t ->
-  Aggshap_arith.Rational.t
-(** Per-fact worker for the batch engine; safe to call from several
-    domains when sharing a [memo]. Beyond the [memo], the worker
-    precombines the tables of all top-level hierarchy blocks with
-    prefix/suffix sweeps, so each fact only recombines the one block it
-    perturbs — results stay bit-identical to {!shapley}. *)
+  (Aggshap_relational.Fact.t * Aggshap_arith.Rational.t) list
+(** Every endogenous fact's score (default Shapley), in
+    [Database.endogenous] order, from one variant pass
+    ({!Engine.Pass.split}): at a root partition each block's siblings
+    collapse to one kernel per value, and a fact pays one kernel
+    application to its block's variant tables. Bit-identical to
+    {!shapley} fact by fact. *)
 
 val shapley_all :
   Aggshap_agg.Agg_query.t ->

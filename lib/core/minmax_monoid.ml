@@ -140,7 +140,7 @@ module Alg = struct
   let leaf _ _ _ = None
 
   let connected_leaf ctx q db =
-    if Decompose.is_ground q then Some (ground ctx.m q db) else None
+    if Decompose.is_ground q then Some (fun () -> ground ctx.m q db) else None
 
   let empty ctx _ = neutral_cross ctx.m
   let root_mode = `Any_root

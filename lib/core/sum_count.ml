@@ -41,7 +41,7 @@ let membership_games (a : Agg_query.t) db =
       else Some (membership_query a.query t, weight))
     (weighted_answers a db)
 
-let batch_worker ?score ?memo a db =
+let per_fact ?score ?memo a db =
   check a;
   let games = membership_games a db in
   fun f ->
@@ -50,8 +50,20 @@ let batch_worker ?score ?memo a db =
         Q.add acc (Q.mul weight (Boolean_dp.shapley ?score ?memo mq db f)))
       Q.zero games
 
-let shapley ?score ?memo a db f = batch_worker ?score ?memo a db f
+let shapley ?score ?memo a db f = per_fact ?score ?memo a db f
+
+(* One Boolean variant pass per membership game; a fact's score is the
+   weighted sum over the games it plays in. *)
+let batch ?score ?memo a db =
+  check a;
+  Sumk.in_order db
+    (List.concat_map
+       (fun (mq, weight) ->
+         List.map
+           (fun (f, v) -> (f, Q.mul weight v))
+           (Boolean_dp.shapley_all ?score ?memo mq db))
+       (membership_games a db))
 
 let shapley_all a db =
-  let worker = batch_worker a db in
-  List.map (fun f -> (f, worker f)) (Database.endogenous db)
+  let per_fact = per_fact a db in
+  List.map (fun f -> (f, per_fact f)) (Database.endogenous db)

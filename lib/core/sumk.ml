@@ -37,3 +37,14 @@ let shapley_all_of sum_k a db =
   List.map
     (fun f -> (f, score_of_db_fn ~score:Score.Shapley (sum_k a) db f))
     (Database.endogenous db)
+
+let in_order db scores =
+  let acc = Hashtbl.create 64 in
+  List.iter
+    (fun (f, v) ->
+      Hashtbl.replace acc f
+        (match Hashtbl.find_opt acc f with Some u -> Q.add u v | None -> v))
+    scores;
+  List.map
+    (fun f -> (f, Option.value (Hashtbl.find_opt acc f) ~default:Q.zero))
+    (Database.endogenous db)

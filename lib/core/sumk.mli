@@ -19,19 +19,6 @@ type sum_k_fn =
   Aggshap_arith.Rational.t array
 (** Must return an array of length [endo_size db + 1]. *)
 
-val score_of_vectors :
-  score:Aggshap_arith.Score.t ->
-  players:int ->
-  Aggshap_arith.Rational.t array ->
-  Aggshap_arith.Rational.t array ->
-  Aggshap_arith.Rational.t
-(** [score_of_vectors ~score ~players with_f without_f] finishes the
-    slice of precomputed [sum_k] vectors of [D] with [f] exogenous and
-    [D] without [f] ([players] is the endogenous count {e including}
-    [f]; both vectors have that length) with [score]. The building
-    block for batch workers that share table prefixes across facts.
-    @raise Invalid_argument on a length mismatch. *)
-
 val score_of_db_fn :
   score:Aggshap_arith.Score.t ->
   (Aggshap_relational.Database.t -> Aggshap_arith.Rational.t array) ->
@@ -49,3 +36,12 @@ val shapley_all_of :
   (Aggshap_relational.Fact.t * Aggshap_arith.Rational.t) list
 (** Every endogenous fact's Shapley value, in [Database.endogenous]
     order. *)
+
+val in_order :
+  Aggshap_relational.Database.t ->
+  (Aggshap_relational.Fact.t * Aggshap_arith.Rational.t) list ->
+  (Aggshap_relational.Fact.t * Aggshap_arith.Rational.t) list
+(** Every endogenous fact of the database in [Database.endogenous]
+    order, with the sum of its scores in the list (0 when absent): the
+    results of an all-facts solve whose parts (membership games,
+    values, groups) each list their non-null players. *)

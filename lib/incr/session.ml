@@ -8,6 +8,7 @@ module Agg_query = Aggshap_agg.Agg_query
 module Batch = Aggshap_core.Batch
 module Boolean_dp = Aggshap_core.Boolean_dp
 module Sum_count = Aggshap_core.Sum_count
+module Sumk = Aggshap_core.Sumk
 module Frontier = Aggshap_core.Frontier
 module Memo = Aggshap_core.Memo
 module Fault = Aggshap_arith.Fault
@@ -65,7 +66,6 @@ type engine =
 type t = {
   mutable a : Agg_query.t;
   mutable db : Database.t;
-  jobs : int;
   engine : engine;
   mutable steps : int;
   mutable games_computed : int;
@@ -73,7 +73,7 @@ type t = {
   mutable full_recomputes : int;
 }
 
-let open_ ?(jobs = 1) (a : Agg_query.t) db =
+let open_ (a : Agg_query.t) db =
   if not (Frontier.within a.alpha a.query) then
     invalid_arg "Incr.Session: query is outside the tractability frontier";
   let engine =
@@ -84,8 +84,8 @@ let open_ ?(jobs = 1) (a : Agg_query.t) db =
     | _ ->
       Generic { memo = Batch.create_memo a; memo_fp = Batch.fingerprint_of a }
   in
-  { a; db; jobs = max 1 jobs; engine; steps = 0; games_computed = 0;
-    games_reused = 0; full_recomputes = 0 }
+  { a; db; engine; steps = 0; games_computed = 0; games_reused = 0;
+    full_recomputes = 0 }
 
 let query t = t.a
 let database t = t.db
@@ -144,45 +144,36 @@ let apply t u =
 (* The game restricted to its matching facts: identical Shapley values
    (a fact outside every atom is a null player, and null players change
    nobody's value), at the cost of the block it lives in instead of the
-   whole database. *)
+   whole database. One Boolean variant pass gives every fact that is
+   not a null player its value; the others contribute nothing. *)
 let compute_game t lin mq =
   let relevant, _pad = Decompose.relevant_part mq t.db in
-  List.map
-    (fun f -> (f, Boolean_dp.shapley ~memo:lin.bool_memo mq relevant f))
-    (Database.endogenous relevant)
+  Boolean_dp.shapley_all ~memo:lin.bool_memo mq relevant
 
 let shapley_all t =
   match t.engine with
-  | Generic g -> fst (Batch.shapley_all ~jobs:t.jobs ~memo:g.memo t.a t.db)
+  | Generic g -> fst (Batch.shapley_all ~memo:g.memo t.a t.db)
   | Linear lin ->
-    let games = Sum_count.membership_games t.a t.db in
-    let acc : (Fact.t, Q.t) Hashtbl.t = Hashtbl.create 256 in
-    List.iter
-      (fun (mq, weight) ->
-        let key = Cq.to_string mq in
-        let entry =
-          match Hashtbl.find_opt lin.games key with
-          | Some e -> e
-          | None ->
-            let e = { mq; dirty = true; contribs = [] } in
-            Hashtbl.add lin.games key e;
-            e
-        in
-        if entry.dirty then begin
-          entry.contribs <- compute_game t lin entry.mq;
-          entry.dirty <- false;
-          t.games_computed <- t.games_computed + 1
-        end
-        else t.games_reused <- t.games_reused + 1;
-        List.iter
-          (fun (f, v) ->
-            let prev = Option.value (Hashtbl.find_opt acc f) ~default:Q.zero in
-            Hashtbl.replace acc f (Q.add prev (Q.mul weight v)))
-          entry.contribs)
-      games;
-    List.map
-      (fun f -> (f, Option.value (Hashtbl.find_opt acc f) ~default:Q.zero))
-      (Database.endogenous t.db)
+    Sumk.in_order t.db
+      (List.concat_map
+         (fun (mq, weight) ->
+           let key = Cq.to_string mq in
+           let entry =
+             match Hashtbl.find_opt lin.games key with
+             | Some e -> e
+             | None ->
+               let e = { mq; dirty = true; contribs = [] } in
+               Hashtbl.add lin.games key e;
+               e
+           in
+           if entry.dirty then begin
+             entry.contribs <- compute_game t lin entry.mq;
+             entry.dirty <- false;
+             t.games_computed <- t.games_computed + 1
+           end
+           else t.games_reused <- t.games_reused + 1;
+           List.map (fun (f, v) -> (f, Q.mul weight v)) entry.contribs)
+         (Sum_count.membership_games t.a t.db))
 
 let stats t =
   let tables =

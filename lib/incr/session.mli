@@ -10,7 +10,9 @@
       value is a weighted sum over per-answer membership games, and each
       game restricted to the facts matching its atoms has the same exact
       values (everything else is a null player). The session caches the
-      per-fact contributions of every game; [insert]/[delete] dirty only
+      per-fact contributions of every game, computed by one Boolean
+      variant pass per dirty game ({!Aggshap_core.Boolean_dp.shapley_all});
+      [insert]/[delete] dirty only
       the games whose atoms match the touched fact, [set_tau] dirties
       nothing (the games are τ-independent — only the answer weights,
       re-derived on every read, change). The Boolean sub-tables are
@@ -29,10 +31,9 @@
 
 type t
 
-val open_ :
-  ?jobs:int -> Aggshap_agg.Agg_query.t -> Aggshap_relational.Database.t -> t
-(** Compiles the initial session state. [jobs] (default 1) is the pool
-    width used by the generic engine's batch runs.
+val open_ : Aggshap_agg.Agg_query.t -> Aggshap_relational.Database.t -> t
+(** Compiles the initial session state. Every read solves in the
+    calling domain.
     @raise Invalid_argument if the query is outside the aggregate's
     tractability frontier. *)
 

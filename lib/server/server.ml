@@ -6,10 +6,9 @@
    request on a final unterminated line is processed, not dropped) and
    a per-connection request line counter for line-numbered error
    replies. Requests execute to completion in arrival order — the
-   protocol is strictly one response line per request line — while the
-   heavy lifting inside a solve fans out over the existing Domain pool
-   ([jobs] in the session spec, [Batch.shapley_all]'s worker domains),
-   so parallelism lives where the work is.
+   protocol is strictly one response line per request line — and every
+   solve runs in the serving domain: the wire carries exact solves only,
+   and no exact route splits across domains.
 
    Durability: sessions are snapshotted at open, at LRU eviction, and
    at clean shutdown (the [shutdown] op, SIGINT, or SIGTERM); see
@@ -31,7 +30,7 @@ type config = {
   socket : string;
   max_sessions : int;
   state_dir : string option;
-  default_jobs : int option;  (* for open requests that give no jobs *)
+  default_jobs : int option;  (* ignored: no wire solve splits across domains *)
   log : string -> unit;
 }
 
@@ -67,11 +66,6 @@ let dispatch (st : state) (req : Protocol.request) : Protocol.response =
     st.stop <- true;
     Protocol.Shutting_down
   | Protocol.Open { session; spec } ->
-    let spec =
-      match (spec.Api.jobs, st.config.default_jobs) with
-      | None, (Some _ as d) -> { spec with Api.jobs = d }
-      | _ -> spec
-    in
     respond
       (let* facts = Registry.open_session reg session spec in
        Ok (Protocol.Opened { session; facts }))
@@ -140,8 +134,7 @@ let dispatch (st : state) (req : Protocol.request) : Protocol.response =
          Api.parse_wire_fallback (Option.value fallback ~default:"naive")
        in
        let* result =
-         Api.shapley_all ~fallback ?jobs:st.config.default_jobs ?kc_node_budget
-           a db
+         Api.shapley_all ~fallback ?kc_node_budget a db
        in
        let values =
          List.map

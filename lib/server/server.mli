@@ -2,9 +2,9 @@
     multiplexer serving the {!Protocol} over a Unix-domain socket.
 
     Requests on one connection execute in arrival order, one response
-    line per request line; solve parallelism comes from the session's
-    Domain pool ([jobs] in the spec — {!Aggshap_core.Batch} workers),
-    so answers stay bit-identical to the CLI's. Each connection reads
+    line per request line, and every solve runs in the serving domain
+    (the wire carries exact solves only, and no exact route splits
+    across domains), so answers stay bit-identical to the CLI's. Each connection reads
     through {!Aggshap_incr.Script.Reader}, so a request on a final
     unterminated line is processed, not dropped, and malformed requests
     get error replies carrying the 1-based connection line number.
@@ -18,7 +18,8 @@ type config = {
   max_sessions : int;  (** LRU capacity: resident sessions, at least 1 *)
   state_dir : string option;  (** snapshot directory; [None] = in-memory only *)
   default_jobs : int option;
-      (** worker domains for sessions whose [open] gave no [jobs] *)
+      (** accepted for compatibility and ignored: no wire solve splits
+          across domains *)
   log : string -> unit;  (** one line per lifecycle event *)
 }
 

@@ -208,21 +208,13 @@ let test_shape_of_catalog () =
   Alcotest.(check bool) "rendering mentions the root" true
     (String.length rendered > 0 && contains rendered "partition on root y")
 
-let test_connected_root () =
-  Alcotest.(check (option string)) "q_xyy roots at y" (Some "y")
-    (Engine.connected_root Catalog.q_xyy);
-  Alcotest.(check (option string)) "disconnected query has no single root" None
-    (Engine.connected_root Catalog.q3_sq);
-  Alcotest.(check (option string)) "non-hierarchical query has no root" None
-    (Engine.connected_root Catalog.q_nonhier)
-
-let test_root_partition_conserves_facts () =
+let test_partition_conserves_facts () =
   let db =
     Database.of_facts
       [ Fact.of_ints "R" [ 1; 2 ]; Fact.of_ints "R" [ 3; 4 ]; Fact.of_ints "S" [ 2 ];
         Fact.of_ints "S" [ 4 ]; Fact.of_ints "S" [ 99 ] ]
   in
-  let blocks, dropped = Engine.root_partition Catalog.q_xyy ~root:"y" db in
+  let blocks, dropped = Aggshap_cq.Decompose.partition Catalog.q_xyy "y" db in
   let in_blocks = List.fold_left (fun acc (_, b) -> acc + Database.endo_size b) 0 blocks in
   (* S(99) has no matching R fact, so its root value forms no block: the
      fact is dropped into null-player padding instead. *)
@@ -343,9 +335,8 @@ let () =
       ("Avg/Quantile table algebra ((a,k,l)-tables)", avg_laws);
       ( "decomposition planner",
         [ Alcotest.test_case "shapes of the catalog queries" `Quick test_shape_of_catalog;
-          Alcotest.test_case "connected_root" `Quick test_connected_root;
-          Alcotest.test_case "root_partition conserves facts" `Quick
-            test_root_partition_conserves_facts;
+          Alcotest.test_case "partition conserves facts" `Quick
+            test_partition_conserves_facts;
         ] );
       ( "stats",
         [ Alcotest.test_case "per-node counters" `Quick test_stats_counters;

@@ -92,7 +92,7 @@ let test_memo_survives_database_updates () =
 
 let test_delete_absent_raises () =
   let a = Agg_query.make Aggregate.Sum (Value_fn.const ~rel:"R" Q.one) q_rs in
-  let session = Session.open_ ~jobs:1 a db0 in
+  let session = Session.open_ a db0 in
   Alcotest.check_raises "absent delete refused"
     (Invalid_argument "Incr.Session: delete of absent fact R(9, 9)")
     (fun () -> Session.apply session (Update.Delete (fact "R(9, 9)")))
@@ -101,13 +101,13 @@ let test_open_outside_frontier_raises () =
   let q = query "Q() <- R(x), S(x, y), T(y)" in
   let a = Agg_query.make Aggregate.Count (Value_fn.const ~rel:"R" Q.one) q in
   assert (not (Solver.within_frontier Aggregate.Count q));
-  match Session.open_ ~jobs:1 a Database.empty with
+  match Session.open_ a Database.empty with
   | _ -> Alcotest.fail "session opened outside the frontier"
   | exception Invalid_argument _ -> ()
 
 let test_set_tau_foreign_relation_raises () =
   let a = Agg_query.make Aggregate.Sum (Value_fn.const ~rel:"R" Q.one) q_rs in
-  let session = Session.open_ ~jobs:1 a db0 in
+  let session = Session.open_ a db0 in
   match Session.apply session (Update.Set_tau (Value_fn.const ~rel:"T" Q.one, "const:T:1")) with
   | () -> Alcotest.fail "set_tau accepted a relation outside the query"
   | exception Invalid_argument _ -> ()
@@ -135,7 +135,7 @@ let test_session_matches_batch alpha () =
   let tau0 = Value_fn.const ~rel:"R" Q.one in
   let a0 = Agg_query.make alpha tau0 q_bool in
   assert (Solver.within_frontier alpha q_bool);
-  let session = Session.open_ ~jobs:1 a0 db0 in
+  let session = Session.open_ a0 db0 in
   let a = ref a0 and db = ref db0 in
   let check step =
     let expected, _ = Batch.shapley_all ~jobs:1 !a !db in
@@ -159,7 +159,7 @@ let test_session_matches_batch alpha () =
    block, untouched membership games are served from cache. *)
 let test_linear_engine_reuses () =
   let a = Agg_query.make Aggregate.Sum (Value_fn.const ~rel:"R" Q.one) q_rs in
-  let session = Session.open_ ~jobs:1 a db0 in
+  let session = Session.open_ a db0 in
   ignore (Session.shapley_all session);
   Session.apply session (Update.Insert (fact "R(4, 10)", Database.Endogenous));
   ignore (Session.shapley_all session);
