@@ -1,14 +1,23 @@
-(* Sign-magnitude bignums with a tagged small-integer fast path.
+(* Sign-magnitude bignums whose small values are immediate ints.
 
-   A value is either [Small n] — a native 63-bit OCaml integer — or
-   [Big], a sign-magnitude little-endian limb array in base 2^30. The
-   representation is canonical: every integer that fits a native [int]
-   (except [min_int], whose negation overflows, so it always lives on
-   the [Big] side) is [Small], and every operation demotes a limb-array
-   result back to [Small] the moment it fits. Canonical forms make
-   structural equality coincide with numeric equality and keep the many
-   tiny DP-table entries produced early in the recursions off the heap
-   entirely: a [Small] is an immediate, unboxed value.
+   A value is either an immediate native OCaml integer — the small
+   representation — or a pointer to a [big] record, a sign-magnitude
+   little-endian limb array in base 2^30. The representation is
+   canonical: every integer that fits a native [int] (except [min_int],
+   whose negation overflows, so it always lives on the limb side) is
+   immediate, and every operation demotes a limb-array result back to
+   an immediate the moment it fits. Canonical forms make structural
+   equality coincide with numeric equality and keep the many tiny
+   DP-table entries produced early in the recursions off the heap
+   entirely: adding or multiplying two small values allocates nothing.
+
+   The two cases are told apart by the word's tag bit ([is_small]),
+   not by a constructor: a [Small of int] constructor would put every
+   small value in its own heap block, and without flambda a view
+   function returning such a constructor would allocate on every call.
+   So each operation below tests [is_small] inline and casts with the
+   [%identity] externals [small]/[small_val]/[of_big]/[big_val]; [Obj]
+   is used here and nowhere else in the project.
 
    Small/small operations run in native arithmetic guarded by exact
    overflow checks (promote only on demand); everything else promotes to
@@ -30,12 +39,27 @@ type big = { sign : int; mag : int array }
 (* Invariants: [sign] is -1, 0 or 1; [mag] has no trailing (most
    significant) zero limb; [sign = 0] iff [mag] is empty. *)
 
-type t = Small of int | Big of big
-(* Canonical forms: [Small n] for every native [n] except [min_int];
-   [Big] only for values outside [[-max_int, max_int]] (which includes
-   [min_int] itself). Internal kernels work on [big] records and may
-   produce small magnitudes; [demote] restores canonicity at the public
-   boundary. *)
+type t
+(* An immediate [int] or a pointer to a [big]. Canonical forms: an
+   immediate for every native [n] except [min_int]; a [big] only for
+   values outside [[-max_int, max_int]] (which includes [min_int]
+   itself). Internal kernels work on [big] records and may produce
+   small magnitudes; [demote] restores canonicity at the public
+   boundary.
+
+   Polymorphic comparison orders immediates before blocks. Equal values
+   are structurally equal, so polymorphic [=] and [Hashtbl.hash] stay
+   consistent with [equal]. Two immediates are equal iff they are
+   physically equal ([==]), which the [is_zero]/[is_one] tests use. *)
+
+let is_small (x : t) = Obj.is_int (Obj.repr x)
+
+(* Casts between the two cases; each is only valid on the side of
+   [is_small] its name says. [small n] requires [n <> min_int]. *)
+external small : int -> t = "%identity"
+external small_val : t -> int = "%identity"
+external of_big : big -> t = "%identity"
+external big_val : t -> big = "%identity"
 
 type stats = {
   mul_schoolbook : int;
@@ -142,61 +166,48 @@ let big_of_int n =
     { sign = -1; mag = inc 0 1 mag }
   else { (big_of_small (-n)) with sign = -1 }
 
-(* Demote a limb-array result to [Small] when the value fits a native
-   int other than [min_int]; restores the canonical-form invariant. *)
+(* Demote a limb-array result to an immediate when the value fits a
+   native int other than [min_int]; restores the canonical-form
+   invariant. Three limbs fit when the top one is below 2^2 (the value
+   is then below 2^62 = max_int + 1). *)
 let demote b =
-  let small =
-    match Array.length b.mag with
-    | 0 -> Some 0
-    | 1 -> Some (b.sign * b.mag.(0))
-    | 2 -> Some (b.sign * ((b.mag.(1) lsl limb_bits) lor b.mag.(0)))
-    | 3 ->
-      let high = b.mag.(2) in
-      if high < 1 lsl (62 - (2 * limb_bits)) then
-        Some (b.sign * ((high lsl (2 * limb_bits)) lor (b.mag.(1) lsl limb_bits) lor b.mag.(0)))
-      else None
-    | _ -> None
-  in
-  match small with
-  | Some n ->
+  let mag = b.mag in
+  match Array.length mag with
+  | 0 ->
     Atomic.incr c_demotions;
-    Small n
-  | None -> Big b
+    small 0
+  | 1 ->
+    Atomic.incr c_demotions;
+    small (b.sign * mag.(0))
+  | 2 ->
+    Atomic.incr c_demotions;
+    small (b.sign * ((mag.(1) lsl limb_bits) lor mag.(0)))
+  | 3 when mag.(2) < 1 lsl (62 - (2 * limb_bits)) ->
+    Atomic.incr c_demotions;
+    small (b.sign * ((mag.(2) lsl (2 * limb_bits)) lor (mag.(1) lsl limb_bits) lor mag.(0)))
+  | _ -> of_big b
 
 (* Promote to the limb representation on demand. *)
-let big_of = function
-  | Big b -> b
-  | Small n ->
+let big_of t =
+  if is_small t then begin
     Atomic.incr c_promotions;
-    big_of_int n
+    big_of_int (small_val t)
+  end
+  else big_val t
 
-let zero = Small 0
-let one = Small 1
-let two = Small 2
-let minus_one = Small (-1)
+let zero = small 0
+let one = small 1
+let two = small 2
+let minus_one = small (-1)
 
-let of_int n = if n = min_int then Big (big_of_int min_int) else Small n
+let of_int n = if n = min_int then of_big (big_of_int min_int) else small n
 
-let is_small = function Small _ -> true | Big _ -> false
+let sign t = if is_small t then Int.compare (small_val t) 0 else (big_val t).sign
 
-let small_value = function
-  | Small n -> n
-  | Big _ -> invalid_arg "Bigint.small_value: promoted value"
-
-let sign = function
-  | Small n -> Stdlib.compare n 0
-  | Big b -> b.sign
-
-let is_zero = function Small 0 -> true | _ -> false
-let is_one = function Small 1 -> true | _ -> false
-
-let is_negative = function
-  | Small n -> n < 0
-  | Big b -> b.sign < 0
-
-let is_even = function
-  | Small n -> n land 1 = 0
-  | Big b -> b.mag.(0) land 1 = 0
+let is_zero t = t == zero
+let is_one t = t == one
+let is_negative t = if is_small t then small_val t < 0 else (big_val t).sign < 0
+let is_even t = if is_small t then small_val t land 1 = 0 else (big_val t).mag.(0) land 1 = 0
 
 let compare_mag a b =
   let la = Array.length a and lb = Array.length b in
@@ -214,32 +225,41 @@ let big_compare a b =
   else if a.sign >= 0 then compare_mag a.mag b.mag
   else compare_mag b.mag a.mag
 
+(* A canonical [big] is larger in magnitude than any immediate, so a
+   mixed comparison is decided by the [big]'s sign. *)
 let compare a b =
-  match (a, b) with
-  | Small x, Small y -> Stdlib.compare x y
-  | Big x, Big y -> big_compare x y
-  (* A canonical [Big] is larger in magnitude than any [Small]. *)
-  | Small _, Big y -> if y.sign > 0 then -1 else 1
-  | Big x, Small _ -> if x.sign > 0 then 1 else -1
+  if is_small a then
+    if is_small b then Int.compare (small_val a) (small_val b)
+    else if (big_val b).sign > 0 then -1
+    else 1
+  else if is_small b then if (big_val a).sign > 0 then 1 else -1
+  else big_compare (big_val a) (big_val b)
 
-let equal a b = compare a b = 0
+(* Canonical forms: an immediate never equals a [big]. *)
+let equal a b =
+  a == b
+  || ((not (is_small a)) && (not (is_small b)) && big_compare (big_val a) (big_val b) = 0)
 
-let hash = function
-  | Small n -> n land max_int
-  | Big b ->
+let hash t =
+  if is_small t then small_val t land max_int
+  else
+    let b = big_val t in
     Array.fold_left (fun acc limb -> ((acc * 31) + limb) land max_int) b.sign b.mag
 
 let min a b = if compare a b <= 0 then a else b
 let max a b = if compare a b >= 0 then a else b
 
-let neg = function
-  | Small n -> Small (-n) (* [n <> min_int] by the canonical-form invariant *)
-  | Big b -> Big { b with sign = -b.sign }
+let neg t =
+  if is_small t then small (- small_val t) (* [<> min_int] by the canonical-form invariant *)
+  else
+    let b = big_val t in
+    of_big { b with sign = -b.sign }
 
 let abs t =
-  match t with
-  | Small n -> if n < 0 then Small (-n) else t
-  | Big b -> if b.sign < 0 then Big { b with sign = 1 } else t
+  if is_small t then (if small_val t < 0 then small (- small_val t) else t)
+  else
+    let b = big_val t in
+    if b.sign < 0 then of_big { b with sign = 1 } else t
 
 (* Magnitude addition: no sign involved. *)
 let add_mag a b =
@@ -290,18 +310,20 @@ let big_add a b =
     | _ -> normalize b.sign (sub_mag b.mag a.mag)
 
 let add a b =
-  match (a, b) with
-  | Small 0, _ -> b
-  | _, Small 0 -> a
-  | Small x, Small y ->
+  if is_small a && is_small b then begin
+    let x = small_val a and y = small_val b in
     let s = x + y in
-    if (x >= 0) = (y >= 0) && (s >= 0) <> (x >= 0) then
-      (* Native overflow: the true sum exceeds [max_int] in magnitude,
-         so the limb-path result stays [Big] with no demotion check. *)
-      Big (big_add (big_of_int x) (big_of_int y))
-    else if s = min_int then Big (big_of_int min_int)
-    else Small s
-  | _ -> demote (big_add (big_of a) (big_of b))
+    if (x lxor s) land (y lxor s) < 0 then
+      (* Native overflow (the sum's sign differs from both operands'):
+         the true sum exceeds [max_int] in magnitude, so the limb-path
+         result stays a [big] with no demotion check. *)
+      of_big (big_add (big_of_int x) (big_of_int y))
+    else if s = min_int then of_big (big_of_int min_int)
+    else small s
+  end
+  else if is_zero a then b
+  else if is_zero b then a
+  else demote (big_add (big_of a) (big_of b))
 
 let sub a b = add a (neg b)
 
@@ -492,96 +514,89 @@ let apply_mul_fault a b r =
    the dominant tiny-operand case free of the division-based check. *)
 let small_prod_bound = 1 lsl 31
 
+let with_mul_fault a b r =
+  match !Fault.current with
+  | `Karatsuba_split -> apply_mul_fault a b r
+  | _ -> r
+
 let mul a b =
-  match (a, b) with
-  | Small 0, _ | _, Small 0 -> Small 0
-  | Small x, Small y ->
+  if is_zero a || is_zero b then zero
+  else if is_small a && is_small b then begin
+    let x = small_val a and y = small_val b in
+    let ax = if x < 0 then -x else x in
+    let ay = if y < 0 then -y else y in
     let r =
-      let ax = if x < 0 then -x else x in
-      let ay = if y < 0 then -y else y in
       if ax < small_prod_bound && ay < small_prod_bound then begin
         Atomic.incr c_mul_small;
-        Small (x * y)
+        small (x * y)
       end
       else
         let p = x * y in
         (* [p = min_int] is either a wrap or the one in-range product
-           [Small] cannot hold; [p / y = x] certifies no overflow
+           an immediate cannot hold; [p / y = x] certifies no overflow
            (a wrapped product differs from the true one by a multiple
            of 2^63, farther than any |y| < 2^62 rounding slack). *)
         if p <> min_int && p / y = x then begin
           Atomic.incr c_mul_small;
-          Small p
+          small p
         end
         else demote (big_mul (big_of_int x) (big_of_int y))
     in
-    (match !Fault.current with
-     | `Karatsuba_split -> apply_mul_fault a b r
-     | _ -> r)
-  | _ ->
-    let r = demote (big_mul (big_of a) (big_of b)) in
-    (match !Fault.current with
-     | `Karatsuba_split -> apply_mul_fault a b r
-     | _ -> r)
+    with_mul_fault a b r
+  end
+  else with_mul_fault a b (demote (big_mul (big_of a) (big_of b)))
 
 let mul_schoolbook a b =
-  match (a, b) with
-  | Small 0, _ | _, Small 0 -> Small 0
-  | _ ->
+  if is_zero a || is_zero b then zero
+  else
     let a = big_of a and b = big_of b in
     demote (normalize (a.sign * b.sign) (mul_mag_school a.mag b.mag))
 
 let sqr a =
-  match a with
-  | Small 0 -> Small 0
-  | Small x ->
+  if is_zero a then zero
+  else begin
     Atomic.incr c_sqr;
     let r =
-      let ax = if x < 0 then -x else x in
-      if ax < small_prod_bound then Small (x * x)
-      else
-        let p = x * x in
-        if p <> min_int && p / x = x then Small p
-        else demote (normalize 1 (sqr_mag (big_of_int x).mag))
+      if is_small a then
+        let x = small_val a in
+        let ax = if x < 0 then -x else x in
+        if ax < small_prod_bound then small (x * x)
+        else
+          let p = x * x in
+          if p <> min_int && p / x = x then small p
+          else demote (normalize 1 (sqr_mag (big_of_int x).mag))
+      else demote (normalize 1 (sqr_mag (big_val a).mag))
     in
-    (match !Fault.current with
-     | `Karatsuba_split -> apply_mul_fault a a r
-     | _ -> r)
-  | Big b ->
-    Atomic.incr c_sqr;
-    let r = demote (normalize 1 (sqr_mag b.mag)) in
-    (match !Fault.current with
-     | `Karatsuba_split -> apply_mul_fault a a r
-     | _ -> r)
+    with_mul_fault a a r
+  end
 
 (* The dedicated scalar loop admits any |n| < 2^32: limb*scalar plus
    carry stays below 2^62. *)
 let mul_int_bound = 1 lsl 32
 
 let mul_int a n =
-  match a with
-  | Small _ -> mul a (of_int n)
-  | Big b ->
-    if n = 0 then Small 0
-    else
-      let m = if n < 0 then -n else n in
-      if m > 0 && m < mul_int_bound then begin
-        (* Dedicated small-scalar limb loop: one pass, no intermediate
-           bignum for the scalar. *)
-        Atomic.incr c_mul_small;
-        let la = Array.length b.mag in
-        let out = Array.make (la + 2) 0 in
-        let carry = ref 0 in
-        for i = 0 to la - 1 do
-          let cur = (b.mag.(i) * m) + !carry in
-          out.(i) <- cur land limb_mask;
-          carry := cur lsr limb_bits
-        done;
-        out.(la) <- !carry land limb_mask;
-        out.(la + 1) <- !carry lsr limb_bits;
-        demote (normalize (if n < 0 then -b.sign else b.sign) out)
-      end
-      else mul a (of_int n)
+  if is_small a then mul a (of_int n)
+  else if n = 0 then zero
+  else
+    let b = big_val a in
+    let m = if n < 0 then -n else n in
+    if m > 0 && m < mul_int_bound then begin
+      (* Dedicated small-scalar limb loop: one pass, no intermediate
+         bignum for the scalar. *)
+      Atomic.incr c_mul_small;
+      let la = Array.length b.mag in
+      let out = Array.make (la + 2) 0 in
+      let carry = ref 0 in
+      for i = 0 to la - 1 do
+        let cur = (b.mag.(i) * m) + !carry in
+        out.(i) <- cur land limb_mask;
+        carry := cur lsr limb_bits
+      done;
+      out.(la) <- !carry land limb_mask;
+      out.(la + 1) <- !carry lsr limb_bits;
+      demote (normalize (if n < 0 then -b.sign else b.sign) out)
+    end
+    else mul a (of_int n)
 
 let succ a = add a one
 let pred a = sub a one
@@ -672,17 +687,18 @@ let big_divmod a b =
   end
 
 let divmod a b =
-  match (a, b) with
-  | _, Small 0 -> raise Division_by_zero
-  | Small x, Small y ->
-    (* Native truncated division; [min_int / -1], the only overflowing
-       case, cannot arise because [Small] never holds [min_int]. *)
-    (Small (x / y), Small (x mod y))
-  | Small x, Big _ ->
-    (* A canonical [Big] divisor exceeds any [Small] in magnitude. *)
-    (Small 0, Small x)
-  | Big _, _ ->
-    let q, r = big_divmod (big_of a) (big_of b) in
+  if is_zero b then raise Division_by_zero
+  else if is_small a then
+    if is_small b then
+      (* Native truncated division; [min_int / -1], the only overflowing
+         case, cannot arise because an immediate is never [min_int]. *)
+      let x = small_val a and y = small_val b in
+      (small (x / y), small (x mod y))
+    else
+      (* A canonical [big] divisor exceeds any immediate in magnitude. *)
+      (zero, a)
+  else
+    let q, r = big_divmod (big_val a) (big_of b) in
     (demote q, demote r)
 
 let div a b = fst (divmod a b)
@@ -735,32 +751,34 @@ let gcd_word x y =
    size), then the word-sized binary gcd finishes allocation-free --
    and handles the overwhelmingly common case of [Rational.make]
    normalization directly, since both operands of a reduced rational
-   are usually [Small]. *)
+   are usually immediates. *)
+let gcd_small a b =
+  let x = small_val a and y = small_val b in
+  small (gcd_word (if x < 0 then -x else x) (if y < 0 then -y else y))
+
 let gcd a b =
-  match (a, b) with
-  | Small 0, _ -> abs b
-  | _, Small 0 -> abs a
-  | Small x, Small y ->
-    Small (gcd_word (if x < 0 then -x else x) (if y < 0 then -y else y))
-  | _ ->
+  if is_zero a then abs b
+  else if is_zero b then abs a
+  else if is_small a && is_small b then gcd_small a b
+  else begin
     Atomic.incr c_gcd;
     let rec go a b =
-      match (a, b) with
-      | _, Small 0 -> a
-      | Small x, Small y ->
-        Small (gcd_word (if x < 0 then -x else x) (if y < 0 then -y else y))
-      | _ -> go b (rem a b)
+      if is_zero b then a
+      else if is_small a && is_small b then gcd_small a b
+      else go b (rem a b)
     in
     go (abs a) (abs b)
+  end
 
 let lcm a b =
   if is_zero a || is_zero b then zero
   else abs (mul (div a (gcd a b)) b)
 
-let to_int_opt = function
-  | Small n -> Some n
-  | Big b ->
-    (* Canonical [Big]: only [min_int] still fits a native int. *)
+let to_int_opt t =
+  if is_small t then Some (small_val t)
+  else
+    let b = big_val t in
+    (* Canonical [big]: only [min_int] still fits a native int. *)
     if b.sign < 0
        && Array.length b.mag = 3
        && b.mag.(2) = 1 lsl (62 - (2 * limb_bits))
@@ -774,9 +792,10 @@ let to_int_exn t =
   | Some n -> n
   | None -> failwith "Bigint.to_int_exn: out of native int range"
 
-let to_float = function
-  | Small n -> float_of_int n
-  | Big b ->
+let to_float t =
+  if is_small t then float_of_int (small_val t)
+  else
+    let b = big_val t in
     let basef = float_of_int base in
     let m = Array.fold_right (fun limb acc -> (acc *. basef) +. float_of_int limb) b.mag 0.0 in
     float_of_int b.sign *. m
@@ -842,9 +861,10 @@ let rec mag_to_digits buf mag pad =
     mag_to_digits buf r pd
   end
 
-let to_string = function
-  | Small n -> string_of_int n
-  | Big b ->
+let to_string t =
+  if is_small t then string_of_int (small_val t)
+  else
+    let b = big_val t in
     let buf = Buffer.create (Array.length b.mag * 10) in
     if b.sign < 0 then Buffer.add_char buf '-';
     mag_to_digits buf b.mag 0;
@@ -872,7 +892,7 @@ let of_string s =
     let rec go acc e = if e = 0 then acc else go (acc * 10) (e - 1) in
     go 1 e
   in
-  let ten = Small 10 in
+  let ten = small 10 in
   let rec parse off len =
     if len <= of_string_threshold then begin
       let acc = ref zero in
@@ -889,7 +909,7 @@ let of_string s =
         for k = !i to !i + take - 1 do
           part_val := (!part_val * 10) + (Char.code s.[k] - Char.code '0')
         done;
-        acc := add (mul_int !acc (int_pow10 take)) (Small !part_val);
+        acc := add (mul_int !acc (int_pow10 take)) (small !part_val);
         i := !i + take
       done;
       !acc
@@ -913,7 +933,7 @@ let pp fmt t = Format.pp_print_string fmt (to_string t)
    allocates a product magnitude and a fresh sum per term; [Acc]
    instead accumulates limb products into a growable mutable buffer
    (one per sign) and materialises a bigint only once at the end.
-   Small/small terms never touch a limb array at all: the native
+   Terms with two immediate factors never touch a limb array at all: the native
    product is folded in as a three-limb carry ripple. *)
 module Acc = struct
   type buf = { mutable limbs : int array; mutable len : int }
@@ -1041,11 +1061,22 @@ module Acc = struct
       add_mag_into buf (mul_mag a.mag b.mag)
     else madd buf a.mag b.mag
 
+  (* Mixed small/limb product with a single-limb scalar — the bulk
+     shape of dense convolutions over tables holding both small edge
+     entries and factorial-scale middles. [x <> 0] (zeros are skipped
+     by the caller) and an immediate is never [min_int], so [abs] is
+     exact. *)
+  let add_mul_word acc x b =
+    Atomic.incr c_acc_mul;
+    madd_word
+      (if (x >= 0) = (b.sign > 0) then acc.pos else acc.neg)
+      (Stdlib.abs x) b.mag
+
   let add_mul acc a b =
-    match (a, b) with
-    | Small 0, _ | _, Small 0 -> ()
-    | Small x, Small y ->
+    if is_zero a || is_zero b then ()
+    else if is_small a && is_small b then begin
       Atomic.incr c_acc_mul;
+      let x = small_val a and y = small_val b in
       let ax = if x < 0 then -x else x in
       let ay = if y < 0 then -y else y in
       if ax < small_prod_bound && ay < small_prod_bound then
@@ -1058,28 +1089,24 @@ module Acc = struct
             (if p < 0 then -p else p)
         else add_mul_big acc a b
       end
-    | (Small x, Big b | Big b, Small x) when Stdlib.abs x < 1 lsl limb_bits ->
-      (* Mixed small/limb product with a single-limb scalar — the bulk
-         shape of dense convolutions over tables holding both small
-         edge entries and factorial-scale middles. [x <> 0]: zeros were
-         matched above, and [Small] never holds [min_int] so [abs] is
-         exact. *)
+    end
+    else if is_small a && Stdlib.abs (small_val a) < base then
+      add_mul_word acc (small_val a) (big_val b)
+    else if is_small b && Stdlib.abs (small_val b) < base then
+      add_mul_word acc (small_val b) (big_val a)
+    else begin
       Atomic.incr c_acc_mul;
-      madd_word
-        (if (x >= 0) = (b.sign > 0) then acc.pos else acc.neg)
-        (Stdlib.abs x) b.mag
-    | _ ->
-      if not (is_zero a || is_zero b) then begin
-        Atomic.incr c_acc_mul;
-        add_mul_big acc a b
-      end
+      add_mul_big acc a b
+    end
 
   let add acc a =
-    match a with
-    | Small 0 -> ()
-    | Small n ->
-      add_word (if n > 0 then acc.pos else acc.neg) (if n < 0 then -n else n)
-    | Big b -> add_mag_into (if b.sign > 0 then acc.pos else acc.neg) b.mag
+    if is_small a then begin
+      let n = small_val a in
+      if n <> 0 then add_word (if n > 0 then acc.pos else acc.neg) (if n < 0 then -n else n)
+    end
+    else
+      let b = big_val a in
+      add_mag_into (if b.sign > 0 then acc.pos else acc.neg) b.mag
 
   let buf_mag buf = trim (Array.sub buf.limbs 0 buf.len)
 
@@ -1093,6 +1120,66 @@ module Acc = struct
       | c when c > 0 -> demote (normalize 1 (sub_mag p n))
       | _ -> demote (normalize (-1) (sub_mag n p))
 end
+
+(* {2 All-small convolution}
+
+   The first tier of [Tables.convolve]: when every entry of both tables
+   is immediate, the whole product runs on native ints. A [t array]
+   whose entries are all immediate has exactly the memory layout of an
+   [int array], so the kernel reads both tables in place through that
+   view, and writes native ints into a fresh [int array] that it hands
+   back as the result table — no copy in, no boxing out. The view is
+   only ever read, and only after the scan has seen no [big] entry: a
+   write of a [big] through an [int array] alias would skip the write
+   barrier. Every product and partial sum is overflow-checked with the
+   tests [mul]/[add] use, and an output of exactly [min_int] (which an
+   immediate may not hold) also gives up; the caller then recomputes on
+   the classic paths. Inputs hold no [min_int], so [abs] and the
+   division check are exact. *)
+
+exception Overflow
+
+external int_view : t array -> int array = "%identity"
+external of_ints : int array -> t array = "%identity"
+
+(* Top-level loops, not local closures over the array: without
+   flambda a closure is allocated on every call. *)
+let rec all_small a i = i < 0 || (is_small a.(i) && all_small a (i - 1))
+let rec holds_min_int out i = i >= 0 && (out.(i) = min_int || holds_min_int out (i - 1))
+
+let convolve_ints ai bi out =
+  let lb = Array.length bi in
+  for i = 0 to Array.length ai - 1 do
+    let x = ai.(i) in
+    if x <> 0 then begin
+      let ax = if x < 0 then -x else x in
+      for j = 0 to lb - 1 do
+        let y = bi.(j) in
+        if y <> 0 then begin
+          let p =
+            if ax < small_prod_bound && (if y < 0 then -y else y) < small_prod_bound then x * y
+            else
+              let p = x * y in
+              if p = min_int || p / y <> x then raise_notrace Overflow else p
+          in
+          let k = i + j in
+          let o = out.(k) in
+          let s = o + p in
+          if (o lxor s) land (p lxor s) < 0 then raise_notrace Overflow;
+          out.(k) <- s
+        end
+      done
+    end
+  done
+
+let convolve_small a b =
+  if not (all_small a (Array.length a - 1) && all_small b (Array.length b - 1)) then None
+  else begin
+    let out = Array.make (Array.length a + Array.length b - 1) 0 in
+    match convolve_ints (int_view a) (int_view b) out with
+    | () -> if holds_min_int out (Array.length out - 1) then None else Some (of_ints out)
+    | exception Overflow -> None
+  end
 
 module Infix = struct
   let ( + ) = add

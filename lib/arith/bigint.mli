@@ -1,13 +1,15 @@
 (** Arbitrary-precision signed integers.
 
-    Tagged representation: every value that fits a native 63-bit [int]
-    (except [min_int], whose negation overflows) is an immediate,
-    unboxed small integer; everything else is a sign-magnitude record
-    with little-endian limbs in base [2^30]. Small/small operations run
-    in native arithmetic behind exact overflow checks and promote to
-    limb arrays only on demand; limb results demote back the moment
-    they fit, so the representation is canonical and the many tiny
-    DP-table entries early in the recursions never touch the heap.
+    Every value that fits a native 63-bit [int] (except [min_int],
+    whose negation overflows) is an immediate OCaml int, with no heap
+    block of its own; everything else is a pointer to a sign-magnitude
+    record with little-endian limbs in base [2^30]. Small/small
+    operations run in native arithmetic behind exact overflow checks
+    and promote to limb arrays only on demand; limb results demote back
+    the moment they fit, so the representation is canonical and the
+    many tiny DP-table entries early in the recursions never touch the
+    heap. Equal values are structurally equal, so polymorphic [=] and
+    [Hashtbl.hash] agree with {!equal}.
     All operations are purely functional. This module exists because
     the Shapley weights [k!(n-k-1)!/n!] and the subset counts
     manipulated by the dynamic programs exceed 63-bit integers for any
@@ -51,16 +53,9 @@ val to_int_opt : t -> int option
 (** [None] if the value does not fit in a native [int]. *)
 
 val is_small : t -> bool
-(** [true] iff the value is held in the unboxed small-integer
-    representation — every native [int] except [min_int]. Exposed for
-    the promotion/demotion property tests. *)
-
-val small_value : t -> int
-(** The native value of a small-representation number, without
-    allocating (unlike {!to_int_opt}). Pair with {!is_small}: this is
-    the extraction primitive for kernels that batch-convert whole
-    tables into the int domain (see {!Aggshap_core.Tables.convolve}).
-    @raise Invalid_argument on a promoted (limb-array) value. *)
+(** [true] iff the value is an immediate int — every native [int]
+    except [min_int]; a test of the word's tag bit. Exposed for the
+    canonical-form property tests. *)
 
 val to_int_exn : t -> int
 (** @raise Failure if the value does not fit in a native [int]. *)
@@ -168,6 +163,20 @@ module Acc : sig
   val clear : acc -> unit
   (** Reset to zero, keeping the buffers for reuse. *)
 end
+
+(** {1 All-small convolution} *)
+
+val convolve_small : t array -> t array -> t array option
+(** [convolve_small a b] is the convolution of [a] and [b] (length
+    [|a| + |b| - 1], entry [k] = [Σ_{i+j=k} a.(i) * b.(j)]) computed in
+    native ints, or [None] when it cannot be: some entry of [a] or [b]
+    is not {!is_small}, some product or partial sum overflows, or some
+    output entry is [min_int]. The tables are read in place and the
+    native output array is returned as the result, so no entry is
+    converted or boxed. The first tier of
+    {!Aggshap_core.Tables.convolve}, which counts the calls that return
+    [Some]; it lives here because it relies on how a small value is
+    represented (DESIGN.md §8). *)
 
 (** {1 Infix operators}
 

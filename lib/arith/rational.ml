@@ -1,10 +1,11 @@
 type t = { num : Bigint.t; den : Bigint.t }
 (* Invariants: [den > 0]; [gcd num den = 1]; zero is [0/1].
 
-   Components are tagged {!Bigint.t} values, so a rational whose
-   reduced parts fit in native ints (the common case for Shapley
-   weights early in a DP) costs two immediate words and its gcds run on
-   the word-sized Stein path; nothing here needs to know which
+   Components are {!Bigint.t} values, whose small values are immediate
+   ints, so a rational whose reduced parts fit in native ints (the
+   common case for Shapley weights early in a DP) is one record of two
+   immediate words, with no block behind either field, and its gcds
+   run on the word-sized Stein path; nothing here needs to know which
    representation is live. *)
 
 let make num den =

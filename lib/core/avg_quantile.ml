@@ -10,10 +10,17 @@ module Value_fn = Aggshap_agg.Value_fn
 module Database = Aggshap_relational.Database
 module Fact = Aggshap_relational.Fact
 
+(* The int-triple compare orders keys as [Stdlib.compare] does, without
+   a [caml_compare] call per map step. *)
 module LMap = Map.Make (struct
   type t = int * int * int
 
-  let compare = Stdlib.compare
+  let compare (a1, b1, c1) (a2, b2, c2) =
+    let c = Int.compare a1 a2 in
+    if c <> 0 then c
+    else
+      let c = Int.compare b1 b2 in
+      if c <> 0 then c else Int.compare c1 c2
 end)
 
 (* N_a for one sub-query: (ℓ<, ℓ=, ℓ>) ↦ per-k counts. Every subset is

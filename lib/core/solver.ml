@@ -77,7 +77,7 @@ let run_route ?mc_seed ?kc_node_budget ~score (a : Agg_query.t) db f = function
 
 (* Walk the plan's degradation ladder: a rung aborting on the d-DNNF
    node budget falls to the next one (the knowledge-compilation
-   analogue of the Int_overflow abort-and-retry in Tables.convolve).
+   analogue of the int tier's abort-and-retry in Tables.convolve).
    The report names the rung that actually answered. *)
 let run_ladder (p : Strategy.plan) a exec =
   let rec go aborted = function

@@ -76,59 +76,21 @@ let count_nonzero a =
   Array.iter (fun x -> if not (B.is_zero x) then incr c) a;
   !c
 
-(* First tier: when every entry of both tables is in the small-int
-   representation, the whole convolution runs in the int domain — two
-   flat [int array]s, native products and sums, no constructor
-   dispatch, no per-term [Bigint] calls. Every product and partial sum
-   is overflow-checked with the same tests [Bigint.mul]/[add] use; any
-   overflow aborts to the classic paths, which recompute from scratch
-   (rare: one table entry past 62 bits sends the whole convolution to
-   the classic paths, and the aborted int work is at most one pass).
-   Inputs hold no [min_int] (excluded from the small representation),
-   so [abs] and the division check below are exact. *)
-exception Int_overflow
-
-let small_values a =
-  Array.map
-    (fun x -> if B.is_small x then B.small_value x else raise_notrace Int_overflow)
-    a
-
-let small_convolve ai bi n =
-  let la = Array.length ai and lb = Array.length bi in
-  let out = Array.make n 0 in
-  for i = 0 to la - 1 do
-    let x = ai.(i) in
-    if x <> 0 then
-      for j = 0 to lb - 1 do
-        let y = bi.(j) in
-        if y <> 0 then begin
-          let p =
-            if abs x < 0x40000000 && abs y < 0x40000000 then x * y
-            else
-              let p = x * y in
-              if p = min_int || p / y <> x then raise_notrace Int_overflow else p
-          in
-          let k = i + j in
-          let o = out.(k) in
-          let s = o + p in
-          if (o >= 0) = (p >= 0) && (s >= 0) <> (p >= 0) then
-            raise_notrace Int_overflow;
-          out.(k) <- s
-        end
-      done
-  done;
-  out
-
+(* First tier: [Bigint.convolve_small] runs the whole convolution in
+   native ints, on the tables in place, when every entry of both is
+   small, and declines otherwise; the classic paths then recompute from
+   scratch (rare: one entry past 62 bits sends the whole convolution
+   there, and the declined int work is at most one pass). *)
 let convolve a b =
   Atomic.incr c_convolve;
   let la = Array.length a and lb = Array.length b in
   let n = la + lb - 1 in
   let out =
-    match small_convolve (small_values a) (small_values b) n with
-    | ints ->
+    match B.convolve_small a b with
+    | Some out ->
       Atomic.incr c_convolve_small;
-      Array.map B.of_int ints
-    | exception Int_overflow ->
+      out
+    | None ->
       let out = Array.make n B.zero in
       (* Shape dispatch: the multiply-accumulate path amortizes only when
          most term products are live. Thin operands and sparse tables (the

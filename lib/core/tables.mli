@@ -54,12 +54,12 @@ val convolve : counts -> counts -> counts
 (** [convolve a b] has length [(|a|-1) + (|b|-1) + 1]; entry [k] is
     [Σ_{k1+k2=k} a.(k1) * b.(k2)] — the table of a conjunction over two
     disjoint fact sets. Two tiers (see DESIGN.md §8): tables whose
-    entries all fit the small-int representation run wholly in the
-    native int domain (overflow-checked, aborting to the tier below);
-    everything else takes the classic paths — a zero-skipping scatter
-    loop for sparse/thin operands, a multiply-accumulate buffer
-    ({!Aggshap_arith.Bigint.Acc}) for dense ones. Both tiers produce
-    bit-identical results. *)
+    entries are all small run wholly in native ints, read in place by
+    {!Aggshap_arith.Bigint.convolve_small} (overflow-checked, aborting
+    to the tier below); everything else takes the classic paths — a
+    zero-skipping scatter loop for sparse/thin operands, a
+    multiply-accumulate buffer ({!Aggshap_arith.Bigint.Acc}) for dense
+    ones. Both tiers produce bit-identical results. *)
 
 val convolve_many : counts list -> counts
 (** Balanced pairwise reduction of [convolve] over the list (neutral

@@ -129,7 +129,7 @@ let mk mgr var hi lo =
     | Some n -> n
     | None ->
       (* The node budget caps the circuit before the next allocation,
-         mirroring the Int_overflow abort-and-retry in Tables.convolve:
+         mirroring the int tier's abort-and-retry in Tables.convolve:
          the caller catches Budget_exceeded and falls back to the
          planner's next tier. Under [`Kc_budget_leak] the guard is
          silently skipped (see {!expand}). *)

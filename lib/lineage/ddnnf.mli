@@ -25,7 +25,7 @@ exception Budget_exceeded
     budget would be exceeded by the next allocation. The caller is
     expected to abandon the manager and fall back to the solve
     planner's next tier — the knowledge-compilation analogue of the
-    [Int_overflow] abort-and-retry in [Tables.convolve]. *)
+    int tier's abort-and-retry in [Tables.convolve]. *)
 
 type manager
 (** Unique node table + formula-keyed compile cache + counting memo.

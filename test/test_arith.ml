@@ -408,6 +408,111 @@ let small_props =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* The representation: immediates and limb records                     *)
+(*                                                                     *)
+(* A small value is an immediate int, a large one a pointer to a limb  *)
+(* record. These pin the canonical form on every operation's result,   *)
+(* the structural equality and hashing that polymorphic code relies    *)
+(* on, the order of immediates before blocks, and that small values    *)
+(* cost no allocation.                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference for "fits a native int other than min_int" reads the
+   decimal digits, not the representation. *)
+let fits_immediate v =
+  match int_of_string_opt (B.to_string v) with
+  | Some n -> n <> min_int
+  | None -> false
+
+let canonical v = B.is_small v = fits_immediate v
+
+(* Boundary-heavy values: the named native edges and their neighbours,
+   limb values just past the native range on both sides, and random
+   multi-limb values. *)
+let arb_edge_value =
+  let edges =
+    [ 0; 1; -1; 1 lsl 30; -(1 lsl 30); 1 lsl 31; -(1 lsl 31); 1 lsl 61; -(1 lsl 61);
+      max_int; min_int + 1; min_int ]
+  in
+  let gen =
+    QCheck.Gen.(
+      frequency
+        [ (4,
+           let* e = oneofl edges in
+           let* d = int_range (-2) 2 in
+           (* [e + d] wraps at the native edges; the limb sum does not. *)
+           return (B.add (B.of_int e) (B.of_int d)));
+          (2, map B.of_int int);
+          (2,
+           let* neg = bool in
+           let* ndigits = int_range 19 60 in
+           let* digits = list_size (return ndigits) (int_range 0 9) in
+           let s = String.concat "" (List.map string_of_int digits) in
+           return (B.of_string (if neg then "-" ^ s else s))) ])
+  in
+  QCheck.make gen ~print:B.to_string
+
+let representation_props =
+  [ prop "every result is in canonical form" 2000
+      QCheck.(pair arb_edge_value arb_edge_value)
+      (fun (a, b) ->
+        let results =
+          [ a; b; B.add a b; B.sub a b; B.mul a b; B.sqr a; B.neg a; B.abs a; B.gcd a b;
+            B.of_string (B.to_string a) ]
+        in
+        let divisions =
+          if B.is_zero b then []
+          else
+            let q, r = B.divmod a b in
+            [ q; r ]
+        in
+        List.for_all canonical (results @ divisions));
+    prop "structural equality and hashing agree with equal" 2000
+      QCheck.(pair arb_edge_value arb_edge_value)
+      (fun (a, b) ->
+        (* The same value along other paths: through a limb result that
+           demotes (or not) on the way back, through the parser, and
+           through a division. *)
+        let anchor = B.pow B.two 100 in
+        let same =
+          [ B.sub (B.add a anchor) anchor;
+            B.of_string (B.to_string a);
+            B.div (B.mul a anchor) anchor ]
+        in
+        List.for_all
+          (fun a' -> a = a' && Hashtbl.hash a = Hashtbl.hash a' && B.equal a a')
+          same
+        && (a = b) = B.equal a b
+        && (Stdlib.compare a b = 0) = B.equal a b);
+  ]
+
+let test_representation_order () =
+  (* Polymorphic compare sorts immediates before limb values whatever
+     their sign, so a sort over values holding bignums keeps the order
+     it had when small values were a constructor with tag 0 and limb
+     values one with tag 1. *)
+  let big_neg = B.neg (B.pow B.two 100) and big_pos = B.pow B.two 100 in
+  Alcotest.(check bool) "immediate before a negative limb value" true
+    (Stdlib.compare (B.of_int max_int) big_neg < 0);
+  Alcotest.(check bool) "immediate before a positive limb value" true
+    (Stdlib.compare (B.of_int (-1)) big_pos < 0);
+  Alcotest.(check bool) "immediates in numeric order" true
+    (Stdlib.compare (B.of_int (-5)) (B.of_int 3) < 0)
+
+(* Small operands take the native paths, which must not allocate: the
+   representation cannot silently go back to boxing. *)
+let test_small_ops_allocate_nothing () =
+  let x = B.of_int 12_345 and y = B.of_int (-678) in
+  let acc = ref B.zero in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    acc := B.add !acc (B.mul x y)
+  done;
+  let after = Gc.minor_words () in
+  Alcotest.(check (float 0.)) "minor words for 10,000 add/mul pairs" 0. (after -. before);
+  check_b "their sum" (string_of_int (10_000 * 12_345 * -678)) !acc
+
+(* ------------------------------------------------------------------ *)
 (* Rational unit tests                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -564,9 +669,14 @@ let () =
           Alcotest.test_case "to_float" `Quick test_bigint_to_float;
           Alcotest.test_case "small representation boundary" `Quick
             test_small_representation;
+          Alcotest.test_case "immediates order before limb values" `Quick
+            test_representation_order;
+          Alcotest.test_case "small add/mul allocate nothing" `Quick
+            test_small_ops_allocate_nothing;
         ] );
       ("bigint properties", bigint_props);
       ("small-int properties", small_props);
+      ("representation properties", representation_props);
       ("kernel differentials", kernel_props);
       ( "rational",
         [ Alcotest.test_case "basic" `Quick test_rational_basic;

@@ -478,6 +478,11 @@ let product_overflow n = Array.make n (B.pow B.two 31)
 let sum_overflow_a = [| B.pow B.two 31; B.pow B.two 31 |]
 let sum_overflow_b = [| B.pow B.two 30; B.pow B.two 30 |]
 
+(* No product or partial sum overflows, but the middle entry,
+   -2^61 - 2^61, is exactly min_int, which only a limb value holds. *)
+let min_int_middle_a = [| B.of_int (-(1 lsl 61)); B.of_int (-(1 lsl 61)) |]
+let min_int_middle_b = [| B.one; B.one |]
+
 let convolve_shape_cases =
   [ (* min length below the threshold: scatter, however dense. *)
     ("thin x long", dense_ramp 3, dense_ramp 20);
@@ -503,10 +508,13 @@ let convolve_shape_cases =
     (* all-small entries that overflow mid-convolution: the int tier
        aborts on a product, or on a partial sum alone. *)
     ("product overflow", product_overflow 10, product_overflow 10);
-    ("partial-sum overflow", sum_overflow_a, sum_overflow_b) ]
+    ("partial-sum overflow", sum_overflow_a, sum_overflow_b);
+    (* an output entry of exactly min_int. *)
+    ("min_int middle entry", min_int_middle_a, min_int_middle_b) ]
 
 (* The int tier takes a convolution only when it finishes without
-   overflow; every abort leaves the result to the classic paths. *)
+   overflow and with no output of min_int; every abort leaves the
+   result to the classic paths. *)
 let test_int_tier_dispatch () =
   let taken name a b expected =
     Core.Tables.reset_stats ();
@@ -520,7 +528,11 @@ let test_int_tier_dispatch () =
   taken "sparse small" (sparse_spikes 16) (dense_ramp 3) true;
   taken "one wide entry" (one_wide 30) (dense_ramp 30) false;
   taken "product overflow" (product_overflow 10) (product_overflow 10) false;
-  taken "partial-sum overflow" sum_overflow_a sum_overflow_b false
+  taken "partial-sum overflow" sum_overflow_a sum_overflow_b false;
+  taken "min_int middle entry" min_int_middle_a min_int_middle_b false;
+  let middle = (Core.Tables.convolve min_int_middle_a min_int_middle_b).(1) in
+  Alcotest.(check string) "min_int middle: value" (string_of_int min_int) (B.to_string middle);
+  Alcotest.(check bool) "min_int middle: a limb value" false (B.is_small middle)
 
 let test_convolve_many_mixed_shapes () =
   let ts = [ dense_ramp 12; sparse_spikes 16; dense_ramp 3; dense_ramp 9 ] in
