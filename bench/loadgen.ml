@@ -157,10 +157,10 @@ let run_client ~tenant ~out_path =
 (* Aggregation                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Nearest-rank percentile, total on every sample count (a 1-sample run
-   reports that sample for every percentile). Lives in [Percentile] so
-   the rank arithmetic is unit tested. *)
-let percentile = Percentile.percentile
+(* Nearest-rank percentile from the benchmark's order-statistics module
+   ([Stats], perf/stats.ml): a 1-sample run reports that sample for
+   every percentile. An empty series prints as 0 and writes no row. *)
+let percentile sorted p = Option.value (Stats.percentile sorted p) ~default:0.0
 
 let read_latencies path =
   let ic = open_in path in

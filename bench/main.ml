@@ -386,34 +386,27 @@ let e12 () =
     graphs
 
 (* E13: the batch engine — all-facts shapley_all, sequential (seed path)
-   vs shared-DP caching vs domain-parallel, on the scaling families. *)
+   vs the variant pass with and without shared-DP caching, on the
+   scaling families. *)
 let e13 () =
-  header "E13 (batch engine): all-facts shapley_all — seq vs cached vs parallel";
-  let jobs = max 2 (Core.Pool.default_jobs ()) in
+  header "E13 (batch engine): all-facts shapley_all — seq vs cached vs uncached";
   Printf.printf
-    "Parallel runs use %d worker domains (recommended for this machine: %d);\n\
-     all variants must return bit-identical rational values (column 'same').\n\
-     c-spd = seq / cached (jobs=1); p-spd = seq / (par+cache). A frontier\n\
-     solve no longer splits across domains (one variant pass per DP), so\n\
-     par and par+cache rerun the uncached and cached solves.\n" jobs
-    (Core.Pool.default_jobs ());
+    "All variants must return bit-identical rational values (column 'same').\n\
+     c-spd = seq / cached. Every variant solves in the calling domain.\n";
   let run_family ~title ~sizes ~make_db ~make_agg ~seed_all =
     Printf.printf "\n-- %s --\n" title;
-    Printf.printf "%6s %8s %10s %10s %10s %10s %7s %7s %6s  %s\n" "rows" "players"
-      "seq" "cached" "par" "par+cache" "c-spd" "p-spd" "same" "cache";
+    Printf.printf "%6s %8s %10s %10s %10s %7s %6s  %s\n" "rows" "players"
+      "seq" "cached" "uncached" "c-spd" "same" "cache";
     List.iter
       (fun rows ->
         let db = make_db rows in
         let a = make_agg () in
         let seq, t_seq = time (fun () -> seed_all a db) in
         let (cached, stats_c), t_cached =
-          time (fun () -> Core.Batch.shapley_all ~jobs:1 ~cache:true a db)
+          time (fun () -> Core.Batch.shapley_all ~cache:true a db)
         in
-        let (par, _), t_par =
-          time (fun () -> Core.Batch.shapley_all ~jobs ~cache:false a db)
-        in
-        let (parc, _), t_parc =
-          time (fun () -> Core.Batch.shapley_all ~jobs ~cache:true a db)
+        let (uncached, _), t_uncached =
+          time (fun () -> Core.Batch.shapley_all ~cache:false a db)
         in
         let same =
           List.for_all
@@ -422,17 +415,16 @@ let e13 () =
               && List.for_all2
                    (fun (f1, v1) (f2, v2) -> Fact.equal f1 f2 && Q.equal v1 v2)
                    seq other)
-            [ cached; par; parc ]
+            [ cached; uncached ]
         in
         let cache_s =
           match stats_c.Core.Batch.cache with
           | Some m -> Core.Memo.stats_to_string m
           | None -> "-"
         in
-        Printf.printf "%6d %8d %10s %10s %10s %10s %6.2fx %6.2fx %6s  %s\n" rows
+        Printf.printf "%6d %8d %10s %10s %10s %6.2fx %6s  %s\n" rows
           (Database.endo_size db) (pp_time (Some t_seq)) (pp_time (Some t_cached))
-          (pp_time (Some t_par)) (pp_time (Some t_parc))
-          (t_seq /. t_cached) (t_seq /. t_parc)
+          (pp_time (Some t_uncached)) (t_seq /. t_cached)
           (if same then "ok" else "MISMATCH")
           cache_s)
       sizes
@@ -488,9 +480,7 @@ let e14 () =
         let kernels =
           Obj
             [ ("mul_schoolbook", Int bs.B.mul_schoolbook);
-              ("mul_karatsuba", Int bs.B.mul_karatsuba);
               ("mul_small", Int bs.B.mul_small);
-              ("sqr", Int bs.B.sqr);
               ("divmod", Int bs.B.divmod);
               ("gcd", Int bs.B.gcd);
               ("acc_mul", Int bs.B.acc_mul);
@@ -577,7 +567,6 @@ let e15 () =
         @ [ ( "kernels",
               Obj
                 [ ("mul_schoolbook", Int bs.B.mul_schoolbook);
-                  ("mul_karatsuba", Int bs.B.mul_karatsuba);
                   ("mul_small", Int bs.B.mul_small);
                   ("acc_mul", Int bs.B.acc_mul);
                   ("convolve", Int ts.Core.Tables.convolve);

@@ -149,9 +149,7 @@ let print_kernel_stats () =
   List.iter
     (fun (name, v) -> Printf.printf "  %-18s %d\n" name v)
     [ ("mul_schoolbook", bs.Aggshap_arith.Bigint.mul_schoolbook);
-      ("mul_karatsuba", bs.Aggshap_arith.Bigint.mul_karatsuba);
       ("mul_small", bs.Aggshap_arith.Bigint.mul_small);
-      ("sqr", bs.Aggshap_arith.Bigint.sqr);
       ("divmod", bs.Aggshap_arith.Bigint.divmod);
       ("gcd", bs.Aggshap_arith.Bigint.gcd);
       ("acc_mul", bs.Aggshap_arith.Bigint.acc_mul);
@@ -240,7 +238,7 @@ let read_file what path =
     s
   with Sys_error msg -> die "cannot read %s: %s" what msg
 
-let run_session query_s db_path agg_s tau_s updates_path jobs stats =
+let run_session query_s db_path agg_s tau_s updates_path stats =
   let module Session = Aggshap_incr.Session in
   let module Script = Aggshap_incr.Script in
   let module Update = Aggshap_incr.Update in
@@ -248,7 +246,6 @@ let run_session query_s db_path agg_s tau_s updates_path jobs stats =
   let db = read_database db_path in
   warn_schema q db;
   let a = make_agg_query agg_s tau_s q in
-  check_jobs jobs;
   let ops =
     match Script.parse (read_file "update script" updates_path) with
     | Ok ops -> ops
@@ -284,8 +281,7 @@ let run_session query_s db_path agg_s tau_s updates_path jobs stats =
 (* serve                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let run_serve socket max_sessions state_dir jobs quiet =
-  check_jobs jobs;
+let run_serve socket max_sessions state_dir quiet =
   if max_sessions < 1 then die "--max-sessions must be at least 1 (got %d)" max_sessions;
   let log =
     if quiet then fun _ -> ()
@@ -293,7 +289,7 @@ let run_serve socket max_sessions state_dir jobs quiet =
   in
   match
     Server.run
-      { Server.socket; max_sessions; state_dir; default_jobs = jobs; log }
+      { Server.socket; max_sessions; state_dir; default_jobs = None; log }
   with
   | Ok () -> 0
   | Error msg -> die "%s" msg
@@ -311,9 +307,8 @@ let client_error = function
   | Protocol.Error { line = None; message } -> die "server error: %s" message
   | _ -> die "unexpected response from server"
 
-let run_client action session socket query_s db_path agg_s tau_s fallback_s jobs
+let run_client action session socket query_s db_path agg_s tau_s fallback_s
     updates_path op_s kc_node_budget retry_ms =
-  check_jobs jobs;
   check_kc_budget kc_node_budget;
   let one req print =
     or_die
@@ -328,7 +323,7 @@ let run_client action session socket query_s db_path agg_s tau_s fallback_s jobs
     let query = match query_s with Some q -> q | None -> die "client open needs --query" in
     let db_path = match db_path with Some d -> d | None -> die "client open needs --database" in
     let db = read_file "database" db_path in
-    let spec = { Api.query; db; agg = agg_s; tau = tau_s; jobs } in
+    let spec = { Api.query; db; agg = agg_s; tau = tau_s; jobs = None } in
     one (Protocol.Open { session; spec }) (function
       | Protocol.Opened { session; facts } ->
         Printf.printf "opened %s (%d facts)\n" session facts
@@ -583,9 +578,8 @@ let jobs_arg =
          ~doc:"Worker domains for Monte-Carlo sampling and for fuzz's \
                parallel equivalence checks (default: the recommended domain \
                count of the machine; 1 disables parallelism). Frontier, \
-               knowledge-compilation and naive solves, sessions and the \
-               server run in the calling domain whatever N says. Results \
-               are identical for every N.")
+               knowledge-compilation and naive solves run in the calling \
+               domain whatever N says. Results are identical for every N.")
 
 let cache_arg =
   Arg.(value & opt bool true & info [ "cache" ] ~docv:"BOOL"
@@ -653,7 +647,7 @@ let session_cmd =
              session, printing exact Shapley values after every step. \
              Values are bit-identical to re-solving from scratch; only \
              the state dirtied by each update is recomputed.")
-    Term.(const run_session $ query_arg $ db_arg $ agg_arg $ tau_arg $ updates_file_arg $ jobs_arg $ session_stats_arg)
+    Term.(const run_session $ query_arg $ db_arg $ agg_arg $ tau_arg $ updates_file_arg $ session_stats_arg)
 
 let socket_arg =
   Arg.(required & opt (some string) None & info [ "socket" ] ~docv:"PATH"
@@ -684,7 +678,7 @@ let serve_cmd =
              and snapshot/restore of session state. Answers are \
              bit-identical to 'shapctl solve' and 'shapctl session' on \
              the same inputs.")
-    Term.(const run_serve $ socket_arg $ max_sessions_arg $ state_dir_arg $ jobs_arg $ quiet_arg)
+    Term.(const run_serve $ socket_arg $ max_sessions_arg $ state_dir_arg $ quiet_arg)
 
 let client_action_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"ACTION"
@@ -729,7 +723,7 @@ let client_cmd =
              Monte Carlo is rejected over the wire).")
     Term.(const run_client $ client_action_arg $ client_session_arg $ socket_arg
           $ client_query_arg $ client_db_arg $ agg_arg $ tau_arg $ fallback_arg
-          $ jobs_arg $ client_updates_arg $ client_op_arg $ kc_budget_arg
+          $ client_updates_arg $ client_op_arg $ kc_budget_arg
           $ retry_ms_arg)
 
 let seed_arg =

@@ -26,10 +26,15 @@
    in OCaml's 63-bit native integers. Division is Knuth's Algorithm D
    (TAOCP vol. 2, 4.3.1); the classic qhat estimation and add-back
    correction are kept exactly as in the reference formulation.
-   Multiplication switches from schoolbook to Karatsuba above
-   [karatsuba_threshold] limbs, string conversion is divide-and-conquer
-   above [string_threshold] limbs, and gcd is a hybrid of Euclid
-   division steps and a word-sized binary (Stein) finish. *)
+   Each operation has one limb kernel: multiplication is schoolbook at
+   every size (in [mul] and in the [Acc] accumulator), [pow] squares
+   with [mul], decimal conversion peels or adds one 9-digit chunk per
+   step at every length, and gcd is a hybrid of Euclid division steps
+   and a word-sized binary (Stein) finish. Kernels for large operands
+   (Karatsuba, a symmetric-term squaring, divide-and-conquer
+   conversion) were retired once call counters found no workload that
+   reaches them (DESIGN.md §4); numerals from outside the program are
+   capped in [Rational.of_string]. *)
 
 let limb_bits = 30
 let base = 1 lsl limb_bits
@@ -65,7 +70,6 @@ type stats = {
   mul_schoolbook : int;
   mul_karatsuba : int;
   mul_small : int;
-  sqr : int;
   divmod : int;
   gcd : int;
   acc_mul : int;
@@ -76,9 +80,7 @@ type stats = {
 (* Atomic counters: increments from concurrent domains are never lost,
    so [--stats] and BENCH_v1 kernel counts are exact under --jobs N. *)
 let c_mul_schoolbook = Atomic.make 0
-let c_mul_karatsuba = Atomic.make 0
 let c_mul_small = Atomic.make 0
-let c_sqr = Atomic.make 0
 let c_divmod = Atomic.make 0
 let c_gcd = Atomic.make 0
 let c_acc_mul = Atomic.make 0
@@ -87,9 +89,8 @@ let c_demotions = Atomic.make 0
 
 let stats () =
   { mul_schoolbook = Atomic.get c_mul_schoolbook;
-    mul_karatsuba = Atomic.get c_mul_karatsuba;
+    mul_karatsuba = 0;
     mul_small = Atomic.get c_mul_small;
-    sqr = Atomic.get c_sqr;
     divmod = Atomic.get c_divmod;
     gcd = Atomic.get c_gcd;
     acc_mul = Atomic.get c_acc_mul;
@@ -98,9 +99,7 @@ let stats () =
 
 let reset_stats () =
   Atomic.set c_mul_schoolbook 0;
-  Atomic.set c_mul_karatsuba 0;
   Atomic.set c_mul_small 0;
-  Atomic.set c_sqr 0;
   Atomic.set c_divmod 0;
   Atomic.set c_gcd 0;
   Atomic.set c_acc_mul 0;
@@ -109,20 +108,22 @@ let reset_stats () =
 
 let big_zero = { sign = 0; mag = [||] }
 
-let normalize sign mag =
-  let n = Array.length mag in
-  let rec top i = if i > 0 && mag.(i - 1) = 0 then top (i - 1) else i in
-  let len = top n in
-  if len = 0 then big_zero
-  else if len = n then { sign; mag }
-  else { sign; mag = Array.sub mag 0 len }
+(* The loops below over limb arrays are top-level functions of their
+   arguments, not local closures over the array: without flambda such
+   a closure is allocated on every call. *)
+let rec top_limb mag i = if i > 0 && mag.(i - 1) = 0 then top_limb mag (i - 1) else i
 
 (* Effective length of a working magnitude: index past the most
    significant non-zero limb. Internal kernels tolerate (and produce)
    leading zero limbs; [trim_len] is how they agree on the real size. *)
-let trim_len mag =
-  let rec top i = if i > 0 && mag.(i - 1) = 0 then top (i - 1) else i in
-  top (Array.length mag)
+let trim_len mag = top_limb mag (Array.length mag)
+
+let normalize sign mag =
+  let n = Array.length mag in
+  let len = trim_len mag in
+  if len = 0 then big_zero
+  else if len = n then { sign; mag }
+  else { sign; mag = Array.sub mag 0 len }
 
 let trim mag =
   let len = trim_len mag in
@@ -209,16 +210,15 @@ let is_one t = t == one
 let is_negative t = if is_small t then small_val t < 0 else (big_val t).sign < 0
 let is_even t = if is_small t then small_val t land 1 = 0 else (big_val t).mag.(0) land 1 = 0
 
+(* Equal-length magnitudes, compared from limb [i] down. *)
+let rec compare_limbs a b i =
+  if i < 0 then 0
+  else if a.(i) <> b.(i) then Int.compare a.(i) b.(i)
+  else compare_limbs a b (i - 1)
+
 let compare_mag a b =
   let la = Array.length a and lb = Array.length b in
-  if la <> lb then Stdlib.compare la lb
-  else
-    let rec go i =
-      if i < 0 then 0
-      else if a.(i) <> b.(i) then Stdlib.compare a.(i) b.(i)
-      else go (i - 1)
-    in
-    go (la - 1)
+  if la <> lb then Int.compare la lb else compare_limbs a b (la - 1)
 
 let big_compare a b =
   if a.sign <> b.sign then Stdlib.compare a.sign b.sign
@@ -346,114 +346,6 @@ let mul_mag_school a b =
     out
   end
 
-(* [add_into out off src] accumulates [src] (a working magnitude,
-   leading zeros allowed) into [out] starting at limb [off]. The caller
-   guarantees the mathematical result fits in [out]. *)
-let add_into out off src =
-  let el = trim_len src in
-  let carry = ref 0 in
-  for i = 0 to el - 1 do
-    let s = out.(off + i) + src.(i) + !carry in
-    out.(off + i) <- s land limb_mask;
-    carry := s lsr limb_bits
-  done;
-  let j = ref (off + el) in
-  while !carry <> 0 do
-    let s = out.(!j) + !carry in
-    out.(!j) <- s land limb_mask;
-    carry := s lsr limb_bits;
-    incr j
-  done
-
-(* Below this many limbs (on the shorter operand) Karatsuba's extra
-   additions and allocations cost more than the saved limb products;
-   tuned with a 150..10000-digit sweep on the bench machine. *)
-let karatsuba_threshold = 48
-
-(* Karatsuba recursion, splitting both operands at half the shorter
-   length. Splitting at the shorter operand keeps [z1 = a0*b1 + a1*b0]
-   within [la + lb - m] limbs, so the final accumulation never outgrows
-   the [la + lb] result buffer. *)
-let rec mul_mag a b =
-  let la = Array.length a and lb = Array.length b in
-  if la = 0 || lb = 0 then [||]
-  else
-    let lmin = Stdlib.min la lb in
-    if lmin < karatsuba_threshold then mul_mag_school a b
-    else begin
-      Atomic.incr c_mul_karatsuba;
-      let m = (lmin + 1) / 2 in
-      let lo x = Array.sub x 0 m in
-      let hi x = Array.sub x m (Array.length x - m) in
-      let a0 = lo a and a1 = hi a in
-      let b0 = lo b and b1 = hi b in
-      let z0 = mul_mag a0 b0 in
-      let z2 = mul_mag a1 b1 in
-      let z1 =
-        sub_mag
-          (sub_mag (mul_mag (add_mag a0 a1) (add_mag b0 b1)) z0)
-          z2
-      in
-      let out = Array.make (la + lb) 0 in
-      add_into out 0 z0;
-      add_into out m z1;
-      add_into out (2 * m) z2;
-      out
-    end
-
-(* Schoolbook squaring with the symmetric-term trick: accumulate the
-   strictly-upper cross products, double, then add the diagonal. *)
-let sqr_mag_school a =
-  let la = Array.length a in
-  if la = 0 then [||]
-  else begin
-    let out = Array.make (2 * la) 0 in
-    for i = 0 to la - 2 do
-      let carry = ref 0 in
-      let ai = a.(i) in
-      for j = i + 1 to la - 1 do
-        let cur = out.(i + j) + (ai * a.(j)) + !carry in
-        out.(i + j) <- cur land limb_mask;
-        carry := cur lsr limb_bits
-      done;
-      out.(i + la) <- out.(i + la) + !carry
-    done;
-    let carry = ref 0 in
-    for k = 0 to (2 * la) - 1 do
-      let v = (out.(k) lsl 1) lor !carry in
-      out.(k) <- v land limb_mask;
-      carry := v lsr limb_bits
-    done;
-    let carry = ref 0 in
-    for i = 0 to la - 1 do
-      let p = a.(i) * a.(i) in
-      let s0 = out.(2 * i) + (p land limb_mask) + !carry in
-      out.(2 * i) <- s0 land limb_mask;
-      let s1 = out.((2 * i) + 1) + (p lsr limb_bits) + (s0 lsr limb_bits) in
-      out.((2 * i) + 1) <- s1 land limb_mask;
-      carry := s1 lsr limb_bits
-    done;
-    out
-  end
-
-let rec sqr_mag a =
-  let la = Array.length a in
-  if la = 0 then [||]
-  else if la < karatsuba_threshold then sqr_mag_school a
-  else begin
-    let m = (la + 1) / 2 in
-    let a0 = Array.sub a 0 m in
-    let a1 = Array.sub a m (la - m) in
-    let z0 = sqr_mag a0 in
-    let z2 = sqr_mag a1 in
-    let z1 = sub_mag (sub_mag (sqr_mag (add_mag a0 a1)) z0) z2 in
-    let out = Array.make (2 * la) 0 in
-    add_into out 0 z0;
-    add_into out m z1;
-    add_into out (2 * m) z2;
-    out
-  end
-
 (* Left-shift a magnitude by [s] bits, 0 <= s < limb_bits. *)
 let shift_left_bits u s =
   if s = 0 then Array.copy u
@@ -484,13 +376,12 @@ let shift_right_bits u s =
     out
   end
 
-(* The injected Karatsuba fault: pretend the implementation forgot the
-   [- z2] term in [z1] for a 2-bit split, i.e. return
-   [a*b + (|a|/4)*(|b|/4)*4]. The 2-bit split (rather than the
-   real limb threshold) makes the bug observable on the small operands
-   fuzz trials produce, while still requiring both operands >= 4 --
-   exactly the shape of a split-point bug that only fires on "large
-   enough" inputs. *)
+(* The injected [`Karatsuba_split] fault: pretend a Karatsuba
+   implementation forgot the [- z2] term in [z1] for a 2-bit split,
+   i.e. return [a*b + (|a|/4)*(|b|/4)*4]. The 2-bit split makes the
+   bug observable on the small operands fuzz trials produce, while
+   still requiring both operands >= 4 -- the shape of a split-point bug
+   that only fires on "large enough" inputs. *)
 let karatsuba_split_corrupt a b r =
   let a1 = trim (shift_right_bits a.mag 2) in
   let b1 = trim (shift_right_bits b.mag 2) in
@@ -501,7 +392,7 @@ let karatsuba_split_corrupt a b r =
 
 let big_mul a b =
   if a.sign = 0 || b.sign = 0 then big_zero
-  else normalize (a.sign * b.sign) (mul_mag a.mag b.mag)
+  else normalize (a.sign * b.sign) (mul_mag_school a.mag b.mag)
 
 (* The fault applies to every multiplication — including the native
    small/small fast path — so randomized trials on tiny operands can
@@ -548,27 +439,7 @@ let mul a b =
 
 let mul_schoolbook a b =
   if is_zero a || is_zero b then zero
-  else
-    let a = big_of a and b = big_of b in
-    demote (normalize (a.sign * b.sign) (mul_mag_school a.mag b.mag))
-
-let sqr a =
-  if is_zero a then zero
-  else begin
-    Atomic.incr c_sqr;
-    let r =
-      if is_small a then
-        let x = small_val a in
-        let ax = if x < 0 then -x else x in
-        if ax < small_prod_bound then small (x * x)
-        else
-          let p = x * x in
-          if p <> min_int && p / x = x then small p
-          else demote (normalize 1 (sqr_mag (big_of_int x).mag))
-      else demote (normalize 1 (sqr_mag (big_val a).mag))
-    in
-    with_mul_fault a a r
-  end
+  else demote (big_mul (big_of a) (big_of b))
 
 (* The dedicated scalar loop admits any |n| < 2^32: limb*scalar plus
    carry stays below 2^62. *)
@@ -709,8 +580,8 @@ let pow b e =
   let rec go acc b e =
     if e = 0 then acc
     else if e = 1 then mul acc b
-    else if e land 1 = 1 then go (mul acc b) (sqr b) (e lsr 1)
-    else go acc (sqr b) (e lsr 1)
+    else if e land 1 = 1 then go (mul acc b) (mul b b) (e lsr 1)
+    else go acc (mul b b) (e lsr 1)
   in
   go one b e
 
@@ -803,13 +674,10 @@ let to_float t =
 let chunk_base = 1_000_000_000
 let chunk_digits = 9
 
-(* Above this many limbs, string conversion splits around a power of
-   10^9 instead of peeling one 9-digit chunk per division. *)
-let string_threshold = 30
-
-(* Decimal digits of a small trimmed magnitude via the chunk loop. *)
-let small_mag_to_string mag =
-  let buf = Buffer.create 32 in
+(* Decimal digits of a trimmed magnitude: peel one 9-digit chunk per
+   single-limb division. *)
+let mag_to_string mag =
+  let buf = Buffer.create ((Array.length mag * 10) + 1) in
   let rec chunks mag acc =
     if Array.length mag = 0 then acc
     else
@@ -823,56 +691,12 @@ let small_mag_to_string mag =
      List.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%0*d" chunk_digits c)) rest);
   Buffer.contents buf
 
-let add_zeros buf k =
-  for _ = 1 to k do
-    Buffer.add_char buf '0'
-  done
-
-(* Append the decimal digits of [mag], left-padded with zeros to [pad]
-   digits when [pad > 0]. Divide-and-conquer: split around the largest
-   (10^9)^(2^j) whose limb count is at most half of [mag]'s; the
-   remainder then has exactly 9*2^j digit positions. *)
-let rec mag_to_digits buf mag pad =
-  let mag = trim mag in
-  let len = Array.length mag in
-  if len = 0 then
-    if pad > 0 then add_zeros buf pad else Buffer.add_char buf '0'
-  else if len <= string_threshold then begin
-    let s = small_mag_to_string mag in
-    let sl = String.length s in
-    if pad > sl then add_zeros buf (pad - sl);
-    Buffer.add_string buf s
-  end
-  else begin
-    let p = ref [| chunk_base |] and pd = ref chunk_digits in
-    let prev = ref !p and prevd = ref !pd in
-    while 2 * Array.length !p <= len do
-      prev := !p;
-      prevd := !pd;
-      p := trim (sqr_mag !p);
-      pd := !pd * 2
-    done;
-    (* The climb can overshoot [mag] when the top limbs are small; the
-       previous power has at most [len/2] limbs so it is always below
-       [mag], guaranteeing a non-zero quotient (hence progress). *)
-    let p, pd = if compare_mag !p mag <= 0 then (!p, !pd) else (!prev, !prevd) in
-    let q, r = divmod_knuth mag p in
-    mag_to_digits buf (trim q) (pad - pd);
-    mag_to_digits buf r pd
-  end
-
 let to_string t =
   if is_small t then string_of_int (small_val t)
   else
     let b = big_val t in
-    let buf = Buffer.create (Array.length b.mag * 10) in
-    if b.sign < 0 then Buffer.add_char buf '-';
-    mag_to_digits buf b.mag 0;
-    Buffer.contents buf
-
-(* Above this many digits, parsing splits the digit string in half and
-   recombines with one multiplication by a power of ten. *)
-let of_string_threshold = 256
+    let digits = mag_to_string b.mag in
+    if b.sign < 0 then "-" ^ digits else digits
 
 let of_string s =
   let len = String.length s in
@@ -892,37 +716,24 @@ let of_string s =
     let rec go acc e = if e = 0 then acc else go (acc * 10) (e - 1) in
     go 1 e
   in
-  let ten = small 10 in
-  let rec parse off len =
-    if len <= of_string_threshold then begin
-      let acc = ref zero in
-      let i = ref off in
-      let stop = off + len in
-      while !i < stop do
-        let take = Stdlib.min chunk_digits (stop - !i) in
-        (* Accumulate the chunk digit by digit: strictly decimal by
-           construction on every path, where delegating to
-           [int_of_string] would also admit OCaml integer-literal
-           syntax (hex/octal/binary prefixes, '_' separators, nested
-           signs) if it ever saw unvalidated input. *)
-        let part_val = ref 0 in
-        for k = !i to !i + take - 1 do
-          part_val := (!part_val * 10) + (Char.code s.[k] - Char.code '0')
-        done;
-        acc := add (mul_int !acc (int_pow10 take)) (small !part_val);
-        i := !i + take
-      done;
-      !acc
-    end
-    else begin
-      let low_len = len / 2 in
-      let high = parse off (len - low_len) in
-      let low = parse (off + len - low_len) low_len in
-      add (mul high (pow ten low_len)) low
-    end
-  in
-  let v = parse start (len - start) in
-  if sign < 0 then neg v else v
+  (* One 9-digit chunk per step: [acc * 10^take + chunk]. *)
+  let acc = ref zero in
+  let i = ref start in
+  while !i < len do
+    let take = Stdlib.min chunk_digits (len - !i) in
+    (* Accumulate the chunk digit by digit: strictly decimal by
+       construction, where delegating to [int_of_string] would also
+       admit OCaml integer-literal syntax (hex/octal/binary prefixes,
+       '_' separators, nested signs) if it ever saw unvalidated
+       input. *)
+    let part_val = ref 0 in
+    for k = !i to !i + take - 1 do
+      part_val := (!part_val * 10) + (Char.code s.[k] - Char.code '0')
+    done;
+    acc := add (mul_int !acc (int_pow10 take)) (small !part_val);
+    i := !i + take
+  done;
+  if sign < 0 then neg !acc else !acc
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 
@@ -1053,13 +864,7 @@ module Acc = struct
 
   let add_mul_big acc a b =
     let a = big_of a and b = big_of b in
-    let buf = if a.sign * b.sign > 0 then acc.pos else acc.neg in
-    let la = Array.length a.mag and lb = Array.length b.mag in
-    if Stdlib.min la lb >= karatsuba_threshold then
-      (* Large operands: compute the product with Karatsuba, then
-         fold it into the buffer. *)
-      add_mag_into buf (mul_mag a.mag b.mag)
-    else madd buf a.mag b.mag
+    madd (if a.sign * b.sign > 0 then acc.pos else acc.neg) a.mag b.mag
 
   (* Mixed small/limb product with a single-limb scalar — the bulk
      shape of dense convolutions over tables holding both small edge

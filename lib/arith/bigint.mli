@@ -27,9 +27,11 @@ type t
 
 type stats = {
   mul_schoolbook : int;  (** schoolbook magnitude multiplications *)
-  mul_karatsuba : int;  (** Karatsuba recursion steps *)
+  mul_karatsuba : int;
+      (** always [0]: there is no Karatsuba kernel any more. Kept only
+          because the repository benchmark's tracer reads the field;
+          nothing prints it. *)
   mul_small : int;  (** native small products and small-scalar [mul_int] loops *)
-  sqr : int;  (** squarings (the [pow] fast path) *)
   divmod : int;  (** non-trivial divisions *)
   gcd : int;  (** multi-limb gcd runs *)
   acc_mul : int;  (** {!Acc.add_mul} multiply-accumulate calls *)
@@ -64,7 +66,10 @@ val to_float : t -> float
 (** Approximate conversion; may overflow to [infinity]. *)
 
 val of_string : string -> t
-(** Parses an optionally-signed decimal numeral.
+(** Parses an optionally-signed decimal numeral, one 9-digit chunk per
+    step, so the cost grows with the square of the length; callers
+    that take numerals from outside the program bound their length
+    first ({!Rational.of_string}).
     @raise Invalid_argument on malformed input. *)
 
 val to_string : t -> string
@@ -94,18 +99,14 @@ val add : t -> t -> t
 val sub : t -> t -> t
 
 val mul : t -> t -> t
-(** Schoolbook below 48 limbs of 30 bits (on the shorter operand),
-    Karatsuba from there on. Corrupted while {!Fault.current} is
-    [`Karatsuba_split]. *)
+(** Native product for two small operands when it fits, schoolbook
+    limb multiplication at every other size. Corrupted while
+    {!Fault.current} is [`Karatsuba_split]. *)
 
 val mul_schoolbook : t -> t -> t
-(** Always-schoolbook reference multiplication, exposed so property
-    tests can check the Karatsuba path differentially. Ignores
-    {!Fault.current}. *)
-
-val sqr : t -> t
-(** [sqr a = mul a a] with the symmetric-term squaring kernel
-    (about half the limb products of a general multiplication). *)
+(** The fault-free reference product: the same schoolbook kernel as
+    {!mul}, but it ignores {!Fault.current}, so property and fault
+    tests can check {!mul} against it. *)
 
 val succ : t -> t
 val pred : t -> t
@@ -123,7 +124,7 @@ val mul_int : t -> int -> t
     full multiplication otherwise. *)
 
 val pow : t -> int -> t
-(** [pow b e] for [e >= 0], squaring via {!sqr}.
+(** [pow b e] for [e >= 0], by repeated squaring with {!mul}.
     @raise Invalid_argument on negative exponent. *)
 
 val gcd : t -> t -> t

@@ -29,11 +29,14 @@ type t =
     - [`Tree_fold_skew] makes {!Aggshap_core.Tables.convolve_many} swap
       the top two entries of the reduced table whenever the reduction
       tree has at least three leaves, simulating mis-paired siblings.
-    - [`Karatsuba_split] makes every {!Bigint.mul} and {!Bigint.sqr} of
-      two operands both at least [4] in magnitude gain a spurious
-      [+ (|a|/4)*(|b|/4)*4] term: the classic "forgot [- z2] in the
-      middle Karatsuba term" bug, scaled down to a 2-bit split so
-      randomized trials on small operands can observe it.
+    - [`Karatsuba_split] makes every {!Bigint.mul} (and so every
+      {!Bigint.pow}) of two operands both at least [4] in magnitude
+      gain a spurious [+ (|a|/4)*(|b|/4)*4] term: the classic "forgot
+      [- z2] in the middle Karatsuba term" bug, scaled down to a 2-bit
+      split so randomized trials on small operands can observe it. It
+      fires on every such product, not at a split: multiplication has
+      one kernel, schoolbook, and the name outlived the Karatsuba one.
+      {!Bigint.mul_schoolbook} ignores it.
     - [`Stale_block] makes the incremental engine
       ({!Aggshap_incr.Session}) skip one cache invalidation per update:
       the first dirty membership game keeps its stale per-fact

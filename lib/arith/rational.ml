@@ -152,13 +152,25 @@ let to_string t =
   if is_integer t then Bigint.to_string t.num
   else Bigint.to_string t.num ^ "/" ^ Bigint.to_string t.den
 
+(* Every numeral from outside the program (τ specs, update scripts,
+   the [quantile:] parameter, from the CLI and over the wire) comes
+   through here, and [Bigint.of_string] costs the square of the length,
+   so an over-long component is refused before any arithmetic. *)
+let max_digits = 4096
+
+let component s =
+  let signed = String.length s > 0 && (s.[0] = '-' || s.[0] = '+') in
+  if String.length s - Bool.to_int signed > max_digits then
+    invalid_arg (Printf.sprintf "Rational.of_string: more than %d digits" max_digits)
+  else Bigint.of_string s
+
 let of_string s =
   match String.index_opt s '/' with
-  | None -> of_bigint (Bigint.of_string s)
+  | None -> of_bigint (component s)
   | Some i ->
     let p = String.sub s 0 i in
     let q = String.sub s (i + 1) (String.length s - i - 1) in
-    make (Bigint.of_string p) (Bigint.of_string q)
+    make (component p) (component q)
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 

@@ -70,7 +70,11 @@ val to_string : t -> string
 (** ["p/q"], or ["p"] when the value is an integer. *)
 
 val of_string : string -> t
-(** Accepts ["p"], ["p/q"]. @raise Invalid_argument on malformed input. *)
+(** Accepts ["p"], ["p/q"], each component an optionally-signed decimal
+    numeral of at most 4,096 digits. Longer components are refused
+    before any arithmetic, so a numeral from outside the program costs
+    bounded work.
+    @raise Invalid_argument on malformed or over-long input. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -12,18 +12,7 @@ module Fact = Aggshap_relational.Fact
 module TupleMap = Map.Make (struct
   type t = Aggshap_relational.Value.t array
 
-  let compare a b =
-    let la = Array.length a and lb = Array.length b in
-    if la <> lb then Stdlib.compare la lb
-    else begin
-      let rec go i =
-        if i >= la then 0
-        else
-          let c = Aggshap_relational.Value.compare a.(i) b.(i) in
-          if c <> 0 then c else go (i + 1)
-      in
-      go 0
-    end
+  let compare = Aggshap_relational.Value.compare_tuple
 end)
 
 module QMap = Map.Make (Q)

@@ -138,18 +138,7 @@ let atom_image (a : Cq.atom) sigma =
 module TupleSet = Set.Make (struct
   type t = Value.t array
 
-  let compare a b =
-    let la = Array.length a and lb = Array.length b in
-    if la <> lb then Stdlib.compare la lb
-    else begin
-      let rec go i =
-        if i >= la then 0
-        else
-          let c = Value.compare a.(i) b.(i) in
-          if c <> 0 then c else go (i + 1)
-      in
-      go 0
-    end
+  let compare = Value.compare_tuple
 end)
 
 let answers_via q visit =

@@ -298,7 +298,7 @@ let slices mgr root =
         in
         visit root;
         let adjoint = Hashtbl.create 64 and slice = Hashtbl.create 64 in
-        let add_into tbl key len p =
+        let accumulate tbl key len p =
           let acc =
             match Hashtbl.find_opt tbl key with
             | Some acc -> acc
@@ -312,7 +312,7 @@ let slices mgr root =
         let push child p =
           match child with
           | True | False -> ()
-          | Decision c -> add_into adjoint c.id (s - size child + 1) p
+          | Decision c -> accumulate adjoint c.id (s - size child + 1) p
         in
         Hashtbl.add adjoint r.id [| B.one |];
         List.iter
@@ -326,7 +326,7 @@ let slices mgr root =
               push d.lo (lift a gap_lo);
               let p_hi = lift (polynomial mgr d.hi) gap_hi in
               let p_lo = lift (polynomial mgr d.lo) gap_lo in
-              add_into slice d.var s (poly_mul a (Array.map2 B.sub p_hi p_lo)))
+              accumulate slice d.var s (poly_mul a (Array.map2 B.sub p_hi p_lo)))
           !order;
         List.map (fun v -> (v, Hashtbl.find slice v)) (ISet.elements r.vars))
 

@@ -7,20 +7,7 @@ let arity f = Array.length f.args
 
 let compare a b =
   let c = String.compare a.rel b.rel in
-  if c <> 0 then c
-  else begin
-    let la = Array.length a.args and lb = Array.length b.args in
-    if la <> lb then Stdlib.compare la lb
-    else begin
-      let rec go i =
-        if i >= la then 0
-        else
-          let c = Value.compare a.args.(i) b.args.(i) in
-          if c <> 0 then c else go (i + 1)
-      in
-      go 0
-    end
-  end
+  if c <> 0 then c else Value.compare_tuple a.args b.args
 
 let equal a b = compare a b = 0
 

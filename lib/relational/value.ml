@@ -22,6 +22,19 @@ let compare a b =
   | Int _, Str _ -> -1
   | Str _, Int _ -> 1
 
+(* A top-level loop, not a local one closing over the arrays: without
+   flambda that closure would be allocated on every call, and this
+   compare orders every fact map and tuple set. *)
+let rec compare_from a b i =
+  if i >= Array.length a then 0
+  else
+    let c = compare a.(i) b.(i) in
+    if c <> 0 then c else compare_from a b (i + 1)
+
+let compare_tuple a b =
+  let la = Array.length a and lb = Array.length b in
+  if la <> lb then Int.compare la lb else compare_from a b 0
+
 let hash = function
   | Int n -> n land max_int
   | Str s -> Hashtbl.hash s

@@ -16,6 +16,11 @@ val as_int : t -> int option
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
+
+val compare_tuple : t array -> t array -> int
+(** Shorter tuples first, then lexicographic by {!compare}. Allocates
+    nothing. *)
+
 val hash : t -> int
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

@@ -66,11 +66,11 @@ let test_bigint_of_string_strict () =
     (fun () -> ignore (B.of_string "+"));
   Alcotest.check_raises "minus only" (Invalid_argument "Bigint.of_string: no digits")
     (fun () -> ignore (B.of_string "-"));
-  (* The divide-and-conquer path must reject malformed input too, even
-     with the bad character buried past the split point. *)
+  (* Long numerals must reject malformed input too, even with the bad
+     character buried deep inside. *)
   rejects (String.make 400 '7' ^ "_" ^ String.make 399 '7');
   rejects (String.make 799 '7' ^ "x");
-  (* Leading zeros are legal decimal on both paths. *)
+  (* Leading zeros are legal decimal, in short and long numerals. *)
   check_b "leading zeros short" "77" (B.of_string "0077");
   check_b "leading zeros long" (String.make 300 '7')
     (B.of_string (String.make 300 '0' ^ String.make 300 '7'))
@@ -195,14 +195,13 @@ let bigint_props =
 (* ------------------------------------------------------------------ *)
 (* Kernel differentials                                                *)
 (*                                                                     *)
-(* The fast kernels (Karatsuba, hybrid gcd, divide-and-conquer string  *)
-(* conversion, the Acc multiply-accumulator) each keep a slow reference*)
-(* implementation in reach; these properties cross-validate the two on *)
-(* operands big enough to exercise the fast paths.                     *)
+(* Each kernel (schoolbook multiplication, hybrid gcd, chunked string  *)
+(* conversion, the Acc multiply-accumulator) is cross-validated on     *)
+(* large operands against an independent reference: division, Euclid, *)
+(* digit-by-digit printing, a fold of mul/add.                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Operands of up to ~700 digits: past both divide-and-conquer string
-   thresholds. *)
+(* Operands of up to ~700 digits (about 78 limbs). *)
 let arb_huge =
   let gen =
     QCheck.Gen.(
@@ -216,11 +215,9 @@ let arb_huge =
   QCheck.make gen ~print:B.to_string
 
 (* Operands of 430 to 3600 digits: a leading digit of at least 1 makes
-   every one at least 10^429 > 2^1410, i.e. 48 or more 30-bit limbs —
-   the fixed Karatsuba threshold — so every product of two such
-   operands takes at least one real split, and the longest recurse
-   several levels deep. *)
-let arb_karatsuba =
+   every one at least 10^429 > 2^1410, i.e. 48 to 399 30-bit limbs, and
+   never zero. *)
+let arb_large =
   let gen =
     QCheck.Gen.(
       let* neg = bool in
@@ -234,10 +231,22 @@ let arb_karatsuba =
   QCheck.make gen ~print:B.to_string
 
 let kernel_props =
-  [ prop "karatsuba agrees with schoolbook" 200 QCheck.(pair arb_karatsuba arb_karatsuba)
-      (fun (a, b) -> B.equal (B.mul a b) (B.mul_schoolbook a b));
-    prop "sqr agrees with mul" 200 arb_karatsuba
-      (fun a -> B.equal (B.sqr a) (B.mul_schoolbook a a));
+  [ prop "large mul agrees with divmod and Acc" 100
+      QCheck.(list_of_size (Gen.int_range 1 4) (pair arb_large arb_large))
+      (fun pairs ->
+        (* Division undoes every product exactly ([b] is never zero), and
+           the accumulator, whose limb loop is its own, folds the same
+           products to the same sum. *)
+        List.for_all
+          (fun (a, b) ->
+            let q, r = B.divmod (B.mul a b) b in
+            B.equal q a && B.is_zero r)
+          pairs
+        &&
+        let acc = B.Acc.create () in
+        List.iter (fun (a, b) -> B.Acc.add_mul acc a b) pairs;
+        B.equal (B.Acc.value acc)
+          (List.fold_left (fun s (a, b) -> B.add s (B.mul a b)) B.zero pairs));
     prop "hybrid gcd agrees with Euclid reference" 200 QCheck.(pair arb_huge arb_huge)
       (fun (a, b) -> B.equal (B.gcd a b) (B.gcd_euclid a b));
     prop "huge string roundtrip" 200 arb_huge
@@ -245,7 +254,7 @@ let kernel_props =
     prop "to_string agrees with small-chunk reference" 100 arb_huge
       (fun a ->
         (* Decimal digits recovered one-by-one by repeated division:
-           the simplest possible reference for the D&C printer. *)
+           the simplest possible reference for the chunked printer. *)
         let rec digits x acc =
           if B.is_zero x then acc
           else
@@ -267,18 +276,6 @@ let kernel_props =
         List.iter (fun (a, b) -> B.Acc.add_mul acc a b) pairs;
         let reference =
           List.fold_left (fun s (a, b) -> B.add s (B.mul a b)) B.zero pairs
-        in
-        B.equal (B.Acc.value acc) reference);
-    prop "Acc matches schoolbook fold on Karatsuba-size operands" 50
-      QCheck.(list_of_size (Gen.int_range 1 4) (pair arb_karatsuba arb_karatsuba))
-      (fun pairs ->
-        (* Both operands of every product are past the threshold, so
-           each [add_mul] takes the Karatsuba branch of the
-           accumulator. *)
-        let acc = B.Acc.create () in
-        List.iter (fun (a, b) -> B.Acc.add_mul acc a b) pairs;
-        let reference =
-          List.fold_left (fun s (a, b) -> B.add s (B.mul_schoolbook a b)) B.zero pairs
         in
         B.equal (B.Acc.value acc) reference);
     prop "Acc clear resets" 100 QCheck.(pair arb_big arb_big)
@@ -388,8 +385,6 @@ let small_props =
         B.equal
           (B.mul (B.of_int a) (B.of_int b))
           (B.mul_schoolbook (B.of_int a) (B.of_int b)));
-    prop "sqr at the boundary agrees with schoolbook" 1000 arb_int63 (fun a ->
-        B.equal (B.sqr (B.of_int a)) (B.mul_schoolbook (B.of_int a) (B.of_int a)));
     prop "neg agrees with decimal negation" 2000 arb_int63 (fun n ->
         B.equal (B.neg (B.of_int n)) (B.of_string (string_neg (string_of_int n))));
     prop "promotion/demotion round-trip through string" 1000 arb_int63 (fun n ->
@@ -457,7 +452,7 @@ let representation_props =
       QCheck.(pair arb_edge_value arb_edge_value)
       (fun (a, b) ->
         let results =
-          [ a; b; B.add a b; B.sub a b; B.mul a b; B.sqr a; B.neg a; B.abs a; B.gcd a b;
+          [ a; b; B.add a b; B.sub a b; B.mul a b; B.pow a 2; B.neg a; B.abs a; B.gcd a b;
             B.of_string (B.to_string a) ]
         in
         let divisions =
@@ -512,6 +507,34 @@ let test_small_ops_allocate_nothing () =
   Alcotest.(check (float 0.)) "minor words for 10,000 add/mul pairs" 0. (after -. before);
   check_b "their sum" (string_of_int (10_000 * 12_345 * -678)) !acc
 
+(* Limb values allocate only what their results need: comparing two
+   allocates nothing, and adding two allocates the result and the
+   adder's scratch. A loop that closes over its array would add a
+   closure block per call. *)
+let test_limb_ops_allocate_only_results () =
+  let words_per_call f =
+    let before = Gc.minor_words () in
+    for _ = 1 to 10_000 do
+      f ()
+    done;
+    (Gc.minor_words () -. before) /. 10_000.
+  in
+  (* Two 7-limb values (2^180 <= v < 2^210) that differ only in their
+     lowest limb, so [compare] walks every limb, and whose sum still
+     has 7 limbs. *)
+  let a = B.add (B.pow B.two 200) (B.of_int 5) and b = B.add (B.pow B.two 200) (B.of_int 7) in
+  let sink = ref 0 in
+  Alcotest.(check (float 0.)) "minor words per compare" 0.
+    (words_per_call (fun () -> sink := !sink + B.compare a b));
+  Alcotest.(check int) "compare's verdicts" (-10_000) !sink;
+  let sum = ref B.zero in
+  (* The adder's scratch is 8 limbs (one for the carry) plus a header;
+     the result is a 7-limb array trimmed from it (8 words) and its
+     sign record (3 words). *)
+  Alcotest.(check (float 0.)) "minor words per add" 20.
+    (words_per_call (fun () -> sum := B.add a b));
+  check_b "their sum" (B.to_string (B.add (B.pow B.two 201) (B.of_int 12))) !sum
+
 (* ------------------------------------------------------------------ *)
 (* Rational unit tests                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -542,6 +565,24 @@ let test_rational_string () =
   check_q "of_string int" "5" (Q.of_string "5");
   check_q "of_string frac" "-5/7" (Q.of_string "-5/7");
   check_q "of_string unnormalized" "1/2" (Q.of_string "2/4")
+
+(* Numerals from outside the program are bounded: 4,096 digits in
+   numerator or denominator parse, 4,097 are refused before any
+   arithmetic. A sign is not a digit. *)
+let test_rational_string_bound () =
+  let nines k = String.make k '9' in
+  let refused = Invalid_argument "Rational.of_string: more than 4096 digits" in
+  check_q "4,096-digit numerator" (nines 4096) (Q.of_string (nines 4096));
+  check_q "signed 4,096-digit numerator" ("-" ^ nines 4096) (Q.of_string ("-" ^ nines 4096));
+  check_q "4,096-digit denominator" ("1/" ^ nines 4096) (Q.of_string ("1/" ^ nines 4096));
+  Alcotest.check_raises "4,097-digit numerator" refused (fun () ->
+      ignore (Q.of_string (nines 4097)));
+  Alcotest.check_raises "signed 4,097-digit numerator" refused (fun () ->
+      ignore (Q.of_string ("+" ^ nines 4097)));
+  Alcotest.check_raises "4,097-digit denominator" refused (fun () ->
+      ignore (Q.of_string ("1/" ^ nines 4097)));
+  Alcotest.check_raises "4,097-digit numerator over a short denominator" refused (fun () ->
+      ignore (Q.of_string (nines 4097 ^ "/7")))
 
 let arb_rat =
   let gen =
@@ -673,6 +714,8 @@ let () =
             test_representation_order;
           Alcotest.test_case "small add/mul allocate nothing" `Quick
             test_small_ops_allocate_nothing;
+          Alcotest.test_case "limb compare/add allocate only their results" `Quick
+            test_limb_ops_allocate_only_results;
         ] );
       ("bigint properties", bigint_props);
       ("small-int properties", small_props);
@@ -682,6 +725,7 @@ let () =
         [ Alcotest.test_case "basic" `Quick test_rational_basic;
           Alcotest.test_case "floor/ceil" `Quick test_rational_floor_ceil;
           Alcotest.test_case "strings" `Quick test_rational_string;
+          Alcotest.test_case "numeral length bound" `Quick test_rational_string_bound;
         ] );
       ("rational properties", rational_props);
       ( "combinat",

@@ -391,8 +391,8 @@ module Tables = Core.Tables
 let test_kernel_counts_jobs_stable () =
   let bstr (s : B.stats) =
     Printf.sprintf
-      "school=%d karat=%d small=%d sqr=%d divmod=%d gcd=%d acc=%d promo=%d demo=%d"
-      s.B.mul_schoolbook s.B.mul_karatsuba s.B.mul_small s.B.sqr s.B.divmod s.B.gcd
+      "school=%d small=%d divmod=%d gcd=%d acc=%d promo=%d demo=%d"
+      s.B.mul_schoolbook s.B.mul_small s.B.divmod s.B.gcd
       s.B.acc_mul s.B.promotions s.B.demotions
   in
   let tstr (s : Tables.stats) =

@@ -29,6 +29,23 @@ let test_facts () =
   Alcotest.(check bool) "compare orders by relation first" true
     (Fact.compare f_r12 f_s1 < 0)
 
+(* [Fact.compare] orders every database's fact map, so it must not
+   allocate: facts of one relation walk their argument tuples, which a
+   loop closing over the arrays would pay for with a closure per call. *)
+let test_fact_compare_allocates_nothing () =
+  let a = Fact.make "R" [ Value.Int 1; Value.Str "alice"; Value.Int 2 ] in
+  let b = Fact.make "R" [ Value.Int 1; Value.Str "alice"; Value.Int 3 ] in
+  let sink = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    sink := !sink + Fact.compare a b
+  done;
+  let after = Gc.minor_words () in
+  Alcotest.(check (float 0.)) "minor words for 10,000 compares" 0. (after -. before);
+  Alcotest.(check int) "their verdicts" (-10_000) !sink;
+  Alcotest.(check int) "arity before arguments" 1
+    (Fact.compare (Fact.of_ints "R" [ 0; 0 ]) (Fact.of_ints "R" [ 9 ]))
+
 let sample_db () =
   Database.empty
   |> Database.add f_r12
@@ -240,6 +257,8 @@ let () =
     [ ( "relational",
         [ Alcotest.test_case "values" `Quick test_values;
           Alcotest.test_case "facts" `Quick test_facts;
+          Alcotest.test_case "fact compare allocates nothing" `Quick
+            test_fact_compare_allocates_nothing;
           Alcotest.test_case "database basics" `Quick test_database_basic;
           Alcotest.test_case "database updates" `Quick test_database_updates;
           Alcotest.test_case "database split" `Quick test_database_split;

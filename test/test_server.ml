@@ -448,7 +448,42 @@ let serve_tests =
             let after = server_requests socket in
             (* The terminated ping, the flushed unterminated ping, and
                the second stats request itself. *)
-            Alcotest.(check int) "both pings counted" 3 (after - before)) ) ]
+            Alcotest.(check int) "both pings counted" 3 (after - before)) );
+    ( "an over-long numeral is refused and the connection stays usable",
+      `Quick,
+      fun () ->
+        let socket = Filename.temp_file "aggshap_server" ".sock" in
+        Sys.remove socket;
+        let pid = start_server socket in
+        Fun.protect
+          ~finally:(fun () ->
+            ignore
+              (Client.with_connection socket (fun c ->
+                   Client.request c Protocol.Shutdown));
+            ignore (Server.retry_intr (fun () -> Unix.waitpid [] pid));
+            try Sys.remove socket with Sys_error _ -> ())
+          (fun () ->
+            (* A τ constant of 5,000 digits is past Rational.of_string's
+               4,096-digit cap: the open is answered with an error, and
+               the same connection goes on being served. *)
+            let tau = "const:R:" ^ String.make 5_000 '7' in
+            let replies =
+              ok
+                (Client.with_connection socket (fun c ->
+                     let ( let* ) = Result.bind in
+                     let* opened =
+                       Client.request c
+                         (Protocol.Open { session = "huge"; spec = { spec with tau = Some tau } })
+                     in
+                     let* pong = Client.request c Protocol.Ping in
+                     Ok (opened, pong)))
+            in
+            match replies with
+            | Protocol.Error { message; _ }, Protocol.Pong ->
+              Alcotest.(check bool) "the error names the malformed value" true
+                (String.starts_with ~prefix:"malformed value" message)
+            | Protocol.Error _, _ -> Alcotest.fail "the next request was not answered"
+            | _ -> Alcotest.fail "the over-long numeral was accepted") ) ]
 
 let () =
   Alcotest.run "server"
