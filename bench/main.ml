@@ -386,47 +386,31 @@ let e12 () =
     graphs
 
 (* E13: the batch engine — all-facts shapley_all, sequential (seed path)
-   vs the variant pass with and without shared-DP caching, on the
-   scaling families. *)
+   vs the variant pass, on the scaling families. *)
 let e13 () =
-  header "E13 (batch engine): all-facts shapley_all — seq vs cached vs uncached";
+  header "E13 (batch engine): all-facts shapley_all — seq vs batch";
   Printf.printf
-    "All variants must return bit-identical rational values (column 'same').\n\
-     c-spd = seq / cached. Every variant solves in the calling domain.\n";
+    "Both must return bit-identical rational values (column 'same').\n\
+     speed-up = seq / batch. Both solve in the calling domain.\n";
   let run_family ~title ~sizes ~make_db ~make_agg ~seed_all =
     Printf.printf "\n-- %s --\n" title;
-    Printf.printf "%6s %8s %10s %10s %10s %7s %6s  %s\n" "rows" "players"
-      "seq" "cached" "uncached" "c-spd" "same" "cache";
+    Printf.printf "%6s %8s %10s %10s %9s %6s\n" "rows" "players" "seq" "batch" "speed-up"
+      "same";
     List.iter
       (fun rows ->
         let db = make_db rows in
         let a = make_agg () in
         let seq, t_seq = time (fun () -> seed_all a db) in
-        let (cached, stats_c), t_cached =
-          time (fun () -> Core.Batch.shapley_all ~cache:true a db)
-        in
-        let (uncached, _), t_uncached =
-          time (fun () -> Core.Batch.shapley_all ~cache:false a db)
-        in
+        let (batch, _), t_batch = time (fun () -> Core.Batch.shapley_all a db) in
         let same =
-          List.for_all
-            (fun other ->
-              List.length other = List.length seq
-              && List.for_all2
-                   (fun (f1, v1) (f2, v2) -> Fact.equal f1 f2 && Q.equal v1 v2)
-                   seq other)
-            [ cached; uncached ]
+          List.length batch = List.length seq
+          && List.for_all2
+               (fun (f1, v1) (f2, v2) -> Fact.equal f1 f2 && Q.equal v1 v2)
+               seq batch
         in
-        let cache_s =
-          match stats_c.Core.Batch.cache with
-          | Some m -> Core.Memo.stats_to_string m
-          | None -> "-"
-        in
-        Printf.printf "%6d %8d %10s %10s %10s %6.2fx %6s  %s\n" rows
-          (Database.endo_size db) (pp_time (Some t_seq)) (pp_time (Some t_cached))
-          (pp_time (Some t_uncached)) (t_seq /. t_cached)
-          (if same then "ok" else "MISMATCH")
-          cache_s)
+        Printf.printf "%6d %8d %10s %10s %8.2fx %6s\n" rows (Database.endo_size db)
+          (pp_time (Some t_seq)) (pp_time (Some t_batch)) (t_seq /. t_batch)
+          (if same then "ok" else "MISMATCH"))
       sizes
   in
   run_family
@@ -517,13 +501,13 @@ let e14 () =
     xyy_db
     (fun db ->
       let a = Agg_query.make Aggregate.Max (vid "R" 0) Catalog.q_xyy in
-      ignore (Core.Batch.shapley_all ~jobs:1 ~cache:true a db));
+      ignore (Core.Batch.shapley_all a db));
   run "E14" "dup_batch_q1"
     (if quick then [ 10; 30 ] else [ 40; 100; 160 ])
     q1_db
     (fun db ->
       let a = Agg_query.make Aggregate.Has_duplicates (vmod "R" 0) Catalog.q1_sq in
-      ignore (Core.Batch.shapley_all ~jobs:1 ~cache:true a db));
+      ignore (Core.Batch.shapley_all a db));
   List.rev !results
 
 (* E15: incremental maintenance under churn. A live Incr.Session absorbs
@@ -636,7 +620,7 @@ let e15 () =
                      | Update.Insert (f, p) -> db := Database.add ~provenance:p f !db
                      | Update.Delete f -> db := Database.remove f !db
                      | Update.Set_tau _ -> ());
-                    ignore (Core.Batch.shapley_all ~jobs:1 ~cache:true a !db))
+                    ignore (Core.Batch.shapley_all a !db))
                   ops)
           in
           Some (t /. float_of_int steps)
@@ -684,7 +668,7 @@ let e19 () =
         Database.reset_stats ();
         Plan.reset_stats ();
         let (_ : _ list), t_indexed =
-          time (fun () -> fst (Core.Batch.shapley_all ~jobs:1 ~cache:true a db))
+          time (fun () -> fst (Core.Batch.shapley_all a db))
         in
         let ds = Database.stats () in
         let ps = Plan.stats () in

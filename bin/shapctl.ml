@@ -178,8 +178,8 @@ let print_kernel_stats () =
     Printf.printf "  %-18s compile %.6fs, wmc %.6fs\n" "ddnnf_time"
       ks.Aggshap_lineage.Ddnnf.compile_s ks.Aggshap_lineage.Ddnnf.wmc_s
 
-let run_solve query_s db_path agg_s tau_s fact_s fallback_s score_s jobs cache
-    kc_node_budget stats =
+let run_solve query_s db_path agg_s tau_s fact_s fallback_s score_s jobs kc_node_budget
+    stats =
   let q = parse_query_arg query_s in
   let db = read_database db_path in
   warn_schema q db;
@@ -202,7 +202,7 @@ let run_solve query_s db_path agg_s tau_s fact_s fallback_s score_s jobs cache
       or_die (Api.shapley_fact ~score ~fallback ?mc_seed ?kc_node_budget a db fact_s)
     | None ->
       or_die
-        (Api.shapley_all ~score ~fallback ?mc_seed ?jobs ~cache ?kc_node_budget a db)
+        (Api.shapley_all ~score ~fallback ?mc_seed ?jobs ?kc_node_budget a db)
   in
   (match result.Api.report with
    | Some report ->
@@ -575,16 +575,12 @@ let kc_budget_arg =
 
 let jobs_arg =
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N"
-         ~doc:"Worker domains for Monte-Carlo sampling and for fuzz's \
-               parallel equivalence checks (default: the recommended domain \
-               count of the machine; 1 disables parallelism). Frontier, \
-               knowledge-compilation and naive solves run in the calling \
-               domain whatever N says. Results are identical for every N.")
-
-let cache_arg =
-  Arg.(value & opt bool true & info [ "cache" ] ~docv:"BOOL"
-         ~doc:"Share dynamic-programming tables across the passes of one \
-               solve (default true). Results are identical either way.")
+         ~doc:"Worker domains for Monte-Carlo sampling: solve's mc fallback \
+               and fuzz's Monte-Carlo jobs-invariance check (default: the \
+               recommended domain count of the machine; 1 disables \
+               parallelism). Frontier, knowledge-compilation and naive \
+               solves run in the calling domain whatever N says. Results \
+               are identical for every N.")
 
 let stats_arg =
   Arg.(value & flag & info [ "stats" ]
@@ -627,7 +623,7 @@ let explain_cmd =
 let solve_cmd =
   Cmd.v
     (Cmd.info "solve" ~doc:"Compute Shapley values of endogenous facts")
-    Term.(const run_solve $ query_arg $ db_arg $ agg_arg $ tau_arg $ fact_arg $ fallback_arg $ score_arg $ jobs_arg $ cache_arg $ kc_budget_arg $ stats_arg)
+    Term.(const run_solve $ query_arg $ db_arg $ agg_arg $ tau_arg $ fact_arg $ fallback_arg $ score_arg $ jobs_arg $ kc_budget_arg $ stats_arg)
 
 let updates_file_arg =
   Arg.(required & opt (some string) None & info [ "u"; "updates" ] ~docv:"FILE"

@@ -33,7 +33,7 @@ let trap f = try Ok (f ()) with Invalid_argument msg -> Error msg
 let parse_query s =
   match Parser.parse_query s with
   | Ok q -> Ok q
-  | Error msg -> Error (Printf.sprintf "cannot parse query %S: %s" s msg)
+  | Error msg -> Error (Printf.sprintf "cannot parse query %s: %s" (Parser.quote s) msg)
 
 let parse_database_text contents = Parser.parse_database contents
 
@@ -54,7 +54,7 @@ let load_database path =
 let parse_fact s =
   match Parser.parse_fact s with
   | Ok (f, prov) -> Ok (f, prov)
-  | Error msg -> Error (Printf.sprintf "cannot parse fact %S: %s" s msg)
+  | Error msg -> Error (Printf.sprintf "cannot parse fact %s: %s" (Parser.quote s) msg)
 
 let parse_pos spec s =
   match int_of_string_opt s with
@@ -62,16 +62,16 @@ let parse_pos spec s =
   | Some _ | None ->
     Error
       (Printf.sprintf
-         "malformed position %S in value function spec %S (expected a non-negative integer)"
-         s spec)
+         "malformed position %s in value function spec %s (expected a non-negative integer)"
+         (Parser.quote s) (Parser.quote spec))
 
 let parse_rational what spec s =
   match Q.of_string s with
   | q -> Ok q
   | exception (Invalid_argument _ | Division_by_zero) ->
     Error
-      (Printf.sprintf "malformed %s %S in %S (expected an integer or P/Q rational)" what s
-         spec)
+      (Printf.sprintf "malformed %s %s in %s (expected an integer or P/Q rational)" what
+         (Parser.quote s) (Parser.quote spec))
 
 let parse_tau q spec =
   let check_rel rel =
@@ -96,7 +96,7 @@ let parse_tau q spec =
     let* rel = check_rel rel in
     let* value = parse_rational "value" spec value in
     Ok (Value_fn.const ~rel value)
-  | _ -> Error (Printf.sprintf "cannot parse value function spec %S" spec)
+  | _ -> Error (Printf.sprintf "cannot parse value function spec %s" (Parser.quote spec))
 
 let default_tau q =
   match Cq.relations q with
@@ -124,8 +124,8 @@ let parse_fallback s =
     | Some n when n > 0 -> Ok n
     | Some _ | None ->
       Error
-        (Printf.sprintf "malformed %s %S in fallback %S (expected a positive integer; %s)"
-           what p s mc_usage)
+        (Printf.sprintf "malformed %s %s in fallback %s (expected a positive integer; %s)"
+           what (Parser.quote p) (Parser.quote s) mc_usage)
   in
   match s with
   | "auto" -> Ok ((`Auto : Strategy.fallback), None)
@@ -144,13 +144,13 @@ let parse_fallback s =
         | Some v -> Ok v
         | None ->
           Error
-            (Printf.sprintf "malformed seed %S in fallback %S (expected an integer; %s)"
-               seed s mc_usage)
+            (Printf.sprintf "malformed seed %s in fallback %s (expected an integer; %s)"
+               (Parser.quote seed) (Parser.quote s) mc_usage)
       in
       Ok (`Monte_carlo n, Some seed)
-    | _ -> Error (Printf.sprintf "cannot parse fallback %S (%s)" s mc_usage)
+    | _ -> Error (Printf.sprintf "cannot parse fallback %s (%s)" (Parser.quote s) mc_usage)
   end
-  | _ -> Error (Printf.sprintf "unknown fallback %S (%s)" s mc_usage)
+  | _ -> Error (Printf.sprintf "unknown fallback %s (%s)" (Parser.quote s) mc_usage)
 
 (* The wire variant: the SHAPWIRE protocol carries exact rationals
    only, so a Monte-Carlo fallback is rejected here — uniformly for
@@ -170,7 +170,7 @@ type score = Aggshap_arith.Score.t = Shapley | Banzhaf
 let parse_score = function
   | "shapley" -> Ok Shapley
   | "banzhaf" -> Ok Banzhaf
-  | s -> Error (Printf.sprintf "unknown score %S (use shapley or banzhaf)" s)
+  | s -> Error (Printf.sprintf "unknown score %s (use shapley or banzhaf)" (Parser.quote s))
 
 let schema_warnings q db =
   match Schema.check_database (Cq.induced_schema q) db with
@@ -283,11 +283,10 @@ type solve_result = {
   report : Solver.report option;  (** always [Some] *)
 }
 
-let shapley_all ?score ?fallback ?mc_seed ?jobs ?cache ?kc_node_budget a db =
+let shapley_all ?score ?fallback ?mc_seed ?jobs ?kc_node_budget a db =
   trap (fun () ->
       let values, report =
-        Solver.shapley_all ?score ?fallback ?mc_seed ?jobs ?cache ?kc_node_budget
-          a db
+        Solver.shapley_all ?score ?fallback ?mc_seed ?jobs ?kc_node_budget a db
       in
       { values; report = Some report })
 

@@ -127,7 +127,7 @@ type solve_result = {
 
 val shapley_all :
   ?score:score -> ?fallback:Strategy.fallback -> ?mc_seed:int -> ?jobs:int ->
-  ?cache:bool -> ?kc_node_budget:int ->
+  ?kc_node_budget:int ->
   Agg_query.t -> Database.t -> (solve_result, string) result
 (** All endogenous facts, through {!Solver.shapley_all}; [score]
     defaults to Shapley. *)

@@ -8,7 +8,7 @@ type config = {
   seed : int;  (** master seed *)
   trials : int;
   max_endo : int;  (** endogenous-fact cap per trial (naive-oracle cost) *)
-  par_jobs : int;  (** pool width for the parallel equivalence checks *)
+  par_jobs : int;  (** pool width for the Monte-Carlo jobs-invariance check *)
   max_failures : int;  (** stop after this many (shrunk) failures *)
   kc_always : bool;
       (** also cross-check the knowledge-compilation tier on trials

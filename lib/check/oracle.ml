@@ -236,25 +236,9 @@ let run_checks ~par_jobs ~kc_always ~auto_always (t : Trial.t) =
         (List.map2 (fun f v -> (f, v)) (Array.to_list players)
            (Array.to_list (Lazy.force sut)))
     in
-    let batch ~jobs ~cache () =
-      exact_results (fst (Solver.shapley_all ~fallback:`Naive ~jobs ~cache a db))
-    in
-    let check_engine_equivalence () =
-      first_failure
-        [ (fun () ->
-            same_exact_results "batch-vs-per-fact(jobs=1,cache=on)"
-              (Lazy.force per_fact_list) (batch ~jobs:1 ~cache:true ()));
-          (fun () ->
-            same_exact_results "batch-vs-per-fact(jobs=1,cache=off)"
-              (Lazy.force per_fact_list) (batch ~jobs:1 ~cache:false ()));
-          (fun () ->
-            if par_jobs <= 1 then None
-            else
-              same_exact_results
-                (Printf.sprintf "batch-vs-per-fact(jobs=%d,cache=on)" par_jobs)
-                (Lazy.force per_fact_list)
-                (batch ~jobs:par_jobs ~cache:true ()));
-        ]
+    let check_batch () =
+      same_exact_results "batch-vs-per-fact" (Lazy.force per_fact_list)
+        (exact_results (fst (Solver.shapley_all ~fallback:`Naive a db)))
     in
     let check_knowledge_compilation () =
       (* The knowledge-compilation tier must agree with the naive
@@ -331,7 +315,7 @@ let run_checks ~par_jobs ~kc_always ~auto_always (t : Trial.t) =
     in
     first_failure
       [ check_oracle_sanity; check_agreement; check_efficiency; check_null_player;
-        check_symmetry; check_sum_linearity; check_engine_equivalence;
+        check_symmetry; check_sum_linearity; check_batch;
         check_knowledge_compilation; check_auto; check_fail_up_front;
         check_mc_reproducible; (fun () -> check_banzhaf a db players game) ]
   end

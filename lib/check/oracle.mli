@@ -5,9 +5,9 @@
     {!Aggshap_core.Naive} enumeration and checks the game-theoretic
     axioms; outside the frontier it checks the fallback plumbing
     (deterministic seeded Monte-Carlo, up-front [`Fail]). In both cases
-    it checks that every engine configuration — cache on/off, one worker
-    vs a pool, batch vs per-fact loop — returns identical exact values,
-    and that the Banzhaf score agrees with its textbook reference. *)
+    it checks that the all-facts batch returns the per-fact loop's
+    exact values, and that the Banzhaf score agrees with its textbook
+    reference. *)
 
 type failure = {
   check : string;  (** short name of the violated check *)
@@ -20,10 +20,10 @@ val run :
   ?par_jobs:int -> ?kc_always:bool -> ?auto_always:bool ->
   Trial.t -> failure option
 (** First failing check of the trial, or [None] when all pass.
-    [par_jobs] (default [2]) is the pool width used by the parallel
-    engine-equivalence checks; pass [1] to keep the whole run in the
-    calling domain (required while {!Aggshap_arith.Fault.current} is
-    armed).
+    [par_jobs] (default [2]) is the pool width of the Monte-Carlo
+    check ["mc-seed-jobs-invariant"], the only check that leaves the
+    calling domain; pass [1] to keep the whole run in the calling
+    domain (required while {!Aggshap_arith.Fault.current} is armed).
     The knowledge-compilation tier is cross-checked against the naive
     reference on every trial outside the frontier whose aggregate it
     supports; [kc_always] (default [false]) extends that check to trials

@@ -126,7 +126,8 @@ let boolean_valued ?bool_memo tau a q db =
    [a]. The memo key carries the reference value on top of the block
    key (the same sub-instance is revisited once per realizable
    τ-value); τ itself stays outside the key, so a memo is only sound
-   for one value function — {!Batch} creates one per run. *)
+   for one value function — {!Batch} checks the stamp of a session's
+   memo. *)
 module Alg = struct
   type table = vtable
 
@@ -200,8 +201,7 @@ let ctx_of ?memo tau a =
     bool = Option.map (fun m -> m.bool) memo;
     count = Option.map (fun m -> m.count) memo }
 
-let valued_table ?memo tau a q db =
-  E.eval ?memo:(Option.map (fun m -> m.self) memo) (ctx_of ?memo tau a) q db
+let valued_table tau a q db = E.eval (ctx_of tau a) q db
 
 let check (a : Agg_query.t) =
   (match Aggregate.quantile_of a.alpha with
@@ -238,7 +238,7 @@ let weight_of (a : Agg_query.t) =
 let reference_values (a : Agg_query.t) db =
   List.sort_uniq Q.compare (List.map snd (Agg_query.answer_values a db))
 
-let sum_k_memo ?memo (a : Agg_query.t) db =
+let sum_k (a : Agg_query.t) db =
   check a;
   let weight = weight_of a in
   let db_rel, pad = Decompose.relevant_part a.query db in
@@ -249,7 +249,7 @@ let sum_k_memo ?memo (a : Agg_query.t) db =
   let pairs =
     List.concat_map
       (fun v ->
-        let t = pad_vtable pad (valued_table ?memo a.tau v a.query db_rel) in
+        let t = pad_vtable pad (valued_table a.tau v a.query db_rel) in
         LMap.fold
           (fun lvec counts acc ->
             let w = weight lvec in
@@ -259,10 +259,8 @@ let sum_k_memo ?memo (a : Agg_query.t) db =
   in
   Tables.weighted_sum n pairs
 
-let sum_k a db = sum_k_memo a db
-
-let shapley ?(score = Aggshap_arith.Score.Shapley) ?memo a db f =
-  Sumk.score_of_db_fn ~score (fun db -> sum_k_memo ?memo a db) db f
+let shapley ?(score = Aggshap_arith.Score.Shapley) a db f =
+  Sumk.score_of_db_fn ~score (fun db -> sum_k a db) db f
 
 (* The slice read-out of reference value [v] at one group of the
    variant pass. With L the group's context, the read-out of the union

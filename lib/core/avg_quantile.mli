@@ -44,7 +44,7 @@ val vtable_equal : vtable -> vtable -> bool
 
 type memo
 (** Shared cache of (a,k,ℓ)-tables plus the Boolean and answer-count
-    sub-tables; see {!Memo}. Create one per batch run over a fixed
+    sub-tables; see {!Memo}. Create one per session over a fixed
     [(query, τ, aggregate)]. *)
 
 val create_memo : unit -> memo
@@ -57,16 +57,8 @@ val sum_k :
 (** @raise Invalid_argument if the aggregate is not Avg/Median/Quantile
     or the CQ is not q-hierarchical. *)
 
-val sum_k_memo :
-  ?memo:memo ->
-  Aggshap_agg.Agg_query.t ->
-  Aggshap_relational.Database.t ->
-  Aggshap_arith.Rational.t array
-(** {!sum_k} with sub-table sharing across calls. *)
-
 val shapley :
   ?score:Aggshap_arith.Score.t ->
-  ?memo:memo ->
   Aggshap_agg.Agg_query.t ->
   Aggshap_relational.Database.t ->
   Aggshap_relational.Fact.t ->

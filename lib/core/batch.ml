@@ -6,10 +6,6 @@ module Database = Aggshap_relational.Database
 
 type stats = { cache : Memo.stats option }
 
-let stats_to_string s =
-  Printf.sprintf "cache=%s"
-    (match s.cache with None -> "off" | Some m -> Memo.stats_to_string m)
-
 (* The per-algorithm memos are keyed on (sub-query, block fingerprint)
    only: the value function τ (and the aggregate choosing how its tables
    are read) is outside the key. A memo reused across runs is therefore
@@ -61,11 +57,9 @@ let check_memo (a : Agg_query.t) m =
       "Batch: memo was created for a different (aggregate, tau, query); \
        create a fresh one (tau is outside the DP-table cache key)"
 
-(* One all-facts solve per tractable aggregate family. Without an
-   explicit memo the cache (when on) lives exactly as long as this
-   batch run, so the τ-outside-the-key caveat of the per-algorithm
-   memos is satisfied by construction; with [?memo] the fingerprint
-   check above enforces it. *)
+(* One all-facts solve per tractable aggregate family. Without a memo
+   every DP node is computed afresh; with one, the fingerprint check
+   above keeps the τ-outside-the-key caveat of the per-algorithm memos. *)
 let solve ~score ~memo (a : Agg_query.t) db =
   let pick f = Option.bind memo f in
   match a.alpha with
@@ -85,16 +79,15 @@ let solve ~score ~memo (a : Agg_query.t) db =
     let memo = pick (function M_dup m -> Some m | _ -> None) in
     Dup.batch ~score ?memo a db
 
-let shapley_all ?(score = Aggshap_arith.Score.Shapley) ?jobs:_ ?(cache = true) ?memo
-    (a : Agg_query.t) db =
+let shapley_all ?(score = Aggshap_arith.Score.Shapley) ?jobs:_ ?memo (a : Agg_query.t) db =
   if not (Frontier.within a.alpha a.query) then
     invalid_arg "Batch.shapley_all: query is outside the tractability frontier";
   let memo =
-    match memo with
-    | Some m ->
-      check_memo a m;
-      Some m.impl
-    | None -> if cache then Some (create_memo a).impl else None
+    Option.map
+      (fun m ->
+        check_memo a m;
+        m.impl)
+      memo
   in
   let results = solve ~score ~memo a db in
   (results, { cache = Option.map impl_stats memo })

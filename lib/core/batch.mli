@@ -8,31 +8,29 @@
     Boolean CQs, and the experimental follow-up work shows all-facts
     batches are the workload that matters). Every family therefore
     solves all facts from one variant pass per dynamic program
-    ({!Engine.Pass}): each node is evaluated once, each fact pays only
-    the nodes on its own path, and at a root partition its block's
-    siblings collapse to one kernel per table key. A {!Memo}-backed
-    cache of DP tables keyed by [(sub-query, block fingerprint)] is
-    shared by the passes of one run (membership games, τ-values,
-    reference values) and, through {!memo}, across runs.
+    ({!Engine.Pass}): each fact pays only the nodes on its own path,
+    and at a root partition its block's siblings collapse to one kernel
+    per table key. A one-shot solve keeps no table cache. A {!memo}
+    ({!Memo}-backed, keyed by [(sub-query, block fingerprint)]) shares
+    tables across the runs of one incremental session.
 
-    Results are bit-identical to the sequential, uncached per-fact path:
-    every value is an exact rational and caching only reuses tables that
-    would have been recomputed equal. *)
+    Results are bit-identical to the sequential per-fact path: every
+    value is an exact rational and a memo only reuses tables that would
+    have been recomputed equal. *)
 
 type stats = {
-  cache : Memo.stats option;  (** [None] when caching was off *)
+  cache : Memo.stats option;  (** the memo's totals; [None] without [?memo] *)
 }
-
-val stats_to_string : stats -> string
 
 type memo
 (** A DP-table cache that outlives a single batch run — the seam the
     incremental engine ({!Aggshap_incr.Session}) threads through every
-    frontier DP family. The underlying per-algorithm memos key tables on
-    [(sub-query, block fingerprint)] only, so the memo is stamped with a
-    fingerprint of the inputs {e outside} that key — the aggregate, the
-    value function τ ([rel] and [descr]), and the query — and
-    {!shapley_all} refuses a memo stamped for a different combination.
+    frontier DP family; create one per session. The underlying
+    per-algorithm memos key tables on [(sub-query, block fingerprint)]
+    only, so the memo is stamped with a fingerprint of the inputs
+    {e outside} that key — the aggregate, the value function τ ([rel]
+    and [descr]), and the query — and {!shapley_all} refuses a memo
+    stamped for a different combination.
     Database updates need no flush: changed blocks change their
     fingerprint, so stale tables are simply never looked up. *)
 
@@ -51,19 +49,16 @@ val fingerprint_of : Aggshap_agg.Agg_query.t -> string
 val shapley_all :
   ?score:Aggshap_arith.Score.t ->
   ?jobs:int ->
-  ?cache:bool ->
   ?memo:memo ->
   Aggshap_agg.Agg_query.t ->
   Aggshap_relational.Database.t ->
   (Aggshap_relational.Fact.t * Aggshap_arith.Rational.t) list * stats
-(** [shapley_all ?score ?cache ?memo a db] computes the exact Shapley
-    value (or [score], default Shapley) of every endogenous fact, in
+(** [shapley_all ?score ?memo a db] computes the exact Shapley value
+    (or [score], default Shapley) of every endogenous fact, in
     [Database.endogenous] order, in the calling domain. [jobs] is
-    accepted so that callers can pass one pool width to every route; a
-    frontier solve does not split across domains. [cache] (default
-    [true]) shares DP tables across the passes of the run. Passing
-    [?memo] instead shares tables across {e runs} (and overrides
-    [cache]).
+    ignored: a frontier solve does not split across domains. Without
+    [?memo] nothing is cached; with it, tables are shared across
+    {e runs} and [stats] reports the memo's totals.
     @raise Invalid_argument if the query is outside the aggregate's
     tractability frontier (use {!Solver.shapley_all} for fallbacks), or
     if [memo] was created for a different (aggregate, τ, query). *)

@@ -102,5 +102,5 @@ let shapley_all ?(score = Aggshap_arith.Score.Shapley) ?memo q db =
       (f, Aggshap_arith.Score.finish score ~den:B.one ~n (fun k -> slice.(k))))
     (slices ?memo q db)
 
-let shapley ?(score = Aggshap_arith.Score.Shapley) ?memo q db f =
-  Sumk.score_of_db_fn ~score (fun db -> Tables.to_rationals (counts ?memo q db)) db f
+let shapley ?(score = Aggshap_arith.Score.Shapley) q db f =
+  Sumk.score_of_db_fn ~score (fun db -> Tables.to_rationals (counts q db)) db f

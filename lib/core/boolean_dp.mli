@@ -11,7 +11,7 @@
 type memo
 (** A shared cache of sub-instance tables, keyed by
     {!Aggshap_cq.Decompose.block_key}. Safe to share across domains;
-    create one per batch run. *)
+    create one per session. *)
 
 val create_memo : unit -> memo
 val memo_stats : memo -> Memo.stats
@@ -45,7 +45,6 @@ val shapley_all :
 
 val shapley :
   ?score:Aggshap_arith.Score.t ->
-  ?memo:memo ->
   Aggshap_cq.Cq.t ->
   Aggshap_relational.Database.t ->
   Aggshap_relational.Fact.t ->

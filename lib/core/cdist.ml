@@ -38,18 +38,18 @@ let check_endogenous db f =
 (* Null players may be dropped for both the Shapley and the Banzhaf
    score, so the per-value decomposition supports both. The restricted
    databases are built once, before the fact arrives. *)
-let per_fact ?score ?memo (a : Agg_query.t) db =
+let per_fact ?score (a : Agg_query.t) db =
   check a;
   let restricted = List.map (restrict_to_value a db) (distinct_values a db) in
   fun f ->
     check_endogenous db f;
     List.fold_left
       (fun acc db_v ->
-        if Database.mem f db_v then Q.add acc (Boolean_dp.shapley ?score ?memo a.query db_v f)
+        if Database.mem f db_v then Q.add acc (Boolean_dp.shapley ?score a.query db_v f)
         else acc)
       Q.zero restricted
 
-let shapley ?score ?memo a db f = per_fact ?score ?memo a db f
+let shapley ?score a db f = per_fact ?score a db f
 
 (* One Boolean variant pass per value. *)
 let batch ?score ?memo (a : Agg_query.t) db =

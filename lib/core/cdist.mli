@@ -12,14 +12,13 @@
 
 type memo
 (** Shared cache of Boolean sub-tables across the per-value games; see
-    {!Memo}. Create one per batch run over a fixed [(query, τ)]. *)
+    {!Memo}. Create one per session over a fixed [(query, τ)]. *)
 
 val create_memo : unit -> memo
 val memo_stats : memo -> Memo.stats
 
 val shapley :
   ?score:Aggshap_arith.Score.t ->
-  ?memo:memo ->
   Aggshap_agg.Agg_query.t ->
   Aggshap_relational.Database.t ->
   Aggshap_relational.Fact.t ->

@@ -180,17 +180,12 @@ let check (a : Agg_query.t) =
   if not (Hierarchy.is_sq_hierarchical a.query) then
     invalid_arg ("Dup: query is not sq-hierarchical: " ^ Cq.to_string a.query)
 
-let sum_k_memo ?memo (a : Agg_query.t) db =
+let sum_k (a : Agg_query.t) db =
   check a;
-  let counts =
-    E.eval_top ?memo:(Option.map (fun m -> m.self) memo) (ctx_of ?memo a.tau) a.query db
-  in
-  Tables.to_rationals counts
+  Tables.to_rationals (E.eval_top (ctx_of a.tau) a.query db)
 
-let sum_k a db = sum_k_memo a db
-
-let shapley ?(score = Aggshap_arith.Score.Shapley) ?memo a db f =
-  Sumk.score_of_db_fn ~score (fun db -> sum_k_memo ?memo a db) db f
+let shapley ?(score = Aggshap_arith.Score.Shapley) a db f =
+  Sumk.score_of_db_fn ~score (fun db -> sum_k a db) db f
 
 (* All facts from one variant pass. For a connected query the read-out
    follows Figure 5: a fact's slice is its class's at-most-one

@@ -13,7 +13,7 @@
 
 type memo
 (** Shared cache of Dup tables and answer-count sub-tables; see {!Memo}.
-    Create one per batch run over a fixed [(query, τ)]. *)
+    Create one per session over a fixed [(query, τ)]. *)
 
 val create_memo : unit -> memo
 val memo_stats : memo -> Memo.stats
@@ -25,16 +25,8 @@ val sum_k :
 (** @raise Invalid_argument if the aggregate is not [Has_duplicates] or
     the CQ is not sq-hierarchical. *)
 
-val sum_k_memo :
-  ?memo:memo ->
-  Aggshap_agg.Agg_query.t ->
-  Aggshap_relational.Database.t ->
-  Aggshap_arith.Rational.t array
-(** {!sum_k} with sub-table sharing across calls. *)
-
 val shapley :
   ?score:Aggshap_arith.Score.t ->
-  ?memo:memo ->
   Aggshap_agg.Agg_query.t ->
   Aggshap_relational.Database.t ->
   Aggshap_relational.Fact.t ->

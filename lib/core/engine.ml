@@ -174,8 +174,9 @@ end
 (* The variant pass. A fact's two variant databases differ from [db]
    only along the fact's own path down the decomposition: at a root
    partition only its block changes, at a conjunction only its
-   component. So every node is evaluated once, and a fact's variant
-   table of a node is rebuilt from its variant table one level down:
+   component. So every node's own table is built once, and a fact's
+   variant table of a node is rebuilt from its variant table one level
+   down:
 
    - at a root partition, by the union of the block's variant with the
      leave-one-out table L_i of its siblings (prefix/suffix sweeps of
@@ -185,7 +186,8 @@ end
      database with the fact's component replaced. Components the algebra
      hands to a sub-algorithm (it never forces their thunk) are thereby
      re-evaluated on the variant database; only a forced thunk recurses
-     into the pass;
+     into the pass. The thunks of the components a variant keeps
+     re-evaluate them on every [combine], unless a memo serves them;
    - at a leaf, by [leaf_variants].
 
    A fact whose removal dissolves its block keeps it as a block whose

@@ -168,13 +168,14 @@ end
     of two variant databases: [D] with [f] exogenous and [D] without
     [f] (the folklore reduction of {!Sumk}). Re-running {!Make.eval} on
     both costs two full dynamic programs per fact. The variant pass
-    walks the decomposition once instead, evaluating every node once
-    (memoized as {!Make.eval}) and rebuilding a fact's variant tables
-    only along its own path: at a root partition by the union of its
-    block's variant with the leave-one-out table of the block's
-    siblings, at a conjunction by [combine] with the fact's component
-    replaced (components the algebra hands to a sub-algorithm are
-    re-evaluated on the variant database), and at a leaf by
+    walks the decomposition once instead, building each node's own
+    table once and rebuilding a fact's variant tables only along its
+    own path: at a root partition by the union of its block's variant
+    with the leave-one-out table of the block's siblings, at a
+    conjunction by [combine] with the fact's component replaced
+    (components the algebra hands to a sub-algorithm are re-evaluated
+    on the variant database, and without [?memo] so are the sibling
+    components whose thunks [combine] forces), and at a leaf by
     [leaf_variants]. *)
 
 type 'table variant = {

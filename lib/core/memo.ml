@@ -3,8 +3,6 @@ type stats = {
   misses : int;
 }
 
-let no_stats = { hits = 0; misses = 0 }
-
 let merge_stats a b = { hits = a.hits + b.hits; misses = a.misses + b.misses }
 
 let stats_to_string s = Printf.sprintf "%d hits / %d misses" s.hits s.misses

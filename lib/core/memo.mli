@@ -1,12 +1,14 @@
-(** Thread-safe memoization of dynamic-programming tables.
+(** Thread-safe memoization of dynamic-programming tables, owned by an
+    incremental session.
 
-    The Figure-2 dynamic programs recompute, for every endogenous fact,
-    the tables of every sub-instance [(sub-query, block)] — but a fact
-    only perturbs the block it lives in, so sibling blocks under the same
-    hierarchy root produce identical tables across the whole per-fact
-    loop (observed for Boolean CQs by Livshits et al.). A ['v t] caches
-    those tables under the {!Aggshap_cq.Decompose.block_key} of the
-    sub-instance and is safe to share across domains.
+    A session re-solves after every update, yet an update only
+    perturbs the blocks it touches: every other [(sub-query, block)]
+    sub-instance produces the same table as before (the observation of
+    Livshits et al. for Boolean CQs, carried across time). A ['v t]
+    caches those tables under the {!Aggshap_cq.Decompose.block_key} of
+    the sub-instance and is safe to share across domains. One-shot
+    solves keep no memo: the serialised keys cost more to build than
+    the recomputation they saved (DESIGN.md §6).
 
     A memo table is only sound while the inputs outside its key (the
     value function τ, the reference value for quantile tables) stay
@@ -24,7 +26,6 @@ type stats = {
   misses : int;
 }
 
-val no_stats : stats
 val merge_stats : stats -> stats -> stats
 val stats_to_string : stats -> string
 

@@ -118,8 +118,8 @@ let memo_stats m =
    bag-union, τ-free components contribute only nonempty/empty counts
    (the Boolean engine provides them), and the τ-component recurses.
    The memo key does not mention τ, so a memo is only sound across
-   calls sharing one value function — {!Batch} creates a fresh one per
-   run. *)
+   calls sharing one value function — {!Batch} checks the stamp of a
+   session's memo. *)
 module Alg = struct
   type nonrec table = table
   type ctx = { tau : Value_fn.t; bool : Boolean_dp.memo option }
@@ -187,12 +187,9 @@ let check (a : Agg_query.t) =
   if not (Hierarchy.is_all_hierarchical a.query) then
     invalid_arg ("Minmax: query is not all-hierarchical: " ^ Cq.to_string a.query)
 
-let max_table ?memo (a : Agg_query.t) db =
-  E.eval_top ?memo:(Option.map (fun m -> m.self) memo) (ctx_of ?memo a.tau) a.query db
-
 let sum_of_table t = Tables.weighted_sum t.n (QMap.bindings t.by_value)
 
-let max_sum_k ?memo a db = sum_of_table (max_table ?memo a db)
+let max_sum_k (a : Agg_query.t) db = sum_of_table (E.eval_top (ctx_of a.tau) a.query db)
 
 let negate_tau (a : Agg_query.t) =
   { a with
@@ -202,18 +199,16 @@ let negate_tau (a : Agg_query.t) =
         ~descr:("neg(" ^ a.tau.Value_fn.descr ^ ")")
         (fun args -> Q.neg (Value_fn.apply a.tau args)) }
 
-let sum_k_memo ?memo (a : Agg_query.t) db =
+let sum_k (a : Agg_query.t) db =
   check a;
   match a.alpha with
-  | Aggregate.Max -> max_sum_k ?memo a db
-  | Aggregate.Min -> Array.map Q.neg (max_sum_k ?memo (negate_tau a) db)
+  | Aggregate.Max -> max_sum_k a db
+  | Aggregate.Min -> Array.map Q.neg (max_sum_k (negate_tau a) db)
   | other ->
     invalid_arg ("Minmax: aggregate " ^ Aggregate.to_string other ^ " is not min/max")
 
-let sum_k a db = sum_k_memo a db
-
-let shapley ?(score = Aggshap_arith.Score.Shapley) ?memo a db f =
-  Sumk.score_of_db_fn ~score (fun db -> sum_k_memo ?memo a db) db f
+let shapley ?(score = Aggshap_arith.Score.Shapley) a db f =
+  Sumk.score_of_db_fn ~score (fun db -> sum_k a db) db f
 
 (* The slice read-out of Max at one group of the variant pass. With
    L = the group's context, the read-out R(t) = Σ_a a·t(a) of the union

@@ -37,7 +37,7 @@ val table_equal : table -> table -> bool
 
 type memo
 (** Shared cache of (a,k)-tables and Boolean sub-tables; see {!Memo}.
-    Create one per batch run over a fixed [(query, τ, aggregate)]. *)
+    Create one per session over a fixed [(query, τ, aggregate)]. *)
 
 val create_memo : unit -> memo
 val memo_stats : memo -> Memo.stats
@@ -49,16 +49,8 @@ val sum_k :
 (** [sum_k a db] for [a.alpha ∈ {Min, Max}] over an all-hierarchical CQ.
     @raise Invalid_argument otherwise. *)
 
-val sum_k_memo :
-  ?memo:memo ->
-  Aggshap_agg.Agg_query.t ->
-  Aggshap_relational.Database.t ->
-  Aggshap_arith.Rational.t array
-(** {!sum_k} with sub-table sharing across calls. *)
-
 val shapley :
   ?score:Aggshap_arith.Score.t ->
-  ?memo:memo ->
   Aggshap_agg.Agg_query.t ->
   Aggshap_relational.Database.t ->
   Aggshap_relational.Fact.t ->

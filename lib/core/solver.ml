@@ -110,8 +110,8 @@ let shapley_exact a db f =
 let per_fact_seed mc_seed i =
   Option.map (fun s -> s + ((i + 1) * 0x9e3779b9)) mc_seed
 
-let shapley_all ?(score = Score.Shapley) ?fallback ?mc_seed ?jobs ?(cache = true)
-    ?kc_node_budget (a : Agg_query.t) db =
+let shapley_all ?(score = Score.Shapley) ?fallback ?mc_seed ?jobs ?kc_node_budget
+    (a : Agg_query.t) db =
   let p = plan ~score ?fallback ?kc_node_budget a db in
   (* [`Fail] must raise before any worker domain is spawned: letting
      the pool fan out and every worker raise mid-batch reported the
@@ -119,7 +119,7 @@ let shapley_all ?(score = Score.Shapley) ?fallback ?mc_seed ?jobs ?(cache = true
   if p.Strategy.chosen = Strategy.Fail then frontier_error a;
   let run_batch = function
     | Strategy.Frontier_dp ->
-      let results, _stats = Batch.shapley_all ~score ?jobs ~cache a db in
+      let results, _stats = Batch.shapley_all ~score a db in
       List.map (fun (f, v) -> (f, Exact v)) results
     | Strategy.Knowledge_compilation ->
       (* One extraction + one compilation serve every fact, so the

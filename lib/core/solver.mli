@@ -99,29 +99,27 @@ val shapley_all :
   ?fallback:Strategy.fallback ->
   ?mc_seed:int ->
   ?jobs:int ->
-  ?cache:bool ->
   ?kc_node_budget:int ->
   Aggshap_agg.Agg_query.t ->
   Aggshap_relational.Database.t ->
   (Aggshap_relational.Fact.t * outcome) list * report
 (** Shapley values (or [score]s, default Shapley) of {e all}
     endogenous facts, in [Database.endogenous] order. Within the
-    frontier this runs the {!Batch} engine: the per-fact loop fans out
-    over [jobs] domains (default {!Pool.default_jobs}[ ()]; [1] is fully
-    sequential) and DP tables are shared across facts when [cache] is
-    [true] (the default). Outside the frontier the planner's route
-    runs; with [`Fail] the frontier error is raised up-front, before
-    any worker domain is spawned, and so is the refusal of a Banzhaf
-    [score] under a [`Monte_carlo] fallback. A [`Monte_carlo] fallback
-    fans its per-fact estimates across the same pool; [mc_seed] seeds
-    it: each fact gets a distinct seed derived
-    deterministically from [mc_seed] and its position, so estimates are
-    reproducible for every [jobs] value. The exact fallbacks run in the
-    calling domain, and [jobs] does not fan them out: a naive batch
-    builds one game and evaluates each of its [2ⁿ] coalitions once for
-    every fact ({!Game.shapley_all_int}); a supported
-    [`Knowledge_compilation] (or auto-picked) batch does one extraction
-    and one compilation for every fact, and if it aborts on
+    frontier this runs the {!Batch} engine: one variant pass per
+    dynamic program, in the calling domain, with no table cache.
+    Outside the frontier the planner's route runs; with [`Fail] the
+    frontier error is raised up-front, before any worker domain is
+    spawned, and so is the refusal of a Banzhaf [score] under a
+    [`Monte_carlo] fallback. Only a [`Monte_carlo] fallback uses
+    [jobs]: it fans its per-fact estimates over [jobs] domains (default
+    {!Pool.default_jobs}[ ()]; [1] is fully sequential). [mc_seed]
+    seeds it: each fact gets a distinct seed derived deterministically
+    from [mc_seed] and its position, so estimates are reproducible for
+    every [jobs] value. The exact routes run in the calling domain: a
+    naive batch builds one game and evaluates each of its [2ⁿ]
+    coalitions once for every fact ({!Game.shapley_all_int}); a
+    supported [`Knowledge_compilation] (or auto-picked) batch does one
+    extraction and one compilation for every fact, and if it aborts on
     [kc_node_budget] the batch re-runs on the ladder's next rung. Exact
-    results are bit-identical for every [jobs]/[cache] combination and
-    every exact route. *)
+    results are bit-identical for every [jobs] value and every exact
+    route. *)

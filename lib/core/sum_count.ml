@@ -41,16 +41,15 @@ let membership_games (a : Agg_query.t) db =
       else Some (membership_query a.query t, weight))
     (weighted_answers a db)
 
-let per_fact ?score ?memo a db =
+let per_fact ?score a db =
   check a;
   let games = membership_games a db in
   fun f ->
     List.fold_left
-      (fun acc (mq, weight) ->
-        Q.add acc (Q.mul weight (Boolean_dp.shapley ?score ?memo mq db f)))
+      (fun acc (mq, weight) -> Q.add acc (Q.mul weight (Boolean_dp.shapley ?score mq db f)))
       Q.zero games
 
-let shapley ?score ?memo a db f = per_fact ?score ?memo a db f
+let shapley ?score a db f = per_fact ?score a db f
 
 (* One Boolean variant pass per membership game; a fact's score is the
    weighted sum over the games it plays in. *)

@@ -12,7 +12,7 @@
 
 type memo
 (** Shared cache of Boolean sub-tables across the membership games; see
-    {!Memo}. Create one per batch run over a fixed [(query, τ)]. *)
+    {!Memo}. Create one per session over a fixed [(query, τ)]. *)
 
 val create_memo : unit -> memo
 val memo_stats : memo -> Memo.stats
@@ -29,7 +29,6 @@ val membership_games :
 
 val shapley :
   ?score:Aggshap_arith.Score.t ->
-  ?memo:memo ->
   Aggshap_agg.Agg_query.t ->
   Aggshap_relational.Database.t ->
   Aggshap_relational.Fact.t ->

@@ -37,8 +37,8 @@ val relevant_part : Cq.t -> Aggshap_relational.Database.t -> Aggshap_relational.
 val fingerprint : Aggshap_relational.Database.t -> string
 (** Injective serialization of a database block (facts in [Fact.compare]
     order, values tagged and length-prefixed, provenance marked): two
-    databases share a fingerprint iff they are equal. Used to key the
-    shared DP-table caches of the batch engine. *)
+    databases share a fingerprint iff they are equal. Used to key a
+    session's DP-table memo. *)
 
 val block_key : Cq.t -> Aggshap_relational.Database.t -> string
 (** [Cq.to_string q] (canonical) paired with [fingerprint db] — the memo

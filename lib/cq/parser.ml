@@ -17,6 +17,13 @@ exception Parse_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
 
+let quote_limit = 64
+
+let quote s =
+  let n = String.length s in
+  if n <= quote_limit then Printf.sprintf "%S" s
+  else Printf.sprintf "%S... (%d bytes)" (String.sub s 0 quote_limit) n
+
 let is_ident_char c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '_' || c = '\''
 
@@ -58,7 +65,7 @@ let tokenize s =
       let text = String.sub s start (!i - start) in
       match int_of_string_opt text with
       | Some v -> push (Int_lit v)
-      | None -> fail "malformed number %S" text
+      | None -> fail "malformed number %s" (quote text)
     end
     else if is_ident_char c && c <> '\'' then begin
       let start = !i in

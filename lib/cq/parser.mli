@@ -12,6 +12,12 @@
        S(2) @exo              -- exogenous v}
     [#] starts a comment. *)
 
+val quote : string -> string
+(** How an error message quotes input text: escaped and double-quoted
+    as by [%S], and past 64 bytes cut to its first 64 and followed by
+    its full length, as in ["7777"... (100 bytes)] with 64 sevens. A
+    refused request therefore never comes back whole in its error. *)
+
 val parse_query : string -> (Cq.t, string) result
 
 val parse_query_exn : string -> Cq.t

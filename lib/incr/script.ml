@@ -6,13 +6,17 @@ let parse_pos s =
   match int_of_string_opt s with
   | Some n when n >= 0 -> Ok n
   | Some _ | None ->
-    Error (Printf.sprintf "malformed position %S (expected a non-negative integer)" s)
+    Error
+      (Printf.sprintf "malformed position %s (expected a non-negative integer)"
+         (Parser.quote s))
 
 let parse_rational what s =
   match Q.of_string s with
   | q -> Ok q
   | exception (Invalid_argument _ | Division_by_zero) ->
-    Error (Printf.sprintf "malformed %s %S (expected an integer or P/Q rational)" what s)
+    Error
+      (Printf.sprintf "malformed %s %s (expected an integer or P/Q rational)" what
+         (Parser.quote s))
 
 (* Same grammar as shapctl --tau; localization of the relation on the
    query is checked when the session applies the op, not here. *)
@@ -32,7 +36,7 @@ let parse_tau spec =
   | [ "const"; rel; value ] ->
     let* value = parse_rational "value" value in
     Ok (Value_fn.const ~rel value)
-  | _ -> Error (Printf.sprintf "cannot parse value function spec %S" spec)
+  | _ -> Error (Printf.sprintf "cannot parse value function spec %s" (Parser.quote spec))
 
 let split_op line =
   match String.index_opt line ' ' with
@@ -70,7 +74,8 @@ let parse_line line =
       Error (Printf.sprintf "%s needs an argument" op)
     | _ ->
       Error
-        (Printf.sprintf "unknown update %S (expected insert, delete, or set_tau)" op))
+        (Printf.sprintf "unknown update %s (expected insert, delete, or set_tau)"
+           (Parser.quote op)))
 
 (* Incremental line reader. Scripts and wire streams arrive in chunks
    (a file read, a socket [recv]); the reader buffers partial lines

@@ -239,14 +239,14 @@ let check_supported alpha =
    over the circuit's own variables. [budget] caps the total d-DNNF
    node count across all events; Ddnnf.Budget_exceeded escapes to the
    caller. *)
-let solve ~score ?(cache = true) ?budget (a : Agg_query.t) db select =
+let solve ~score ?budget (a : Agg_query.t) db select =
   check_supported a.Agg_query.alpha;
   let ext = extract a db in
   let n = Array.length ext.players in
   let acc = Array.make (max n 1) Q.zero in
   if n > 0 then begin
     let evs = merge_events (events a.Agg_query.alpha ext.store ext.answers) in
-    let mgr = Ddnnf.create ~cache ?budget ext.store in
+    let mgr = Ddnnf.create ?budget ext.store in
     List.iter
       (fun (c, fml) ->
         let circuit = Ddnnf.compile mgr fml in
@@ -262,11 +262,11 @@ let solve ~score ?(cache = true) ?budget (a : Agg_query.t) db select =
   end;
   (ext.players, acc)
 
-let shapley_all ?(score = Score.Shapley) ?cache ?budget (a : Agg_query.t) db =
-  let players, acc = solve ~score ?cache ?budget a db (fun _ -> true) in
+let shapley_all ?(score = Score.Shapley) ?budget (a : Agg_query.t) db =
+  let players, acc = solve ~score ?budget a db (fun _ -> true) in
   Array.to_list (Array.mapi (fun i f -> (f, acc.(i))) players)
 
-let shapley ?(score = Score.Shapley) ?cache ?budget (a : Agg_query.t) db f =
+let shapley ?(score = Score.Shapley) ?budget (a : Agg_query.t) db f =
   match Database.provenance db f with
   | Some Database.Endogenous ->
     let target =
@@ -276,6 +276,6 @@ let shapley ?(score = Score.Shapley) ?cache ?budget (a : Agg_query.t) db f =
       in
       idx 0 (Database.endogenous db)
     in
-    let _, acc = solve ~score ?cache ?budget a db (fun p -> p = target) in
+    let _, acc = solve ~score ?budget a db (fun p -> p = target) in
     acc.(target)
   | _ -> invalid_arg ("Lineage.shapley: fact is not endogenous: " ^ Fact.to_string f)

@@ -45,23 +45,19 @@ val events :
 
 val shapley_all :
   ?score:Aggshap_arith.Score.t ->
-  ?cache:bool ->
   ?budget:int ->
   Aggshap_agg.Agg_query.t ->
   Aggshap_relational.Database.t ->
   (Aggshap_relational.Fact.t * Aggshap_arith.Rational.t) list
 (** Exact Shapley values (or [score]s, default Shapley) of all
-    endogenous facts, in [Database.endogenous] order. [cache] (default
-    [true]) toggles the compiler's formula-keyed cache — results are
-    identical either way (a qcheck invariant). [budget] caps the total
-    d-DNNF node count across all compiled events.
+    endogenous facts, in [Database.endogenous] order. [budget] caps the
+    total d-DNNF node count across all compiled events.
     @raise Ddnnf.Budget_exceeded when the budget would be exceeded.
     @raise Invalid_argument on an unsupported aggregate or a
     non-localized τ. *)
 
 val shapley :
   ?score:Aggshap_arith.Score.t ->
-  ?cache:bool ->
   ?budget:int ->
   Aggshap_agg.Agg_query.t ->
   Aggshap_relational.Database.t ->

@@ -263,7 +263,7 @@ let decode_request line =
     Ok (Close { session })
   | "ping" -> Ok Ping
   | "shutdown" -> Ok Shutdown
-  | op -> Error (Printf.sprintf "unknown op %S" op)
+  | op -> Error (Printf.sprintf "unknown op %s" (Aggshap_cq.Parser.quote op))
 
 let decode_response line =
   let* j =

@@ -18,6 +18,7 @@ module Json = Aggshap_json.Json
 module Api = Aggshap_api.Api
 module Session = Aggshap_incr.Session
 module Database = Aggshap_relational.Database
+module Parser = Aggshap_cq.Parser
 
 let ( let* ) = Result.bind
 
@@ -116,7 +117,7 @@ let write_snapshot t (e : entry) =
   | Some dir -> (
     try write_file (snapshot_path dir e.name) (Json.to_string (snapshot_json e))
     with Sys_error msg ->
-      t.log (Printf.sprintf "snapshot of %S failed: %s" e.name msg))
+      t.log (Printf.sprintf "snapshot of %s failed: %s" (Parser.quote e.name) msg))
 
 let remove_snapshot t name =
   match t.state_dir with
@@ -186,7 +187,7 @@ let evict t (e : entry) =
   write_snapshot t e;
   e.session <- None;
   t.evictions <- t.evictions + 1;
-  t.log (Printf.sprintf "evicted session %S" e.name)
+  t.log (Printf.sprintf "evicted session %s" (Parser.quote e.name))
 
 (* Evict least-recently-used residents until at most [max_live] remain;
    [keep] (the entry being accessed) is never evicted. *)
@@ -230,7 +231,7 @@ let open_session t name spec =
 
 let with_session t name f =
   match Hashtbl.find_opt t.tbl name with
-  | None -> Error (Printf.sprintf "no such session %S (open it first)" name)
+  | None -> Error (Printf.sprintf "no such session %s (open it first)" (Parser.quote name))
   | Some e ->
     let* session =
       match e.session with
@@ -240,10 +241,10 @@ let with_session t name f =
         | Ok s ->
           e.session <- Some s;
           t.restores <- t.restores + 1;
-          t.log (Printf.sprintf "restored session %S" e.name);
+          t.log (Printf.sprintf "restored session %s" (Parser.quote e.name));
           Ok s
         | Error msg ->
-          Error (Printf.sprintf "cannot restore session %S: %s" name msg))
+          Error (Printf.sprintf "cannot restore session %s: %s" (Parser.quote name) msg))
     in
     touch t e;
     enforce_limit t ~keep:e;
@@ -251,7 +252,7 @@ let with_session t name f =
 
 let close t name =
   match Hashtbl.find_opt t.tbl name with
-  | None -> Error (Printf.sprintf "no such session %S (open it first)" name)
+  | None -> Error (Printf.sprintf "no such session %s (open it first)" (Parser.quote name))
   | Some _ ->
     Hashtbl.remove t.tbl name;
     remove_snapshot t name;

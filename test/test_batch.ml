@@ -1,10 +1,10 @@
 (* Batch-engine tests.
 
-   The batch layer (Pool + Memo + Batch + Solver.shapley_all) must be an
-   observationally pure optimisation: for every jobs/cache combination
-   the all-facts results are bit-identical — as exact rationals — to the
-   sequential per-fact path, across every algorithm family of the
-   frontier and the out-of-frontier fallbacks. *)
+   The batch layer (Batch + Solver.shapley_all, with a session's Memo)
+   must be an observationally pure optimisation: the all-facts results
+   are bit-identical — as exact rationals — to the sequential per-fact
+   path, across every algorithm family of the frontier and the
+   out-of-frontier fallbacks, with or without a memo. *)
 
 module Q = Aggshap_arith.Rational
 module Database = Aggshap_relational.Database
@@ -129,17 +129,10 @@ let batch_agrees (name, alpha, tau, query) () =
       let expected =
         List.map (fun f -> (f, Core.Solver.shapley_exact a db f)) (Database.endogenous db)
       in
-      List.iter
-        (fun (jobs, cache) ->
-          let actual, stats = Core.Batch.shapley_all ~jobs ~cache a db in
-          check_same_results
-            (Printf.sprintf "%s (seed %d, jobs=%d, cache=%b)" name seed jobs cache)
-            expected actual;
-          match stats.Core.Batch.cache with
-          | Some _ when not cache -> Alcotest.failf "%s: stats for disabled cache" name
-          | None when cache -> Alcotest.failf "%s: no stats for enabled cache" name
-          | _ -> ())
-        [ (1, false); (1, true); (4, false); (4, true) ]
+      let actual, stats = Core.Batch.shapley_all a db in
+      check_same_results (Printf.sprintf "%s (seed %d)" name seed) expected actual;
+      if Option.is_some stats.Core.Batch.cache then
+        Alcotest.failf "%s: memo stats without a memo" name
     end
   done
 
@@ -166,15 +159,10 @@ let test_minmax_batch_structured () =
   List.iter
     (fun alpha ->
       let a = Agg_query.make alpha (vid "R" 0) Catalog.q_xyy in
-      let expected = Core.Minmax.shapley_all a db in
-      List.iter
-        (fun (jobs, cache) ->
-          let actual, _ = Core.Batch.shapley_all ~jobs ~cache a db in
-          check_same_results
-            (Printf.sprintf "minmax structured (%s, jobs=%d, cache=%b)"
-               (Aggregate.to_string alpha) jobs cache)
-            expected actual)
-        [ (1, true); (1, false); (4, true) ])
+      check_same_results
+        (Printf.sprintf "minmax structured (%s)" (Aggregate.to_string alpha))
+        (Core.Minmax.shapley_all a db)
+        (fst (Core.Batch.shapley_all a db)))
     [ Aggregate.Max; Aggregate.Min ]
 
 (* ------------------------------------------------------------------ *)
@@ -198,9 +186,9 @@ let all_aggregates =
     Aggregate.Max; Aggregate.Avg; Aggregate.Median; Aggregate.Quantile (Q.of_ints 1 3);
     Aggregate.Has_duplicates ]
 
-(* Every in-frontier family of [a]'s query and τ, Shapley and Banzhaf,
-   cache on and off: the batch values equal the per-fact reduction's
-   exactly. Returns the number of (family, score) pairs compared. *)
+(* Every in-frontier family of [a]'s query and τ, Shapley and Banzhaf:
+   the batch values equal the per-fact reduction's exactly. Returns the
+   number of (family, score) pairs compared. *)
 let pass_matches_per_fact name (a : Agg_query.t) db =
   List.fold_left
     (fun compared alpha ->
@@ -212,17 +200,13 @@ let pass_matches_per_fact name (a : Agg_query.t) db =
             let expected =
               List.map (fun f -> (f, per_fact ~score a db f)) (Database.endogenous db)
             in
-            List.iter
-              (fun cache ->
-                check_same_results
-                  (Printf.sprintf "%s, %s, %s, cache=%b" name (Aggregate.to_string alpha)
-                     (match score with
-                      | Aggshap_arith.Score.Shapley -> "shapley"
-                      | Aggshap_arith.Score.Banzhaf -> "banzhaf")
-                     cache)
-                  expected
-                  (fst (Core.Batch.shapley_all ~score ~cache a db)))
-              [ true; false ];
+            check_same_results
+              (Printf.sprintf "%s, %s, %s" name (Aggregate.to_string alpha)
+                 (match score with
+                  | Aggshap_arith.Score.Shapley -> "shapley"
+                  | Aggshap_arith.Score.Banzhaf -> "banzhaf"))
+              expected
+              (fst (Core.Batch.shapley_all ~score a db));
             compared + 1)
           compared
           [ Aggshap_arith.Score.Shapley; Aggshap_arith.Score.Banzhaf ])
@@ -287,8 +271,9 @@ let test_tau_free_component () =
     (Q.is_zero (List.assoc (Fact.of_ints "Rel0" [ 0; 0 ]) values))
 
 let test_batch_cache_hits () =
-  (* On a db with several hierarchy blocks the cached batch must actually
-     hit: sibling blocks repeat across the per-fact loop. *)
+  (* A session's memo outlives one run: a second run over the unchanged
+     database finds every table the first one stored, so it adds hits
+     and no misses, and returns the same values. *)
   let a = Agg_query.make Aggregate.Max (vid "R" 0) Catalog.q_xyy in
   let db =
     List.fold_left
@@ -299,13 +284,26 @@ let test_batch_cache_hits () =
         Fact.of_ints "S" [ 1 ]; Fact.of_ints "S" [ 2 ];
       ]
   in
-  let _, stats = Core.Batch.shapley_all ~jobs:1 ~cache:true a db in
-  match stats.Core.Batch.cache with
-  | None -> Alcotest.fail "expected cache stats"
-  | Some m ->
-    Alcotest.(check bool)
-      (Printf.sprintf "cache hits > 0 (%s)" (Core.Memo.stats_to_string m))
-      true (m.Core.Memo.hits > 0)
+  let memo = Core.Batch.create_memo a in
+  let run () =
+    let values, stats = Core.Batch.shapley_all ~memo a db in
+    match stats.Core.Batch.cache with
+    | None -> Alcotest.fail "expected memo stats"
+    | Some m -> (values, m)
+  in
+  let first, m1 = run () in
+  let second, m2 = run () in
+  check_same_results "rerun with the memo" first second;
+  let show (m : Core.Memo.stats) = Core.Memo.stats_to_string m in
+  Alcotest.(check bool)
+    (Printf.sprintf "first run stored tables (%s)" (show m1))
+    true (m1.Core.Memo.misses > 0);
+  Alcotest.(check int)
+    (Printf.sprintf "second run misses nothing (%s then %s)" (show m1) (show m2))
+    m1.Core.Memo.misses m2.Core.Memo.misses;
+  Alcotest.(check bool)
+    (Printf.sprintf "second run hits (%s then %s)" (show m1) (show m2))
+    true (m2.Core.Memo.hits > m1.Core.Memo.hits)
 
 let test_batch_outside_frontier () =
   let a = Agg_query.make Aggregate.Max (vid "R" 0) Catalog.q_exists in
@@ -325,7 +323,7 @@ let exact_of name = function
 let test_solver_all_parallel () =
   let a = Agg_query.make Aggregate.Max (vid "R" 0) Catalog.q_xyy in
   let db = Generate.random_database ~seed:3 ~config:small_config Catalog.q_xyy in
-  let seq, rep_seq = Core.Solver.shapley_all ~jobs:1 ~cache:false a db in
+  let seq, rep_seq = Core.Solver.shapley_all ~jobs:1 a db in
   let par, rep_par = Core.Solver.shapley_all ~jobs:4 a db in
   Alcotest.(check bool) "within frontier" true rep_seq.Core.Solver.within_frontier;
   Alcotest.(check string) "same algorithm reported" rep_seq.Core.Solver.algorithm
@@ -383,22 +381,49 @@ let test_solver_all_monte_carlo_fallback () =
 module B = Aggshap_arith.Bigint
 module Tables = Core.Tables
 
-(* With the memo cache off, the multiset of kernel invocations is a
-   function of the workload alone, so the Atomic counters in Bigint and
-   Tables must report exactly the same totals whatever the domain
-   count. This is what makes --stats trustworthy for cost-model work
-   under --jobs N: a racy int counter would drop increments. *)
-let test_kernel_counts_jobs_stable () =
-  let bstr (s : B.stats) =
-    Printf.sprintf
-      "school=%d small=%d divmod=%d gcd=%d acc=%d promo=%d demo=%d"
-      s.B.mul_schoolbook s.B.mul_small s.B.divmod s.B.gcd
-      s.B.acc_mul s.B.promotions s.B.demotions
+(* Without a memo, the multiset of kernel invocations is a function of
+   the workload alone, so [copies] solves of one instance count exactly
+   [copies] times one solve. Running the copies at once on parallel
+   domains makes every increment race: the Atomic counters in Bigint,
+   Tables and Engine must still report the exact totals. This is what
+   makes --stats trustworthy under --jobs N: a racy int counter would
+   drop increments. *)
+let copies = 16
+
+(* One sequential solve's counters, then [copies] parallel solves'
+   counters, each from reset counters after a warm-up solve (lazily
+   built global tables, factorials and binomial rows, must not be
+   charged to a measured run). *)
+let sequential_and_parallel ~reset ~read solve =
+  solve ();
+  let measure run =
+    reset ();
+    run ();
+    read ()
   in
-  let tstr (s : Tables.stats) =
-    Printf.sprintf "conv=%d small=%d rat=%d folds=%d wsum=%d" s.Tables.convolve
-      s.Tables.convolve_small s.Tables.convolve_rat s.Tables.tree_folds
-      s.Tables.weighted_sums
+  let one = measure solve in
+  let many =
+    measure (fun () -> ignore (Core.Pool.map ~jobs:4 solve (List.init copies (fun _ -> ()))))
+  in
+  (one, many)
+
+let check_counters name one many =
+  List.iter2
+    (fun (counter, v1) (_, vk) ->
+      Alcotest.(check int)
+        (Printf.sprintf "%s: %s of %d parallel solves = %d × one" name counter copies copies)
+        (copies * v1) vk)
+    one many
+
+let test_kernel_counts_parallel () =
+  let bigint_and_tables () =
+    let b = B.stats () and t = Tables.stats () in
+    [ ("mul_schoolbook", b.B.mul_schoolbook); ("mul_small", b.B.mul_small);
+      ("divmod", b.B.divmod); ("gcd", b.B.gcd); ("acc_mul", b.B.acc_mul);
+      ("promotions", b.B.promotions); ("demotions", b.B.demotions);
+      ("convolve", t.Tables.convolve); ("convolve_small", t.Tables.convolve_small);
+      ("convolve_rat", t.Tables.convolve_rat); ("tree_folds", t.Tables.tree_folds);
+      ("weighted_sums", t.Tables.weighted_sums) ]
   in
   let total_work = ref 0 in
   List.iter
@@ -406,27 +431,18 @@ let test_kernel_counts_jobs_stable () =
       let a = Agg_query.make alpha tau query in
       let db = Generate.random_database ~seed:7 ~config:small_config query in
       if Database.endo_size db > 0 then begin
-        let solve jobs = ignore (Core.Batch.shapley_all ~jobs ~cache:false a db) in
-        (* Warm-up run: lazily built global tables (factorials, binomial
-           rows) must not be charged to the first measured run. *)
-        solve 1;
-        let measure jobs =
-          B.reset_stats ();
-          Tables.reset_stats ();
-          solve jobs;
-          (B.stats (), Tables.stats ())
+        let one, many =
+          sequential_and_parallel
+            ~reset:(fun () ->
+              B.reset_stats ();
+              Tables.reset_stats ())
+            ~read:bigint_and_tables
+            (fun () -> ignore (Core.Batch.shapley_all a db))
         in
-        let b1, t1 = measure 1 in
-        let bn, tn = measure 4 in
-        Alcotest.(check string)
-          (Printf.sprintf "%s: bigint counters jobs=1 vs jobs=4" name)
-          (bstr b1) (bstr bn);
-        Alcotest.(check string)
-          (Printf.sprintf "%s: table counters jobs=1 vs jobs=4" name)
-          (tstr t1) (tstr tn);
+        check_counters name one many;
         total_work :=
-          !total_work + b1.B.mul_small + b1.B.mul_schoolbook + b1.B.acc_mul
-          + t1.Tables.convolve
+          !total_work + List.assoc "mul_small" one + List.assoc "mul_schoolbook" one
+          + List.assoc "acc_mul" one + List.assoc "convolve" one
       end)
     [ ("max q_xyy", Aggregate.Max, vid "R" 0, Catalog.q_xyy);
       ("dup q1", Aggregate.Has_duplicates, vmod "R" 0, Catalog.q1_sq);
@@ -435,25 +451,21 @@ let test_kernel_counts_jobs_stable () =
      kernel work. *)
   Alcotest.(check bool) "measured runs exercised the kernels" true (!total_work > 0)
 
-(* The engine's per-node counters obey the same contract: with the memo
-   off, the nodes a batch enters do not depend on which domain enters
-   them, so the totals must agree exactly whatever the domain count. *)
-let test_engine_counts_jobs_stable () =
+(* The engine's per-node counters obey the same contract. *)
+let test_engine_counts_parallel () =
   let module Engine = Core.Engine in
   let a = Agg_query.make Aggregate.Avg (vid "R" 0) Catalog.q_xyy_full in
   let db = Generate.chain_database ~rows:16 in
-  let measure jobs =
-    Engine.reset_stats ();
-    ignore (Core.Batch.shapley_all ~jobs ~cache:false a db);
-    Engine.stats ()
+  let one, many =
+    sequential_and_parallel ~reset:Engine.reset_stats
+      ~read:(fun () ->
+        let s = Engine.stats () in
+        [ ("nodes", s.Engine.nodes); ("leaves", s.Engine.leaves);
+          ("merges", s.Engine.merges); ("combines", s.Engine.combines) ])
+      (fun () -> ignore (Core.Batch.shapley_all a db))
   in
-  let show (s : Engine.stats) =
-    Printf.sprintf "nodes=%d leaves=%d merges=%d combines=%d" s.Engine.nodes
-      s.Engine.leaves s.Engine.merges s.Engine.combines
-  in
-  let s1 = measure 1 in
-  Alcotest.(check string) "engine counters jobs=1 vs jobs=4" (show s1) (show (measure 4));
-  Alcotest.(check bool) "the solve entered engine nodes" true (s1.Engine.nodes > 0)
+  check_counters "engine" one many;
+  Alcotest.(check bool) "the solve entered engine nodes" true (List.assoc "nodes" one > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Banzhaf through the solver: fact lookup on the out-of-frontier path *)
@@ -535,10 +547,10 @@ let () =
         ] );
       ( "kernel counters",
         [
-          Alcotest.test_case "jobs=1 vs jobs=4 counts identical" `Quick
-            test_kernel_counts_jobs_stable;
-          Alcotest.test_case "engine counters jobs=1 vs jobs=4 identical" `Quick
-            test_engine_counts_jobs_stable;
+          Alcotest.test_case "parallel solves count exactly" `Quick
+            test_kernel_counts_parallel;
+          Alcotest.test_case "engine counters count parallel solves exactly" `Quick
+            test_engine_counts_parallel;
         ] );
       ( "banzhaf lookup",
         [

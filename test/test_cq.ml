@@ -48,6 +48,23 @@ let test_parser_errors () =
   fails "Q(3) <- R(x)" (* constant in head *);
   fails ""
 
+(* Error messages quote input text through [Parser.quote]: whole up to
+   64 bytes, then a 64-byte prefix and the full length. *)
+let test_parser_quote () =
+  let a n = String.make n 'a' in
+  Alcotest.(check string) "escaped like %S" "\"a\\\"b\"" (Parser.quote "a\"b");
+  Alcotest.(check string) "64 bytes quoted whole" (Printf.sprintf "%S" (a 64)) (Parser.quote (a 64));
+  Alcotest.(check string) "65 bytes cut"
+    (Printf.sprintf "%S... (65 bytes)" (a 64))
+    (Parser.quote (a 65));
+  match Parser.parse_query ("Q() <- R(" ^ String.make 5_000 '9' ^ ")") with
+  | Ok _ -> Alcotest.fail "a 5,000-digit constant parsed"
+  | Error msg ->
+    Alcotest.(check bool)
+      (Printf.sprintf "malformed number error is short (%d bytes)" (String.length msg))
+      true
+      (String.length msg < 256)
+
 let test_parse_database () =
   let text = "# comment\nR(1, 2)\nR(1, 3) @exo\n\nS('a') @endo\n" in
   match Parser.parse_database text with
@@ -427,6 +444,7 @@ let () =
         [ Alcotest.test_case "roundtrip" `Quick test_parser_roundtrip;
           Alcotest.test_case "features" `Quick test_parser_features;
           Alcotest.test_case "errors" `Quick test_parser_errors;
+          Alcotest.test_case "bounded quotes" `Quick test_parser_quote;
           Alcotest.test_case "database" `Quick test_parse_database;
         ] );
       ( "classification",

@@ -378,15 +378,6 @@ let lineage_pipeline_props =
              (fun (f1, v1) (f2, v2) ->
                Aggshap_relational.Fact.equal f1 f2 && Q.equal v1 v2)
              kc naive);
-    prop "kc cache on/off bit-identical end to end" 40 arb_seed (fun seed ->
-        let t = Trial.generate ~max_endo:6 ~seed () in
-        let a = Trial.agg_query t in
-        QCheck.assume (L.supports a.Agg_query.alpha);
-        let on = L.shapley_all ~cache:true a t.Trial.db in
-        let off = L.shapley_all ~cache:false a t.Trial.db in
-        List.for_all2
-          (fun (f1, v1) (f2, v2) -> Aggshap_relational.Fact.equal f1 f2 && Q.equal v1 v2)
-          on off);
     prop "solver dispatch agrees with direct pipeline" 40 arb_seed (fun seed ->
         let t = Trial.generate ~max_endo:6 ~seed () in
         let a = Trial.agg_query t in

@@ -464,8 +464,9 @@ let serve_tests =
             try Sys.remove socket with Sys_error _ -> ())
           (fun () ->
             (* A τ constant of 5,000 digits is past Rational.of_string's
-               4,096-digit cap: the open is answered with an error, and
-               the same connection goes on being served. *)
+               4,096-digit cap: the open is answered with a short error
+               that quotes a bounded prefix of the numeral, and the same
+               connection goes on being served. *)
             let tau = "const:R:" ^ String.make 5_000 '7' in
             let replies =
               ok
@@ -481,7 +482,11 @@ let serve_tests =
             match replies with
             | Protocol.Error { message; _ }, Protocol.Pong ->
               Alcotest.(check bool) "the error names the malformed value" true
-                (String.starts_with ~prefix:"malformed value" message)
+                (String.starts_with ~prefix:"malformed value" message);
+              Alcotest.(check bool)
+                (Printf.sprintf "the error is under 256 bytes (%d)" (String.length message))
+                true
+                (String.length message < 256)
             | Protocol.Error _, _ -> Alcotest.fail "the next request was not answered"
             | _ -> Alcotest.fail "the over-long numeral was accepted") ) ]
 
