@@ -97,8 +97,10 @@ let memo_stats m =
 
 (* Boolean sub-query containing the τ-relation: at most one answer, whose
    τ-value is read off the homomorphism support (all supporting R-facts
-   must agree — otherwise τ is not localized on this database). *)
-let boolean_valued ?bool_memo tau a q db =
+   must agree — otherwise τ is not localized on this database). Without
+   [sides], a τ-value below the reference value is filed under ℓ> like
+   one above it: the key is then (0, ℓ=, ℓ≠). *)
+let boolean_valued ?bool_memo ~sides tau a q db =
   let n = Database.endo_size db in
   let sat = Boolean_dp.counts ?memo:bool_memo q db in
   let unsat = Tables.complement n sat in
@@ -117,7 +119,10 @@ let boolean_valued ?bool_memo tau a q db =
           invalid_arg "Avg_quantile: τ is not localized on this database")
       rest;
     let lvec =
-      match Q.compare v a with c when c < 0 -> (1, 0, 0) | 0 -> (0, 1, 0) | _ -> (0, 0, 1)
+      match Q.compare v a with
+      | 0 -> (0, 1, 0)
+      | c when c < 0 && sides -> (1, 0, 0)
+      | _ -> (0, 0, 1)
     in
     { n; entries = LMap.empty |> add_entry lvec sat |> add_entry (0, 0, 0) unsat }
 
@@ -127,13 +132,17 @@ let boolean_valued ?bool_memo tau a q db =
    key (the same sub-instance is revisited once per realizable
    τ-value); τ itself stays outside the key, so a memo is only sound
    for one value function — {!Batch} checks the stamp of a session's
-   memo. *)
+   memo. [sides] keys ℓ< apart from ℓ>: quantiles need it, Avg's weight
+   does not, and the projection (ℓ<, ℓ=, ℓ>) ↦ (0, ℓ=, ℓ<+ℓ>) commutes
+   with union (a vector sum) and cross product (a scaling). It follows
+   from the aggregate, which the stamp of a session's memo fixes too. *)
 module Alg = struct
   type table = vtable
 
   type ctx = {
     tau : Value_fn.t;
     a : Q.t;
+    sides : bool;
     bool : Boolean_dp.memo option;
     count : Count_dp.memo option;
   }
@@ -142,7 +151,7 @@ module Alg = struct
 
   let leaf ctx q db =
     if Cq.is_boolean q then
-      Some (fun () -> boolean_valued ?bool_memo:ctx.bool ctx.tau ctx.a q db)
+      Some (fun () -> boolean_valued ?bool_memo:ctx.bool ~sides:ctx.sides ctx.tau ctx.a q db)
     else None
 
   let connected_leaf _ _ _ = None
@@ -171,11 +180,15 @@ module Alg = struct
 
   let pad _ p t = pad_vtable p t
 
-  (* A variant's answer, if any, has the τ-value the whole block's
-     answer has (τ is localized), so only the satisfaction counts
-     change; a block whose answer carries no τ-value keeps every subset
-     under the empty bag. *)
-  let leaf_variants ctx q db t =
+  let diff t rm =
+    { n = rm.n;
+      entries = LMap.merge (fun _ -> Tables.variant_diff_row rm.n) t.entries rm.entries }
+
+  (* A removal variant's answer, if any, has the τ-value the whole
+     block's answer has (τ is localized), so only the satisfaction
+     counts change; a block whose answer carries no τ-value keeps every
+     subset under the empty bag. *)
+  let leaf_removals ctx q db t =
     let lvec =
       LMap.fold (fun l _ acc -> if l = (0, 0, 0) then acc else Some l) t.entries None
     in
@@ -188,20 +201,19 @@ module Alg = struct
           entries =
             LMap.empty |> add_entry l sat |> add_entry (0, 0, 0) (Tables.complement n sat) }
     in
-    List.map
-      (fun (v : _ Engine.variant) -> { v with exo = of_sat v.exo; rm = of_sat v.rm })
-      (snd (Boolean_dp.variants ?memo:ctx.bool q db))
+    List.map (fun (f, rm) -> (f, of_sat rm)) (Boolean_dp.removals ?memo:ctx.bool q db)
 end
 
 module E = Engine.Pass (Alg)
 
-let ctx_of ?memo tau a =
+let ctx_of ?memo ~sides tau a =
   { Alg.tau;
     a;
+    sides;
     bool = Option.map (fun m -> m.bool) memo;
     count = Option.map (fun m -> m.count) memo }
 
-let valued_table tau a q db = E.eval (ctx_of tau a) q db
+let valued_table tau a q db = E.eval (ctx_of ~sides:true tau a) q db
 
 let check (a : Agg_query.t) =
   (match Aggregate.quantile_of a.alpha with
@@ -270,13 +282,12 @@ let shapley ?(score = Aggshap_arith.Score.Shapley) a db f =
 
    one kernel per ℓ-vector the group's variants carry, integers over
    the lcm [d] of the coefficients, padded once per group. Returns [d]
-   and the slice function of a variant. *)
+   and the slice function of a variant, applied to its difference
+   t = exo − rm. *)
 let readout ~weight ~v ~pad l vs =
   let keys t acc = LMap.fold (fun lvec _ acc -> LMap.add lvec () acc) t.entries acc in
   let wanted =
-    List.fold_left
-      (fun acc (var : _ Engine.variant) -> keys var.exo (keys var.rm acc))
-      LMap.empty vs
+    List.fold_left (fun acc (var : _ Engine.variant) -> keys var.diff acc) LMap.empty vs
   in
   let coeffs =
     LMap.mapi
@@ -306,15 +317,13 @@ let readout ~weight ~v ~pad l vs =
       (LMap.filter (fun _ terms -> terms <> []) coeffs)
   in
   let slice (var : _ Engine.variant) =
-    let n_i = var.exo.n in
-    let get t lvec = Option.value (LMap.find_opt lvec t.entries) ~default:(Tables.zeros n_i) in
     LMap.fold
-      (fun lvec kernel acc ->
-        let diff = Tables.sub (get var.exo lvec) (get var.rm lvec) in
-        if Array.for_all B.is_zero diff then acc
-        else Tables.add acc (Tables.convolve kernel diff))
-      kernels
-      (Tables.zeros (l.n + pad + n_i))
+      (fun lvec diff acc ->
+        match LMap.find_opt lvec kernels with
+        | Some kernel -> Tables.add acc (Tables.convolve kernel diff)
+        | None -> acc)
+      var.diff.entries
+      (Tables.zeros (l.n + pad + var.diff.n))
   in
   (d, slice)
 
@@ -325,16 +334,19 @@ let add_slices (d1, x1) (d2, x2) =
   (d, Tables.add (lift d1 x1) (lift d2 x2))
 
 (* All facts from one variant pass per reference value: a fact's slice
-   sums its per-value slices, and is finished once. *)
+   sums its per-value slices, and is finished once. Only quantiles key
+   ℓ< apart from ℓ>. *)
 let batch ?(score = Aggshap_arith.Score.Shapley) ?memo (a : Agg_query.t) db =
   check a;
   let weight = weight_of a in
+  let sides = Option.is_some (Aggregate.quantile_of a.alpha) in
   let n = Database.endo_size db in
   let acc = Hashtbl.create 64 in
   List.iter
     (fun v ->
       let s =
-        E.split ?memo:(Option.map (fun m -> m.self) memo) (ctx_of ?memo a.tau v) a.query db
+        E.split ?memo:(Option.map (fun m -> m.self) memo) (ctx_of ?memo ~sides a.tau v) a.query
+          db
       in
       List.iter
         (fun (l, vs) ->

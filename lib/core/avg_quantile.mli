@@ -12,7 +12,16 @@
     where [f_q] is the rank-indicator weight of Section 5.1. The
     q-hierarchical property makes sibling answer sets disjoint (ℓ adds
     under union) and cross products multiply ℓ by the τ-free side's
-    answer count, provided by {!Count_dp}. *)
+    answer count, provided by {!Count_dp}.
+
+    Avg's weight [ℓ= / (ℓ<+ℓ=+ℓ>)] never tells ℓ< from ℓ>, so its
+    all-facts pass ({!batch}) keys its tables on (ℓ=, ℓ≠) with
+    [ℓ≠ = ℓ<+ℓ>]: its leaves file a τ-value below the reference value
+    under the same key component as one above it. The projection
+    commutes with union (a vector sum) and cross product (a scaling),
+    so the tables are the projections of the full ones, with fewer
+    keys. Quantiles keep (ℓ<, ℓ=, ℓ>), and so does the per-fact
+    reference {!sum_k} for every aggregate. *)
 
 (** {2 Table algebra}
 
@@ -75,7 +84,8 @@ val batch :
 (** Every endogenous fact's score (default Shapley), in
     [Database.endogenous] order, from one variant pass per reference
     value ({!Engine.Pass.split}): each block's siblings collapse to one
-    kernel per ℓ-vector. Bit-identical to {!shapley} fact by fact. *)
+    kernel per ℓ-vector (per (ℓ=, ℓ≠) for Avg). Bit-identical to
+    {!shapley} fact by fact. *)
 
 val shapley_all :
   Aggshap_agg.Agg_query.t ->

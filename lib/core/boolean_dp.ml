@@ -72,13 +72,14 @@ module Alg = struct
   (* In complement space the union is a convolution: the union fails iff
      both sides fail. *)
   let union () t1 t2 = complement (Tables.convolve (complement t1) (complement t2))
-  let leaf_variants () q db _ = Engine.each_variant db (ground_case q)
+  let diff = Tables.variant_diff
+  let leaf_removals () q db _ = Engine.each_removal db (ground_case q)
 end
 
 module E = Engine.Pass (Alg)
 
 let counts ?memo q db = E.eval_top ?memo () q db
-let variants ?memo q db = E.variants ?memo () q db
+let removals ?memo q db = E.removals ?memo () q db
 
 (* A fact in block i has slice sat(F) − sat(G) = P (U L_i (exo − rm)):
    in complement space the union is a convolution with L_i's
@@ -89,10 +90,7 @@ let slices ?memo q db =
   List.concat_map
     (fun (l, vs) ->
       let kernel = Tables.pad s.Engine.pad (Alg.complement l) in
-      List.map
-        (fun (v : _ Engine.variant) ->
-          (v.fact, Tables.convolve kernel (Tables.sub v.exo v.rm)))
-        vs)
+      List.map (fun (v : _ Engine.variant) -> (v.fact, Tables.convolve kernel v.diff)) vs)
     s.Engine.groups
 
 let shapley_all ?(score = Aggshap_arith.Score.Shapley) ?memo q db =

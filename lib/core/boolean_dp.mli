@@ -22,15 +22,16 @@ val counts : ?memo:memo -> Aggshap_cq.Cq.t -> Aggshap_relational.Database.t -> T
     tables are reused across calls.
     @raise Invalid_argument if the Boolean query is not hierarchical. *)
 
-val variants :
+val removals :
   ?memo:memo ->
   Aggshap_cq.Cq.t ->
   Aggshap_relational.Database.t ->
-  Tables.counts * Tables.counts Engine.variant list
-(** The satisfaction counts of [q] on [db] and every endogenous fact's
-    variant counts ({!Engine.Pass.variants}): the [leaf_variants] of the
-    algebras that cut off Boolean sub-queries. Every fact of [db] must
-    match an atom of [q]. *)
+  (Aggshap_relational.Fact.t * Tables.counts) list
+(** Every endogenous fact of [db] that is not a null player, with the
+    satisfaction counts of [q] on [db] without it, from one variant pass
+    ({!Engine.Pass.removals}): the [leaf_removals] of the algebras that
+    cut off Boolean sub-queries. Every fact of [db] must match an atom of
+    [q]. *)
 
 val shapley_all :
   ?score:Aggshap_arith.Score.t ->

@@ -111,10 +111,12 @@ module Alg = struct
 
   let pad _ p t = pad_table p t
 
-  let leaf_variants ctx q db _ =
-    List.map
-      (fun (v : _ Engine.variant) -> { v with exo = of_sat v.exo; rm = of_sat v.rm })
-      (snd (Boolean_dp.variants ?memo:ctx.bool q db))
+  let diff t rm =
+    { n = rm.n;
+      entries = IntMap.merge (fun _ -> Tables.variant_diff_row rm.n) t.entries rm.entries }
+
+  let leaf_removals ctx q db _ =
+    List.map (fun (f, rm) -> (f, of_sat rm)) (Boolean_dp.removals ?memo:ctx.bool q db)
 end
 
 module E = Engine.Pass (Alg)

@@ -40,9 +40,11 @@ val variants :
   Aggshap_cq.Cq.t ->
   Aggshap_relational.Database.t ->
   t * t Engine.variant list
-(** {!answer_counts} with every endogenous fact's variant tables
-    ({!Engine.Pass.variants}). Every fact of [db] must match an atom of
-    [q]. *)
+(** {!answer_counts} with the variant of every endogenous fact that is
+    not a null player ({!Engine.Pass.variants}): row by row, its
+    answer counts with the fact exogenous minus those without it, read
+    off the table and the fact's removal table. Every fact of [db] must
+    match an atom of [q]. *)
 
 val get : t -> int -> Tables.counts
 (** [get t ℓ] (zeros when absent). *)

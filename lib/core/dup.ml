@@ -104,7 +104,7 @@ let connected_dup_counts ?count_memo tau q db =
 let connected_split ?count_memo tau q db =
   let classes, outside = classes tau q db in
   let parts = List.map (Count_dp.variants ?memo:count_memo ~cap:2 q) classes in
-  let others =
+  let others, _ =
     Engine.leave_one_out ~unit:[| B.one |] ~op:Tables.convolve
       (Array.of_list (List.map (fun (t, _) -> at_most_one_of t) parts))
   in
@@ -162,11 +162,12 @@ module Alg = struct
         (Tables.convolve dup1 (Count_dp.get t2 1))
 
   let pad _ p t = Tables.pad p t
+  let diff = Tables.variant_diff
 
   (* Only a cross product nests a connected component under the root;
-     its facts re-evaluate Figure 5 on their variant databases. *)
-  let leaf_variants ctx q db _ =
-    Engine.each_variant db (connected_dup_counts ?count_memo:ctx.count ctx.tau q)
+     its facts re-evaluate Figure 5 on their removal databases. *)
+  let leaf_removals ctx q db _ =
+    Engine.each_removal db (connected_dup_counts ?count_memo:ctx.count ctx.tau q)
 end
 
 module E = Engine.Pass (Alg)
@@ -189,9 +190,10 @@ let shapley ?(score = Aggshap_arith.Score.Shapley) a db f =
 
 (* All facts from one variant pass. For a connected query the read-out
    follows Figure 5: a fact's slice is its class's at-most-one
-   difference times the product of the other classes, padded; a
-   cross product takes whole-query variants from the engine (its root is
-   never a partition, so the context is always [neutral]). *)
+   difference times the product of the other classes, padded, with the
+   sign flipped (Dup = 1 − NoDup); a cross product takes whole-query
+   variants from the engine (its root is never a partition, so the
+   context is always [neutral]). *)
 let batch ?(score = Aggshap_arith.Score.Shapley) ?memo (a : Agg_query.t) db =
   check a;
   let n = Database.endo_size db in
@@ -207,15 +209,10 @@ let batch ?(score = Aggshap_arith.Score.Shapley) ?memo (a : Agg_query.t) db =
        let pad = irrelevant + Database.endo_size outside in
        List.concat_map
          (fun (others, vs) ->
-           let kernel = Tables.pad pad others in
-           List.filter_map
+           let kernel = Array.map B.neg (Tables.pad pad others) in
+           List.map
              (fun (v : _ Engine.variant) ->
-               if v.exo == v.rm then None
-               else
-                 Some
-                   (finish v
-                      (Tables.convolve kernel
-                         (Tables.sub (at_most_one_of v.rm) (at_most_one_of v.exo)))))
+               finish v (Tables.convolve kernel (at_most_one_of v.diff)))
              vs)
          groups
      | _ ->
@@ -223,8 +220,7 @@ let batch ?(score = Aggshap_arith.Score.Shapley) ?memo (a : Agg_query.t) db =
        List.concat_map
          (fun (_, vs) ->
            List.map
-             (fun (v : _ Engine.variant) ->
-               finish v (Tables.pad s.Engine.pad (Tables.sub v.exo v.rm)))
+             (fun (v : _ Engine.variant) -> finish v (Tables.pad s.Engine.pad v.diff))
              vs)
          s.Engine.groups)
 

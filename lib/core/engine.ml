@@ -70,8 +70,7 @@ end
 
 type 'table variant = {
   fact : Fact.t;
-  exo : 'table;
-  rm : 'table;
+  diff : 'table;
 }
 
 type 'table split = {
@@ -79,15 +78,8 @@ type 'table split = {
   groups : ('table * 'table variant list) list;
 }
 
-let variant_dbs f db =
-  (Database.set_provenance Database.Exogenous f db, Database.remove f db)
-
-let each_variant db table_of =
-  List.map
-    (fun f ->
-      let db_exo, db_rm = variant_dbs f db in
-      { fact = f; exo = table_of db_exo; rm = table_of db_rm })
-    (Database.endogenous db)
+let each_removal db table_of =
+  List.map (fun f -> (f, table_of (Database.remove f db))) (Database.endogenous db)
 
 let leave_one_out ~unit ~op tables =
   let op a b = if a == unit then b else if b == unit then a else op a b in
@@ -99,14 +91,16 @@ let leave_one_out ~unit ~op tables =
   for i = g - 1 downto 1 do
     suf.(i) <- op tables.(i) suf.(i + 1)
   done;
-  Array.init g (fun i -> op pre.(i) suf.(i + 1))
+  ( Array.init g (fun i -> op pre.(i) suf.(i + 1)),
+    lazy (if g = 0 then unit else op pre.(g - 1) tables.(g - 1)) )
 
 module type PASS_ALGEBRA = sig
   include TABLE_ALGEBRA
 
   val neutral : table
   val union : ctx -> table -> table -> table
-  val leaf_variants : ctx -> Cq.t -> Database.t -> table -> table variant list
+  val diff : table -> table -> table
+  val leaf_removals : ctx -> Cq.t -> Database.t -> table -> (Fact.t * table) list
 end
 
 module Make (A : TABLE_ALGEBRA) = struct
@@ -171,30 +165,38 @@ module Make (A : TABLE_ALGEBRA) = struct
     A.pad ctx pad (eval ?memo ctx q db_rel)
 end
 
-(* The variant pass. A fact's two variant databases differ from [db]
-   only along the fact's own path down the decomposition: at a root
+(* The variant pass. A fact's removal database differs from [db] only
+   along the fact's own path down the decomposition: at a root
    partition only its block changes, at a conjunction only its
    component. So every node's own table is built once, and a fact's
-   variant table of a node is rebuilt from its variant table one level
+   removal table of a node is rebuilt from its removal table one level
    down:
 
-   - at a root partition, by the union of the block's variant with the
-     leave-one-out table L_i of its siblings (prefix/suffix sweeps of
-     [union]); a fact in no block keeps the node's own table (minus one
-     null player) for both variants;
-   - at a conjunction, by the algebra's [combine] on the variant
-     database with the fact's component replaced. Components the algebra
-     hands to a sub-algorithm (it never forces their thunk) are thereby
-     re-evaluated on the variant database; only a forced thunk recurses
-     into the pass. The thunks of the components a variant keeps
-     re-evaluate them on every [combine], unless a memo serves them;
-   - at a leaf, by [leaf_variants].
+   - at a root partition, by the union of the block's removal table with
+     the leave-one-out table L_i of its siblings (prefix/suffix sweeps of
+     [union], whose last prefix is the node's own table); a fact in no
+     block is a null player and gets no removal table;
+   - at a conjunction, by the algebra's [combine] on the removal
+     database with the fact's component replaced. Every component is
+     walked at most once, lazily, and its entry's thunk returns the
+     table of that walk, to the node's own [combine] and to every
+     fact's. Components the algebra hands to a sub-algorithm (it never
+     forces their thunk) are thereby re-evaluated on the removal
+     database, and are never walked. A fact the walk of its component
+     left out is a null player of that component, and so of the
+     conjunction whose [combine] reads the component's table;
+   - at a leaf, by [leaf_removals].
 
    A fact whose removal dissolves its block keeps it as a block whose
    sub-query has no answer in any subset: a table that unions like null
-   players, which is what the dissolved block's facts become. *)
+   players, which is what the dissolved block's facts become. Since a
+   table counts subsets by key and size, the fact's exogenous variant
+   is read off the node's own table and the removal table ([A.diff]),
+   where a read-out needs it. *)
 module Pass (A : PASS_ALGEBRA) = struct
   include Make (A)
+
+  exception Null_player
 
   let node ?memo ctx q db compute =
     Memo.find_or_compute memo ~key:(key ctx q db) (fun () ->
@@ -204,12 +206,14 @@ module Pass (A : PASS_ALGEBRA) = struct
   let union ctx a b =
     if a == A.neutral then b else if b == A.neutral then a else A.union ctx a b
 
-  let rec variants ?memo ctx q db =
+  (* The node's own table, built on demand, and every live fact's
+     removal table. *)
+  let rec walk ?memo ctx q db =
     match A.leaf ctx q db with
     | Some compute -> leaf ?memo ctx q db compute
     | None -> begin
       match Decompose.connected_components q with
-      | [] -> (node ?memo ctx q db (fun () -> A.empty ctx db), each_variant db (A.empty ctx))
+      | [] -> (lazy (node ?memo ctx q db (fun () -> A.empty ctx db)), [])
       | [ _ ] -> begin
         match A.connected_leaf ctx q db with
         | Some compute -> leaf ?memo ctx q db compute
@@ -224,87 +228,93 @@ module Pass (A : PASS_ALGEBRA) = struct
           Atomic.incr c_leaves;
           compute ())
     in
-    (t, A.leaf_variants ctx q db t)
+    (Lazy.from_val t, A.leaf_removals ctx q db t)
 
   and blocks ?memo ctx q db =
     let root, blocks, dropped = partition q db in
     let subst = Cq.substituter q root in
-    let children =
-      List.map (fun (v, block) -> (v, block, variants ?memo ctx (subst v) block)) blocks
+    let children = List.map (fun (v, block) -> walk ?memo ctx (subst v) block) blocks in
+    let ls, all =
+      leave_one_out ~unit:A.neutral ~op:(A.union ctx)
+        (Array.of_list (List.map (fun (t, _) -> Lazy.force t) children))
     in
-    let tables = Array.of_list (List.map (fun (_, _, (t, _)) -> t) children) in
-    (root, children, leave_one_out ~unit:A.neutral ~op:(A.union ctx) tables, dropped)
+    (children, ls, all, dropped)
 
   and partitioned ?memo ctx q db =
-    let root, children, ls, dropped = blocks ?memo ctx q db in
+    let children, ls, all, dropped = blocks ?memo ctx q db in
     let p = Database.endo_size dropped in
-    let merged =
+    let t =
       lazy
-        (Atomic.incr c_merges;
-         A.merge ctx ~root (List.map (fun (v, block, (t, _)) -> (v, block, t)) children))
+        (node ?memo ctx q db (fun () ->
+             Atomic.incr c_merges;
+             A.pad ctx p (Lazy.force all)))
     in
-    let t = node ?memo ctx q db (fun () -> A.pad ctx p (Lazy.force merged)) in
-    let in_blocks =
+    let rms =
       List.concat
         (List.mapi
-           (fun i (_, _, (_, vs)) ->
-             let lift t = A.pad ctx p (union ctx ls.(i) t) in
-             List.map (fun v -> { v with exo = lift v.exo; rm = lift v.rm }) vs)
+           (fun i (_, rms) ->
+             List.map (fun (f, rm) -> (f, A.pad ctx p (union ctx ls.(i) rm))) rms)
            children)
     in
-    let null = lazy (A.pad ctx (p - 1) (Lazy.force merged)) in
-    let outside =
-      List.map
-        (fun f -> { fact = f; exo = Lazy.force null; rm = Lazy.force null })
-        (Database.endogenous dropped)
-    in
-    (t, in_blocks @ outside)
+    (t, rms)
 
   and conjunction ?memo ctx q db comps =
-    let parts = components comps db in
+    let parts =
+      List.map
+        (fun (comp, db_c) -> (comp, db_c, lazy (walk ?memo ctx comp db_c)))
+        (components comps db)
+    in
     let entries =
-      List.map (fun (comp, db_c) -> (comp, db_c, fun () -> eval ?memo ctx comp db_c)) parts
+      List.map
+        (fun (comp, db_c, w) -> (comp, db_c, fun () -> Lazy.force (fst (Lazy.force w))))
+        parts
     in
     let conj db entries =
+      let t = A.combine ctx q db entries in
       Atomic.incr c_combines;
-      A.combine ctx q db entries
+      t
     in
-    let t = node ?memo ctx q db (fun () -> conj db entries) in
-    let vs =
+    let t = lazy (node ?memo ctx q db (fun () -> conj db entries)) in
+    let rms =
       List.concat
         (List.mapi
-           (fun j (comp, db_c) ->
-             let inner =
+           (fun j (comp, db_c, w) ->
+             let found =
                lazy
                  (let tbl = Hashtbl.create 16 in
-                  List.iter
-                    (fun v -> Hashtbl.replace tbl v.fact v)
-                    (snd (variants ?memo ctx comp db_c));
+                  List.iter (fun (f, rm) -> Hashtbl.replace tbl f rm) (snd (Lazy.force w));
                   tbl)
              in
-             let at f db' db_c' pick =
-               conj db'
-                 (List.mapi
-                    (fun j' e ->
-                      if j' <> j then e
-                      else (comp, db_c', fun () -> pick (Hashtbl.find (Lazy.force inner) f)))
-                    entries)
-             in
-             List.map
+             List.filter_map
                (fun f ->
-                 let db_exo, db_rm = variant_dbs f db in
-                 let c_exo, c_rm = variant_dbs f db_c in
-                 { fact = f;
-                   exo = at f db_exo c_exo (fun v -> v.exo);
-                   rm = at f db_rm c_rm (fun v -> v.rm) })
+                 let rm_c () =
+                   match Hashtbl.find_opt (Lazy.force found) f with
+                   | Some rm -> rm
+                   | None -> raise Null_player
+                 in
+                 let replaced =
+                   List.mapi
+                     (fun j' e -> if j' <> j then e else (comp, Database.remove f db_c, rm_c))
+                     entries
+                 in
+                 match conj (Database.remove f db) replaced with
+                 | rm -> Some (f, rm)
+                 | exception Null_player -> None)
                (Database.endogenous db_c))
            parts)
     in
-    (t, vs)
+    (t, rms)
+
+  let removals ?memo ctx q db = snd (walk ?memo ctx q db)
+  let diffs t rms = List.map (fun (fact, rm) -> { fact; diff = A.diff t rm }) rms
+
+  let variants ?memo ctx q db =
+    let t, rms = walk ?memo ctx q db in
+    let t = Lazy.force t in
+    (t, diffs t rms)
 
   let split ?memo ctx q db =
     let db_rel, irrelevant = Decompose.relevant_part q db in
-    let live vs = List.filter (fun v -> v.exo != v.rm) vs in
     let partitions =
       Option.is_none (A.leaf ctx q db_rel)
       && (match Decompose.connected_components q with
@@ -312,12 +322,14 @@ module Pass (A : PASS_ALGEBRA) = struct
           | _ -> false)
     in
     if partitions then begin
-      let _, children, ls, dropped = blocks ?memo ctx q db_rel in
+      let children, ls, _, dropped = blocks ?memo ctx q db_rel in
       { pad = irrelevant + Database.endo_size dropped;
-        groups = List.mapi (fun i (_, _, (_, vs)) -> (ls.(i), live vs)) children }
+        groups = List.mapi (fun i (t, rms) -> (ls.(i), diffs (Lazy.force t) rms)) children }
     end
-    else
-      { pad = irrelevant; groups = [ (A.neutral, live (snd (variants ?memo ctx q db_rel))) ] }
+    else begin
+      let t, rms = walk ?memo ctx q db_rel in
+      { pad = irrelevant; groups = [ (A.neutral, diffs (Lazy.force t) rms) ] }
+    end
 end
 
 type shape =

@@ -26,10 +26,10 @@
     The engine is the {e only} module that calls
     {!Aggshap_cq.Decompose.choose_root} and
     {!Aggshap_cq.Decompose.partition}. All-facts solves go through
-    {!Pass}: one walk of the decomposition gives every fact the two
-    variant tables its slice needs, and at a root partition the
-    leave-one-out table of its block's siblings, so no caller needs the
-    raw top-level split. *)
+    {!Pass}: one walk of the decomposition gives every fact the
+    difference of the two variant tables its slice needs, and at a root
+    partition the leave-one-out table of its block's siblings, so no
+    caller needs the raw top-level split. *)
 
 (** {1 Per-node statistics}
 
@@ -121,7 +121,8 @@ module type TABLE_ALGEBRA = sig
   (** Conjunction over connected components, given as
       [(component, restricted db, recursion thunk)] in component order.
       Forcing a thunk evaluates that component through the engine
-      (memoized); algebras that treat some components specially (the
+      (memoized; in {!Pass}, walked once per conjunction and shared by
+      every call); algebras that treat some components specially (the
       τ-free sides of Min/Max and Avg/Quantile, the cross-product step
       of Has-duplicates) may ignore the thunks of those components and
       run a sub-algorithm on the restricted database instead. The whole
@@ -168,24 +169,29 @@ end
     of two variant databases: [D] with [f] exogenous and [D] without
     [f] (the folklore reduction of {!Sumk}). Re-running {!Make.eval} on
     both costs two full dynamic programs per fact. The variant pass
-    walks the decomposition once instead, building each node's own
-    table once and rebuilding a fact's variant tables only along its
-    own path: at a root partition by the union of its block's variant
-    with the leave-one-out table of the block's siblings, at a
-    conjunction by [combine] with the fact's component replaced
-    (components the algebra hands to a sub-algorithm are re-evaluated
-    on the variant database, and without [?memo] so are the sibling
-    components whose thunks [combine] forces), and at a leaf by
-    [leaf_variants]. *)
+    walks the decomposition once instead. It builds each node's own
+    table at most once and carries one table per fact up the walk, its
+    {e removal} table (the node's table without [f]), rebuilt only
+    along the fact's own path: at a root partition by the union of its
+    block's removal table with the leave-one-out table of the block's
+    siblings, at a conjunction by [combine] with the fact's component
+    replaced, and at a leaf by [leaf_removals]. A conjunction walks each
+    component at most once and hands that walk's table to every
+    [combine]; components the algebra hands to a sub-algorithm are
+    re-evaluated on the removal database instead. A table counts the
+    subsets by key and size, so key by key [t = rm + x·exo]: the node's
+    own table [t] and the removal table [rm] give the exogenous variant,
+    and every read-out consumes only [exo − rm] ([diff]). *)
 
 type 'table variant = {
   fact : Aggshap_relational.Fact.t;
-  exo : 'table;  (** the node's table with [fact] exogenous *)
-  rm : 'table;  (** the node's table without [fact] *)
+  diff : 'table;
+      (** the node's table with [fact] exogenous minus its table without
+          [fact], key by key: a signed table over the other facts *)
 }
-(** A fact's two variant tables of one node. A null player of the node
-    (a fact in no block of a root partition) shares one table between
-    [exo] and [rm]. *)
+(** A fact's variant of one node. Null players of the node (facts in no
+    block of a root partition, at any depth of the walk) get none: their
+    difference is zero. *)
 
 type 'table split = {
   pad : int;
@@ -193,33 +199,35 @@ type 'table split = {
           query, and facts in no block of a root partition *)
   groups : ('table * 'table variant list) list;
       (** [(context, variants)]: with [U] the algebra's [union] and [P]
-          padding by [pad], the query's table on a fact's variant
-          database is [P (U context t)] for its variant table [t].
-          A root partition gives one group per block, the context being
-          the union of its siblings' tables; any other root gives one
-          group with the [neutral] context and whole-query variants.
-          Null players are left out. *)
+          padding by [pad], a fact's slice of the query's table is
+          [P (U context d)] for its variant's [diff] [d]. A root
+          partition gives one group per block, the context being the
+          union of its siblings' tables and the differences block-sized;
+          any other root gives one group with the [neutral] context and
+          whole-query differences. *)
 }
 (** The top of the variant pass. Since [U] is bilinear and every
     aggregate reads its [sum_k] vector linearly off the padded table, a
     fact's slice is [R (P (U context (exo − rm)))]: one kernel per
-    group and table key, applied to the difference of two block-sized
-    tables. *)
+    group and table key, applied to a block-sized difference. *)
 
-val each_variant :
+val each_removal :
   Aggshap_relational.Database.t ->
   (Aggshap_relational.Database.t -> 'table) ->
-  'table variant list
-(** Variants of every endogenous fact of [db] by re-evaluating a table
-    function on both variant databases: the [leaf_variants] of leaves
-    that read a few facts directly (ground atoms). *)
+  (Aggshap_relational.Fact.t * 'table) list
+(** Every endogenous fact of [db] with a table function re-evaluated on
+    [db] without it: the [leaf_removals] of leaves that read a few facts
+    directly (ground atoms). *)
 
-val leave_one_out : unit:'a -> op:('a -> 'a -> 'a) -> 'a array -> 'a array
+val leave_one_out :
+  unit:'a -> op:('a -> 'a -> 'a) -> 'a array -> 'a array * 'a Lazy.t
 (** [leave_one_out ~unit ~op ts]: for every [i], the product under [op]
     of every [ts.(j)] with [j <> i], from one prefix and one suffix
     sweep ([3g − 6] applications of [op] for [g ≥ 2] tables; none where
-    an operand is [unit], compared physically). [op] must be
-    associative and commutative with unit [unit]. *)
+    an operand is [unit], compared physically), and, built on demand
+    from the last prefix, the product of all of them (one more
+    application). [op] must be associative and commutative with unit
+    [unit]. *)
 
 (** What the variant pass needs beyond {!TABLE_ALGEBRA}. *)
 module type PASS_ALGEBRA = sig
@@ -233,22 +241,41 @@ module type PASS_ALGEBRA = sig
       [merge ctx ~root blocks] equals the fold of [union] over the
       blocks' tables from [neutral], and [union] is bilinear in the
       tables' counts. The Boolean algebra's works in complement space
-      (the query fails iff every block fails). *)
+      (the query fails iff every block fails). The pass builds a
+      partition's own table from these unions, never from [merge]. *)
 
-  val leaf_variants :
+  val diff : table -> table -> table
+  (** [diff t rm]: a fact's [exo − rm] from the node's own table [t] and
+      the fact's removal table [rm], by {!Tables.variant_diff} on every
+      key either table carries; keys whose difference is zero may be
+      dropped. *)
+
+  val leaf_removals :
     ctx ->
     Aggshap_cq.Cq.t ->
     Aggshap_relational.Database.t ->
     table ->
-    table variant list
-  (** [leaf_variants ctx q db t]: the variants of a node resolved by
-      [leaf] or [connected_leaf] with table [t], one per endogenous fact
-      of [db]. A leaf that delegates to another dynamic program can take
-      them from that program's pass. *)
+    (Aggshap_relational.Fact.t * table) list
+  (** [leaf_removals ctx q db t]: the removal tables of a node resolved
+      by [leaf] or [connected_leaf] with table [t], one per endogenous
+      fact of [db] that is not a null player. A leaf that delegates to
+      another dynamic program can take them from that program's pass
+      ({!Pass.removals}). *)
 end
 
 module Pass (A : PASS_ALGEBRA) : sig
   include module type of Make (A)
+
+  val removals :
+    ?memo:A.table Memo.t ->
+    A.ctx ->
+    Aggshap_cq.Cq.t ->
+    Aggshap_relational.Database.t ->
+    (Aggshap_relational.Fact.t * A.table) list
+  (** Every endogenous fact of [db] that is not a null player, with the
+      node's table on [db] without it, under the same assumption as
+      {!Make.eval}. The node's own table is not built when the node is a
+      root partition. *)
 
   val variants :
     ?memo:A.table Memo.t ->
@@ -256,8 +283,9 @@ module Pass (A : PASS_ALGEBRA) : sig
     Aggshap_cq.Cq.t ->
     Aggshap_relational.Database.t ->
     A.table * A.table variant list
-  (** The node's table (as {!Make.eval}) and the variants of every
-      endogenous fact of [db], under the same assumption as {!Make.eval}. *)
+  (** The node's table (as {!Make.eval}) and the variant of every
+      endogenous fact of [db] that is not a null player, under the same
+      assumption as {!Make.eval}. *)
 
   val split :
     ?memo:A.table Memo.t ->
@@ -266,7 +294,8 @@ module Pass (A : PASS_ALGEBRA) : sig
     Aggshap_relational.Database.t ->
     A.table split
   (** The top of the pass on the relevant part of [db], as {!Make.eval_top}
-      does. The root partition's own merge is never built. *)
+      does. At a root partition each group's differences are read off its
+      block's own table, and the root's own table is never built. *)
 end
 
 (** {1 Static decomposition trees}

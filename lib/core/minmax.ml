@@ -175,8 +175,13 @@ module Alg = struct
   let neutral = neutral
   let union _ = combine_union
 
-  let leaf_variants ctx q db _ =
-    Engine.each_variant db (ground_base ctx.tau (ground_atom q))
+  let diff t rm =
+    { n = rm.n;
+      empty = Tables.variant_diff t.empty rm.empty;
+      by_value = QMap.merge (fun _ -> Tables.variant_diff_row rm.n) t.by_value rm.by_value }
+
+  let leaf_removals ctx q db _ =
+    Engine.each_removal db (ground_base ctx.tau (ground_atom q))
 end
 
 module E = Engine.Pass (Alg)
@@ -220,13 +225,12 @@ let shapley ?(score = Aggshap_arith.Score.Shapley) a db f =
    where lt_L(b) counts L's subsets whose maximum is below b, empty
    ones included. The kernels are integers over the lcm [d] of every
    value the group's tables carry, padded once per group. Returns
-   [d] and the slice function of a variant. *)
+   [d] and the slice function of a variant, applied to its
+   difference t = exo − rm. *)
 let readout ~pad l vs =
   let keys t acc = QMap.fold (fun a _ acc -> QMap.add a () acc) t.by_value acc in
   let wanted =
-    List.fold_left
-      (fun acc (v : _ Engine.variant) -> keys v.exo (keys v.rm acc))
-      QMap.empty vs
+    List.fold_left (fun acc (v : _ Engine.variant) -> keys v.diff acc) QMap.empty vs
   in
   let d = QMap.fold (fun a () acc -> Q.den_lcm acc a) (keys l wanted) B.one in
   let scale a c =
@@ -256,17 +260,14 @@ let readout ~pad l vs =
   in
   let k_empty = Tables.pad pad total in
   let slice (v : _ Engine.variant) =
-    let n_i = v.exo.n in
-    let get t b = Option.value (QMap.find_opt b t.by_value) ~default:(Tables.zeros n_i) in
     let term kernel diff acc =
       if Array.for_all B.is_zero diff then acc
       else Tables.add acc (Tables.convolve kernel diff)
     in
     QMap.fold
-      (fun b () acc ->
-        term (QMap.find b kernels) (Tables.sub (get v.exo b) (get v.rm b)) acc)
-      (keys v.exo (keys v.rm QMap.empty))
-      (term k_empty (Tables.sub v.exo.empty v.rm.empty) (Tables.zeros (l.n + pad + n_i)))
+      (fun b diff acc -> term (QMap.find b kernels) diff acc)
+      v.diff.by_value
+      (term k_empty v.diff.empty (Tables.zeros (l.n + pad + v.diff.n)))
   in
   (d, slice)
 

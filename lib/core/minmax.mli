@@ -68,8 +68,8 @@ val batch :
     [Database.endogenous] order, from one variant pass
     ({!Engine.Pass.split}): at a root partition each block's siblings
     collapse to one kernel per value, and a fact pays one kernel
-    application to its block's variant tables. Bit-identical to
-    {!shapley} fact by fact. *)
+    application per value of its block-sized variant difference.
+    Bit-identical to {!shapley} fact by fact. *)
 
 val shapley_all :
   Aggshap_agg.Agg_query.t ->

@@ -63,6 +63,18 @@ let sub a b =
 
 let complement n c = sub (full n) c
 
+let variant_diff t rm =
+  let n = Array.length rm in
+  if Array.length t <> n + 1 then invalid_arg "Tables.variant_diff: length mismatch";
+  Array.init n (fun j ->
+      let above = if j + 1 < n then rm.(j + 1) else B.zero in
+      B.sub (B.sub t.(j + 1) above) rm.(j))
+
+let variant_diff_row n t rm =
+  let row n = function Some c -> c | None -> zeros n in
+  let d = variant_diff (row (n + 1) t) (row n rm) in
+  if Array.for_all B.is_zero d then None else Some d
+
 (* Below this length (of the shorter operand) a convolution entry only
    accumulates a handful of terms: the zero-skipping scatter loop beats
    the multiply-accumulate form, whose per-entry clear/extract overhead

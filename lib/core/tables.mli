@@ -50,6 +50,20 @@ val sub : counts -> counts -> counts
 val complement : int -> counts -> counts
 (** [complement n c] is [full n - c]. *)
 
+val variant_diff : counts -> counts -> counts
+(** [variant_diff t rm]: a fact's exogenous variant minus its removal
+    variant, from the counts [t] of the whole fact set (length [n + 1])
+    and [rm] of the set without the fact (length [n]). Splitting the
+    subsets on the fact gives [t(k) = rm(k) + exo(k-1)], so the result
+    has length [n] and entry [j] is [t(j+1) - rm(j+1) - rm(j)], with
+    [rm(n) = 0]. *)
+
+val variant_diff_row : int -> counts option -> counts option -> counts option
+(** [variant_diff_row n t rm]: {!variant_diff} of one key's rows of a
+    keyed table over [n + 1] facts and of the fact's removal table, in
+    the shape of [Map.merge]: an absent row is a row of zeros, and a
+    difference of zeros is absent. *)
+
 val convolve : counts -> counts -> counts
 (** [convolve a b] has length [(|a|-1) + (|b|-1) + 1]; entry [k] is
     [Σ_{k1+k2=k} a.(k1) * b.(k2)] — the table of a conjunction over two

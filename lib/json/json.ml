@@ -124,6 +124,16 @@ let to_line v =
 
 exception Parse_error of string
 
+(* At most 64 bytes of a literal, then its length, as [Parser.quote]
+   quotes request text: an error must not grow with the request. Json
+   links no other library, so these few lines live here. *)
+let quote_limit = 64
+
+let quote s =
+  let n = String.length s in
+  if n <= quote_limit then Printf.sprintf "%S" s
+  else Printf.sprintf "%S... (%d bytes)" (String.sub s 0 quote_limit) n
+
 let parse (s : string) : (t, string) result =
   let n = String.length s in
   let pos = ref 0 in
@@ -197,7 +207,7 @@ let parse (s : string) : (t, string) result =
     | None -> (
       match float_of_string_opt lit with
       | Some f -> Float f
-      | None -> fail (Printf.sprintf "malformed number %S" lit))
+      | None -> fail ("malformed number " ^ quote lit))
   in
   let rec parse_value () =
     skip_ws ();

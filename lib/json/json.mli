@@ -26,7 +26,8 @@ val escape_string : string -> string
 val parse : string -> (t, string) result
 (** Parses one JSON value; the whole input must be consumed. Integral
     numbers parse as [Int], everything else as [Float]. [\u] escapes
-    below 128 decode to the ASCII character, others to ['?']. *)
+    below 128 decode to the ASCII character, others to ['?']. An error
+    quotes at most 64 bytes of a malformed literal, then its length. *)
 
 (** {1 Accessors}
 

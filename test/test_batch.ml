@@ -252,6 +252,79 @@ let prop_pass_matches_per_fact =
          ignore (pass_matches_per_fact (Printf.sprintf "seed %d" seed) a db);
          true))
 
+(* The identity the pass rests on: a table counts the subsets by key
+   and size, so a fact's exogenous variant is read off the node's own
+   table and the fact's removal table. Every public pass that hands out
+   per-fact tables must agree with the tables of the variant databases
+   computed from scratch: [Count_dp.variants]' differences, uncapped and
+   capped, key by key, and [Boolean_dp.removals]' removal counts. A fact
+   a pass leaves out must be a null player there: its two variant
+   databases have equal tables. *)
+let prop_diffs_match_variant_dbs =
+  let module B = Aggshap_arith.Bigint in
+  let module Hierarchy = Aggshap_cq.Hierarchy in
+  let counts_equal a b = Array.length a = Array.length b && Array.for_all2 B.equal a b in
+  let fail seed what f =
+    QCheck.Test.fail_reportf "seed %d: %s of %s" seed what (Fact.to_string f)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"every variant's diff is exo - rm of its variant databases"
+       ~count:150
+       QCheck.(int_bound 1_000_000)
+       (fun seed ->
+         let a, db = widened_instance seed in
+         let q = a.Agg_query.query in
+         let db, _ = Aggshap_cq.Decompose.relevant_part q db in
+         let variant_dbs f =
+           (Database.set_provenance Database.Exogenous f db, Database.remove f db)
+         in
+         if Hierarchy.is_q_hierarchical q then
+           List.iter
+             (fun cap ->
+               let _, vs = Core.Count_dp.variants ?cap q db in
+               List.iter
+                 (fun f ->
+                   let db_exo, db_rm = variant_dbs f in
+                   let exo = Core.Count_dp.answer_counts ?cap q db_exo in
+                   let rm = Core.Count_dp.answer_counts ?cap q db_rm in
+                   let diff =
+                     match
+                       List.find_opt (fun (v : _ Core.Engine.variant) -> Fact.equal v.fact f) vs
+                     with
+                     | Some v -> v.diff
+                     | None -> { rm with Core.Count_dp.entries = Core.Count_dp.IntMap.empty }
+                   in
+                   let keys (t : Core.Count_dp.t) =
+                     List.map fst (Core.Count_dp.IntMap.bindings t.Core.Count_dp.entries)
+                   in
+                   List.iter
+                     (fun l ->
+                       let expected =
+                         Core.Tables.sub (Core.Count_dp.get exo l) (Core.Count_dp.get rm l)
+                       in
+                       if not (counts_equal expected (Core.Count_dp.get diff l)) then
+                         fail seed
+                           (Printf.sprintf "answer-count diff (cap %s) at %d"
+                              (match cap with None -> "none" | Some c -> string_of_int c) l)
+                           f)
+                     (List.sort_uniq Int.compare (keys exo @ keys rm @ keys diff)))
+                 (Database.endogenous db))
+             [ None; Some 2 ];
+         if Hierarchy.is_all_hierarchical q then begin
+           let rms = Core.Boolean_dp.removals q db in
+           List.iter
+             (fun f ->
+               let db_exo, db_rm = variant_dbs f in
+               let rm = Core.Boolean_dp.counts q db_rm in
+               match List.assoc_opt f rms with
+               | Some rm' -> if not (counts_equal rm rm') then fail seed "removal counts" f
+               | None ->
+                 if not (counts_equal (Core.Boolean_dp.counts q db_exo) rm) then
+                   fail seed "a left-out non-null player" f)
+             (Database.endogenous db)
+         end;
+         true))
+
 (* Fuzz corpus seed 42000127: Rel0(v0, v0) and Rel2(v0) form a τ-free
    component, which Max hands to the Boolean DP instead of recursing.
    Their facts' variants must come from re-evaluating that component on
@@ -535,6 +608,7 @@ let () =
         @ [
             Alcotest.test_case "minmax structured blocks" `Quick test_minmax_batch_structured;
             prop_pass_matches_per_fact;
+            prop_diffs_match_variant_dbs;
             Alcotest.test_case "fact in a tau-free component" `Quick test_tau_free_component;
             Alcotest.test_case "cache actually hits" `Quick test_batch_cache_hits;
             Alcotest.test_case "outside frontier rejected" `Quick test_batch_outside_frontier;

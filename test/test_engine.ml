@@ -232,6 +232,25 @@ let wide_db =
     [ Fact.of_ints "R" [ 1; 2 ]; Fact.of_ints "R" [ 3; 4 ]; Fact.of_ints "R" [ 5; 6 ];
       Fact.of_ints "S" [ 2 ]; Fact.of_ints "S" [ 4 ]; Fact.of_ints "S" [ 6 ] ]
 
+(* A chain of four blocks under root y, with an exogenous fact in one
+   block and a null player (S(9) matches no R fact). *)
+let pass_db =
+  Aggshap_workload.Generate.chain_database ~rows:16
+  |> Database.add ~provenance:Database.Exogenous (Fact.of_ints "R" [ 50; 0 ])
+  |> Database.add (Fact.of_ints "S" [ 9 ])
+
+(* One all-facts pass, counted exactly: nodes, leaves, merges, combines.
+   A pass that walks a sibling component again, or carries a second
+   table per fact, enters more nodes or combines. *)
+let check_pass_counts name expected solve =
+  Engine.reset_stats ();
+  ignore (solve ());
+  let s = Engine.stats () in
+  Alcotest.(check (list int))
+    (name ^ ": nodes, leaves, merges, combines")
+    expected
+    [ s.Engine.nodes; s.Engine.leaves; s.Engine.merges; s.Engine.combines ]
+
 let test_stats_counters () =
   Engine.reset_stats ();
   ignore (Count_dp.answer_counts Catalog.q_xyy_full wide_db);
@@ -239,6 +258,16 @@ let test_stats_counters () =
   Alcotest.(check bool) "nodes counted" true (s.Engine.nodes > 0);
   Alcotest.(check bool) "leaves counted" true (s.Engine.leaves > 0);
   Alcotest.(check bool) "merges counted" true (s.Engine.merges > 0);
+  let tau = Value_fn.id ~rel:"R" ~pos:0 in
+  (* A pass that carried both variant tables per fact, and whose
+     conjunctions walked the sibling components again for each of them,
+     counted [132; 112; 16; 44] here. *)
+  check_pass_counts "max q_xyy" [ 49; 41; 4; 24 ] (fun () ->
+      Minmax.batch (Agg_query.make Aggregate.Max tau Catalog.q_xyy) pass_db);
+  (* That pass counted [4437; 4097; 272; 748] here, once per reference
+     value. *)
+  check_pass_counts "avg q_xyy_full" [ 1819; 1683; 68; 408 ] (fun () ->
+      Avg_quantile.batch (Agg_query.make Aggregate.Avg tau Catalog.q_xyy_full) pass_db);
   Engine.reset_stats ();
   Alcotest.(check int) "reset clears nodes" 0 (Engine.stats ()).Engine.nodes
 

@@ -230,6 +230,11 @@ let spec =
 
 let ok = function Ok v -> v | Error msg -> Alcotest.fail msg
 
+let contains haystack needle =
+  let nh = String.length haystack and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
+  go 0
+
 let values session =
   List.map (fun (f, v) -> (Fact.to_string f, Q.to_string v)) (Session.shapley_all session)
 
@@ -488,7 +493,44 @@ let serve_tests =
                 true
                 (String.length message < 256)
             | Protocol.Error _, _ -> Alcotest.fail "the next request was not answered"
-            | _ -> Alcotest.fail "the over-long numeral was accepted") ) ]
+            | _ -> Alcotest.fail "the over-long numeral was accepted") );
+    ( "an over-long malformed JSON number gets a short reply",
+      `Quick,
+      fun () ->
+        let socket = Filename.temp_file "aggshap_server" ".sock" in
+        Sys.remove socket;
+        let pid = start_server socket in
+        Fun.protect
+          ~finally:(fun () ->
+            ignore
+              (Client.with_connection socket (fun c ->
+                   Client.request c Protocol.Shutdown));
+            ignore (Server.retry_intr (fun () -> Unix.waitpid [] pid));
+            try Sys.remove socket with Sys_error _ -> ())
+          (fun () ->
+            (* A 5,000-byte number literal that is not a number: the
+               JSON decoder refuses the line, quoting a bounded prefix
+               of the literal, and the same connection goes on being
+               served. *)
+            let malformed = String.concat "" (List.init 2_500 (fun _ -> "1.")) in
+            let replies =
+              ok
+                (Client.with_connection socket (fun c ->
+                     let ( let* ) = Result.bind in
+                     let* () = Client.send_line c ("{\"op\":\"ping\",\"n\":" ^ malformed ^ "}") in
+                     let* reply = Client.recv_line c in
+                     let* pong = Client.request c Protocol.Ping in
+                     Ok (reply, pong)))
+            in
+            match replies with
+            | reply, Protocol.Pong ->
+              Alcotest.(check bool) "the reply names the malformed number" true
+                (contains reply "malformed number");
+              Alcotest.(check bool)
+                (Printf.sprintf "the reply is under 256 bytes (%d)" (String.length reply))
+                true
+                (String.length reply < 256)
+            | _ -> Alcotest.fail "the next request was not answered") ) ]
 
 let () =
   Alcotest.run "server"
