@@ -521,10 +521,9 @@ let e14 () =
    The headline family is Sum — the linear engine caches one membership
    game per answer and an update dirties only the games its fact's atoms
    match, so the per-step cost is ~independent of database size. The Max
-   family (generic engine) is deliberately kept small: its DP-table memo
-   is content-addressed, so steps stay *correct* without any flush, but
-   an update perturbs every fact's own-block recombination, which
-   dominates — churn reuse is marginal there (see DESIGN.md §5). *)
+   family (generic engine) is deliberately kept small: its session keeps
+   no cache, so a live step and a cold session's step run the same solve
+   and the ratio reads about 1 (see DESIGN.md §5). *)
 let e15 () =
   header "E15 (incremental maintenance): live session vs from-scratch under ~1% churn";
   Printf.printf "%-22s %6s %8s %6s %12s %14s %12s %9s %7s\n" "workload" "rows"

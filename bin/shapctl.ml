@@ -392,11 +392,9 @@ let run_client action session socket query_s db_path agg_s tau_s fallback_s
     one (Protocol.Stats { session }) (function
       | Protocol.Session_stats { session; stats } ->
         Printf.printf
-          "session %s: steps=%d games=%d computed/%d reused flushes=%d facts=%d \
-           endogenous=%d\n"
+          "session %s: steps=%d games=%d computed/%d reused facts=%d endogenous=%d\n"
           session stats.Protocol.steps stats.Protocol.games_computed
-          stats.Protocol.games_reused stats.Protocol.full_recomputes
-          stats.Protocol.facts stats.Protocol.endogenous
+          stats.Protocol.games_reused stats.Protocol.facts stats.Protocol.endogenous
       | Protocol.Server_stats { sessions; requests; evictions; restores } ->
         List.iter
           (fun (name, live) ->

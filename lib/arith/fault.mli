@@ -39,9 +39,9 @@ type t =
       {!Bigint.mul_schoolbook} ignores it.
     - [`Stale_block] makes the incremental engine
       ({!Aggshap_incr.Session}) skip one cache invalidation per update:
-      the first dirty membership game keeps its stale per-fact
-      contributions, and the τ-flush of the generic-path batch memo is
-      suppressed.
+      the first membership game an insert or delete dirties keeps its
+      stale per-fact contributions. Only the Sum/Count sessions cache
+      anything across reads, so only they are affected.
     - [`Block_drop] makes the decomposition engine
       ({!Aggshap_core.Engine}) demote the last root-variable block of
       every partition with at least two blocks to null-player padding,

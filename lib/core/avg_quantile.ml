@@ -80,29 +80,14 @@ let combine_cross_counted t (c : Count_dp.t) =
   in
   { n = t.n + c.Count_dp.n; entries }
 
-type memo = {
-  self : vtable Memo.t;
-  bool : Boolean_dp.memo;
-  count : Count_dp.memo;
-}
-
-let create_memo () =
-  { self = Memo.create ();
-    bool = Boolean_dp.create_memo ();
-    count = Count_dp.create_memo () }
-
-let memo_stats m =
-  Memo.merge_stats (Memo.stats m.self)
-    (Memo.merge_stats (Boolean_dp.memo_stats m.bool) (Count_dp.memo_stats m.count))
-
 (* Boolean sub-query containing the τ-relation: at most one answer, whose
    τ-value is read off the homomorphism support (all supporting R-facts
    must agree — otherwise τ is not localized on this database). Without
    [sides], a τ-value below the reference value is filed under ℓ> like
    one above it: the key is then (0, ℓ=, ℓ≠). *)
-let boolean_valued ?bool_memo ~sides tau a q db =
+let boolean_valued ~sides tau a q db =
   let n = Database.endo_size db in
-  let sat = Boolean_dp.counts ?memo:bool_memo q db in
+  let sat = Boolean_dp.counts q db in
   let unsat = Tables.complement n sat in
   let r_facts =
     List.filter
@@ -128,14 +113,10 @@ let boolean_valued ?bool_memo ~sides tau a q db =
 
 (* The Figure-2 template instantiated with (a,k,ℓ)-tables for the
    sub-query containing the τ-relation, for a fixed reference value
-   [a]. The memo key carries the reference value on top of the block
-   key (the same sub-instance is revisited once per realizable
-   τ-value); τ itself stays outside the key, so a memo is only sound
-   for one value function — {!Batch} checks the stamp of a session's
-   memo. [sides] keys ℓ< apart from ℓ>: quantiles need it, Avg's weight
+   [a]. [sides] keys ℓ< apart from ℓ>: quantiles need it, Avg's weight
    does not, and the projection (ℓ<, ℓ=, ℓ>) ↦ (0, ℓ=, ℓ<+ℓ>) commutes
    with union (a vector sum) and cross product (a scaling). It follows
-   from the aggregate, which the stamp of a session's memo fixes too. *)
+   from the aggregate. *)
 module Alg = struct
   type table = vtable
 
@@ -143,15 +124,10 @@ module Alg = struct
     tau : Value_fn.t;
     a : Q.t;
     sides : bool;
-    bool : Boolean_dp.memo option;
-    count : Count_dp.memo option;
   }
 
-  let memo_prefix ctx = Q.to_string ctx.a ^ "\x01"
-
   let leaf ctx q db =
-    if Cq.is_boolean q then
-      Some (fun () -> boolean_valued ?bool_memo:ctx.bool ~sides:ctx.sides ctx.tau ctx.a q db)
+    if Cq.is_boolean q then Some (fun () -> boolean_valued ~sides:ctx.sides ctx.tau ctx.a q db)
     else None
 
   let connected_leaf _ _ _ = None
@@ -174,7 +150,7 @@ module Alg = struct
       let t0 = table0 () in
       List.fold_left
         (fun acc (c, db_c, _) ->
-          combine_cross_counted acc (Count_dp.answer_counts ?memo:ctx.count c db_c))
+          combine_cross_counted acc (Count_dp.answer_counts c db_c))
         t0 without_r
     | _ -> invalid_arg "Avg_quantile: τ-relation must occur in exactly one component"
 
@@ -188,7 +164,7 @@ module Alg = struct
      block's answer has (τ is localized), so only the satisfaction
      counts change; a block whose answer carries no τ-value keeps every
      subset under the empty bag. *)
-  let leaf_removals ctx q db t =
+  let leaf_removals _ q db t =
     let lvec =
       LMap.fold (fun l _ acc -> if l = (0, 0, 0) then acc else Some l) t.entries None
     in
@@ -201,19 +177,12 @@ module Alg = struct
           entries =
             LMap.empty |> add_entry l sat |> add_entry (0, 0, 0) (Tables.complement n sat) }
     in
-    List.map (fun (f, rm) -> (f, of_sat rm)) (Boolean_dp.removals ?memo:ctx.bool q db)
+    List.map (fun (f, rm) -> (f, of_sat rm)) (Boolean_dp.removals q db)
 end
 
 module E = Engine.Pass (Alg)
 
-let ctx_of ?memo ~sides tau a =
-  { Alg.tau;
-    a;
-    sides;
-    bool = Option.map (fun m -> m.bool) memo;
-    count = Option.map (fun m -> m.count) memo }
-
-let valued_table tau a q db = E.eval (ctx_of ~sides:true tau a) q db
+let valued_table tau a q db = E.eval { Alg.tau; a; sides = true } q db
 
 let check (a : Agg_query.t) =
   (match Aggregate.quantile_of a.alpha with
@@ -336,7 +305,7 @@ let add_slices (d1, x1) (d2, x2) =
 (* All facts from one variant pass per reference value: a fact's slice
    sums its per-value slices, and is finished once. Only quantiles key
    ℓ< apart from ℓ>. *)
-let batch ?(score = Aggshap_arith.Score.Shapley) ?memo (a : Agg_query.t) db =
+let batch ?(score = Aggshap_arith.Score.Shapley) (a : Agg_query.t) db =
   check a;
   let weight = weight_of a in
   let sides = Option.is_some (Aggregate.quantile_of a.alpha) in
@@ -344,10 +313,7 @@ let batch ?(score = Aggshap_arith.Score.Shapley) ?memo (a : Agg_query.t) db =
   let acc = Hashtbl.create 64 in
   List.iter
     (fun v ->
-      let s =
-        E.split ?memo:(Option.map (fun m -> m.self) memo) (ctx_of ?memo ~sides a.tau v) a.query
-          db
-      in
+      let s = E.split { Alg.tau = a.tau; a = v; sides } a.query db in
       List.iter
         (fun (l, vs) ->
           let d, slice = readout ~weight ~v ~pad:s.Engine.pad l vs in

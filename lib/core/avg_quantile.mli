@@ -51,14 +51,6 @@ val pad_vtable : int -> vtable -> vtable
 val vtable_equal : vtable -> vtable -> bool
 (** Structural equality, treating absent rows as rows of zeros. *)
 
-type memo
-(** Shared cache of (a,k,ℓ)-tables plus the Boolean and answer-count
-    sub-tables; see {!Memo}. Create one per session over a fixed
-    [(query, τ, aggregate)]. *)
-
-val create_memo : unit -> memo
-val memo_stats : memo -> Memo.stats
-
 val sum_k :
   Aggshap_agg.Agg_query.t ->
   Aggshap_relational.Database.t ->
@@ -77,7 +69,6 @@ val shapley :
 
 val batch :
   ?score:Aggshap_arith.Score.t ->
-  ?memo:memo ->
   Aggshap_agg.Agg_query.t ->
   Aggshap_relational.Database.t ->
   (Aggshap_relational.Fact.t * Aggshap_arith.Rational.t) list

@@ -3,11 +3,6 @@ module Cq = Aggshap_cq.Cq
 module Decompose = Aggshap_cq.Decompose
 module Database = Aggshap_relational.Database
 
-type memo = Tables.counts Memo.t
-
-let create_memo () = Memo.create ()
-let memo_stats = Memo.stats
-
 (* A ground connected component is a single variable-free atom. *)
 let ground_case q db =
   match q.Cq.body with
@@ -39,7 +34,6 @@ module Alg = struct
   type table = Tables.counts
   type ctx = unit
 
-  let memo_prefix () = ""
   let leaf () _q _db = None
 
   let connected_leaf () q db =
@@ -78,27 +72,27 @@ end
 
 module E = Engine.Pass (Alg)
 
-let counts ?memo q db = E.eval_top ?memo () q db
-let removals ?memo q db = E.removals ?memo () q db
+let counts q db = E.eval_top () q db
+let removals q db = E.removals () q db
 
 (* A fact in block i has slice sat(F) − sat(G) = P (U L_i (exo − rm)):
    in complement space the union is a convolution with L_i's
    complement, and the complements of the two variants differ by
    −(exo − rm), so the two signs cancel. *)
-let slices ?memo q db =
-  let s = E.split ?memo () q db in
+let slices q db =
+  let s = E.split () q db in
   List.concat_map
     (fun (l, vs) ->
       let kernel = Tables.pad s.Engine.pad (Alg.complement l) in
       List.map (fun (v : _ Engine.variant) -> (v.fact, Tables.convolve kernel v.diff)) vs)
     s.Engine.groups
 
-let shapley_all ?(score = Aggshap_arith.Score.Shapley) ?memo q db =
+let shapley_all ?(score = Aggshap_arith.Score.Shapley) q db =
   let n = Database.endo_size db in
   List.map
     (fun (f, slice) ->
       (f, Aggshap_arith.Score.finish score ~den:B.one ~n (fun k -> slice.(k))))
-    (slices ?memo q db)
+    (slices q db)
 
 let shapley ?(score = Aggshap_arith.Score.Shapley) q db f =
   Sumk.score_of_db_fn ~score (fun db -> Tables.to_rationals (counts q db)) db f

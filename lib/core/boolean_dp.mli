@@ -8,22 +8,12 @@
     of expectation), of the CDist reduction (Lemma 4.3), and of the
     Boolean sub-trees of all other dynamic programs. *)
 
-type memo
-(** A shared cache of sub-instance tables, keyed by
-    {!Aggshap_cq.Decompose.block_key}. Safe to share across domains;
-    create one per session. *)
-
-val create_memo : unit -> memo
-val memo_stats : memo -> Memo.stats
-
-val counts : ?memo:memo -> Aggshap_cq.Cq.t -> Aggshap_relational.Database.t -> Tables.counts
+val counts : Aggshap_cq.Cq.t -> Aggshap_relational.Database.t -> Tables.counts
 (** The head of [q] is ignored (the query is evaluated as Boolean). The
-    result has length [endo_size db + 1]. With [?memo], sub-instance
-    tables are reused across calls.
+    result has length [endo_size db + 1].
     @raise Invalid_argument if the Boolean query is not hierarchical. *)
 
 val removals :
-  ?memo:memo ->
   Aggshap_cq.Cq.t ->
   Aggshap_relational.Database.t ->
   (Aggshap_relational.Fact.t * Tables.counts) list
@@ -35,7 +25,6 @@ val removals :
 
 val shapley_all :
   ?score:Aggshap_arith.Score.t ->
-  ?memo:memo ->
   Aggshap_cq.Cq.t ->
   Aggshap_relational.Database.t ->
   (Aggshap_relational.Fact.t * Aggshap_arith.Rational.t) list

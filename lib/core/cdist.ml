@@ -25,11 +25,6 @@ let restrict_to_value (a : Agg_query.t) db v =
 let distinct_values (a : Agg_query.t) db =
   List.sort_uniq Q.compare (List.map snd (Agg_query.answer_values a db))
 
-type memo = Boolean_dp.memo
-
-let create_memo = Boolean_dp.create_memo
-let memo_stats = Boolean_dp.memo_stats
-
 let check_endogenous db f =
   match Database.provenance db f with
   | Some Database.Endogenous -> ()
@@ -52,11 +47,11 @@ let per_fact ?score (a : Agg_query.t) db =
 let shapley ?score a db f = per_fact ?score a db f
 
 (* One Boolean variant pass per value. *)
-let batch ?score ?memo (a : Agg_query.t) db =
+let batch ?score (a : Agg_query.t) db =
   check a;
   Sumk.in_order db
     (List.concat_map
-       (fun v -> Boolean_dp.shapley_all ?score ?memo a.query (restrict_to_value a db v))
+       (fun v -> Boolean_dp.shapley_all ?score a.query (restrict_to_value a db v))
        (distinct_values a db))
 
 let shapley_all a db =

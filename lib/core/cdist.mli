@@ -10,13 +10,6 @@
     with the convention that the summand is 0 when [f ∉ D_a]. Each
     summand is a Boolean hierarchical membership game. *)
 
-type memo
-(** Shared cache of Boolean sub-tables across the per-value games; see
-    {!Memo}. Create one per session over a fixed [(query, τ)]. *)
-
-val create_memo : unit -> memo
-val memo_stats : memo -> Memo.stats
-
 val shapley :
   ?score:Aggshap_arith.Score.t ->
   Aggshap_agg.Agg_query.t ->
@@ -30,7 +23,6 @@ val shapley :
 
 val batch :
   ?score:Aggshap_arith.Score.t ->
-  ?memo:memo ->
   Aggshap_agg.Agg_query.t ->
   Aggshap_relational.Database.t ->
   (Aggshap_relational.Fact.t * Aggshap_arith.Rational.t) list

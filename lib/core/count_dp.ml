@@ -63,36 +63,21 @@ let equal t1 t2 =
   let counts_equal a b = Array.length a = Array.length b && Array.for_all2 B.equal a b in
   t1.n = t2.n && IntMap.equal counts_equal (nonzero t1.entries) (nonzero t2.entries)
 
-type memo = {
-  self : t Memo.t;
-  bool : Boolean_dp.memo;
-}
-
-let create_memo () = { self = Memo.create (); bool = Boolean_dp.create_memo () }
-
-let memo_stats m =
-  Memo.merge_stats (Memo.stats m.self) (Boolean_dp.memo_stats m.bool)
-
 (* The Figure-2 template instantiated with answer-count tables. Boolean
    sub-queries are the leaves (their count is their satisfaction); the
    free-root requirement makes sibling blocks' answer sets disjoint, so
-   [ℓ] adds under union and multiplies under cross product. *)
+   [ℓ] adds under union and multiplies under cross product. The context
+   is the cap. *)
 module Alg = struct
   type table = t
-  type ctx = { bool : Boolean_dp.memo option; cap : int option }
-
-  (* A capped table is a different value than the exact one, so capped
-     and uncapped calls sharing a memo must not collide. *)
-  let memo_prefix ctx =
-    match ctx.cap with None -> "" | Some c -> string_of_int c ^ "\x02"
+  type ctx = int option
 
   let of_sat sat =
     let n = Array.length sat - 1 in
     { n; entries = IntMap.empty |> add_entry 1 sat |> add_entry 0 (Tables.complement n sat) }
 
-  let leaf ctx q db =
-    if Cq.is_boolean q then Some (fun () -> of_sat (Boolean_dp.counts ?memo:ctx.bool q db))
-    else None
+  let leaf _ q db =
+    if Cq.is_boolean q then Some (fun () -> of_sat (Boolean_dp.counts q db)) else None
 
   let connected_leaf _ _ _ = None
   let empty _ _ = assert false (* non-Boolean queries have atoms *)
@@ -100,12 +85,12 @@ module Alg = struct
   let root_error = "Count_dp: query is not q-hierarchical: "
 
   let neutral = neutral_union
-  let union ctx = combine (saturating ctx.cap ( + ))
-  let merge ctx ~root:_ blocks =
-    List.fold_left (fun acc (_, _, t) -> union ctx acc t) neutral blocks
+  let union cap = combine (saturating cap ( + ))
+  let merge cap ~root:_ blocks =
+    List.fold_left (fun acc (_, _, t) -> union cap acc t) neutral blocks
 
-  let combine ctx _ _ comps =
-    let op = saturating ctx.cap ( * ) in
+  let combine cap _ _ comps =
+    let op = saturating cap ( * ) in
     List.fold_left (fun acc (_, _, table) -> combine op acc (table ())) neutral_cross
       comps
 
@@ -115,16 +100,11 @@ module Alg = struct
     { n = rm.n;
       entries = IntMap.merge (fun _ -> Tables.variant_diff_row rm.n) t.entries rm.entries }
 
-  let leaf_removals ctx q db _ =
-    List.map (fun (f, rm) -> (f, of_sat rm)) (Boolean_dp.removals ?memo:ctx.bool q db)
+  let leaf_removals _ q db _ =
+    List.map (fun (f, rm) -> (f, of_sat rm)) (Boolean_dp.removals q db)
 end
 
 module E = Engine.Pass (Alg)
 
-let ctx_of memo cap = { Alg.bool = Option.map (fun m -> m.bool) memo; cap }
-
-let answer_counts ?memo ?cap q db =
-  E.eval_top ?memo:(Option.map (fun m -> m.self) memo) (ctx_of memo cap) q db
-
-let variants ?memo ?cap q db =
-  E.variants ?memo:(Option.map (fun m -> m.self) memo) (ctx_of memo cap) q db
+let answer_counts ?cap q db = E.eval_top cap q db
+let variants ?cap q db = E.variants cap q db

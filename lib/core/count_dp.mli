@@ -16,26 +16,16 @@ type t = {
       (** answer count ℓ ↦ per-k counts; the entries sum to [full n] *)
 }
 
-type memo
-(** Shared cache of sub-instance tables (including the Boolean
-    sub-tables); see {!Memo}. *)
-
-val create_memo : unit -> memo
-val memo_stats : memo -> Memo.stats
-
-val answer_counts :
-  ?memo:memo -> ?cap:int -> Aggshap_cq.Cq.t -> Aggshap_relational.Database.t -> t
+val answer_counts : ?cap:int -> Aggshap_cq.Cq.t -> Aggshap_relational.Database.t -> t
 (** With [?cap], every answer count ℓ ≥ cap is lumped into the single
     row [cap]; rows below the cap are bit-identical to the uncapped
     table, and the per-node merge keeps O(cap) rows instead of one per
     answer — the difference between cubic and quadratic work for
     consumers that only read small rows (Dup reads ℓ ∈ {0, 1} with
-    [~cap:2]). Capped and uncapped tables are memoized under distinct
-    keys, so one memo may serve both.
+    [~cap:2]).
     @raise Invalid_argument if the CQ is not q-hierarchical. *)
 
 val variants :
-  ?memo:memo ->
   ?cap:int ->
   Aggshap_cq.Cq.t ->
   Aggshap_relational.Database.t ->

@@ -54,7 +54,6 @@ module Alg = struct
   type table = t
   type ctx = unit
 
-  let memo_prefix () = ""
   let leaf () _ _ = None
   let connected_leaf () q db =
     if Decompose.is_ground q then Some (fun () -> ground q db) else None

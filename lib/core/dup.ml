@@ -43,21 +43,11 @@ let head_tuple_of_fact q (f : Fact.t) =
       Some (Array.of_list (List.map (fun x -> f.args.(position x)) q.Cq.head))
     end
 
-type memo = {
-  self : Tables.counts Memo.t;
-  count : Count_dp.memo;
-}
-
-let create_memo () = { self = Memo.create (); count = Count_dp.create_memo () }
-
-let memo_stats m =
-  Memo.merge_stats (Memo.stats m.self) (Count_dp.memo_stats m.count)
-
 (* Counts of k-subsets with at most one answer. Only rows 0 and 1 are
    read, so the answer-count DP lumps every ℓ ≥ 2 together ([~cap:2]):
    the rows it reads are exact (see {!Count_dp.answer_counts}). *)
 let at_most_one_of t = Tables.add (Count_dp.get t 0) (Count_dp.get t 1)
-let at_most_one ?memo q db = at_most_one_of (Count_dp.answer_counts ?memo ~cap:2 q db)
+let at_most_one q db = at_most_one_of (Count_dp.answer_counts ~cap:2 q db)
 
 (* Figure 5, for a connected sq-hierarchical CQ containing the
    τ-relation: the bag is duplicate-free iff every τ-value class of
@@ -86,13 +76,10 @@ let classes tau q db =
   in
   (List.map snd (QMap.bindings classes), outside)
 
-(* NoDup counts, complemented. The memo key omits τ, so a memo is only
-   sound across calls sharing one value function. *)
-let connected_dup_counts ?count_memo tau q db =
+(* NoDup counts, complemented. *)
+let connected_dup_counts tau q db =
   let classes, outside = classes tau q db in
-  let nodup =
-    Tables.convolve_many (List.rev_map (at_most_one ?memo:count_memo q) classes)
-  in
+  let nodup = Tables.convolve_many (List.rev_map (at_most_one q) classes) in
   Tables.sub (Tables.full (Database.endo_size db))
     (Tables.pad (Database.endo_size outside) nodup)
 
@@ -101,9 +88,9 @@ let connected_dup_counts ?count_memo tau q db =
    counts ({!Engine.leave_one_out}) with its class's variants from
    {!Count_dp.variants}. Returns the facts in no class and, per class,
    the product of the others with the class's answer-count variants. *)
-let connected_split ?count_memo tau q db =
+let connected_split tau q db =
   let classes, outside = classes tau q db in
-  let parts = List.map (Count_dp.variants ?memo:count_memo ~cap:2 q) classes in
+  let parts = List.map (Count_dp.variants ~cap:2 q) classes in
   let others, _ =
     Engine.leave_one_out ~unit:[| B.one |] ~op:Tables.convolve
       (Array.of_list (List.map (fun (t, _) -> at_most_one_of t) parts))
@@ -113,16 +100,13 @@ let connected_split ?count_memo tau q db =
 (* The Figure-2 template instantiated with Dup counts. The connected
    case is resolved whole (Figure 5, via [connected_leaf]); only the
    cross-product step of Appendix E.2.3 decomposes, with the τ-relation
-   in the connected component [q1]. *)
+   in the connected component [q1]. The context is τ. *)
 module Alg = struct
   type table = Tables.counts
-  type ctx = { tau : Value_fn.t; count : Count_dp.memo option }
+  type ctx = Value_fn.t
 
-  let memo_prefix _ = ""
   let leaf _ _ _ = None
-
-  let connected_leaf ctx q db =
-    Some (fun () -> connected_dup_counts ?count_memo:ctx.count ctx.tau q db)
+  let connected_leaf tau q db = Some (fun () -> connected_dup_counts tau q db)
 
   let empty _ _ = invalid_arg "Dup: τ-relation vanished from the query"
 
@@ -136,8 +120,8 @@ module Alg = struct
   (* The table of the empty database: no subset has duplicates. *)
   let neutral = [| B.zero |]
 
-  let combine ctx q db comps =
-    let rel = ctx.tau.Value_fn.rel in
+  let combine tau q db comps =
+    let rel = tau.Value_fn.rel in
     match List.find_opt (fun (c, _, _) -> List.mem rel (Cq.relations c)) comps with
     | None -> invalid_arg "Dup: τ-relation must occur in the query"
     | Some ((q1, _, dup1_table) as entry1) ->
@@ -150,8 +134,8 @@ module Alg = struct
       let db1, _ = Database.restrict_relations (Cq.relations q1) db in
       let db2, _ = Database.restrict_relations other_rels db in
       let n1 = Database.endo_size db1 and n2 = Database.endo_size db2 in
-      let t1 = Count_dp.answer_counts ?memo:ctx.count ~cap:2 q1 db1 in
-      let t2 = Count_dp.answer_counts ?memo:ctx.count ~cap:2 q2 db2 in
+      let t1 = Count_dp.answer_counts ~cap:2 q1 db1 in
+      let t2 = Count_dp.answer_counts ~cap:2 q2 db2 in
       let nonempty1 = Tables.sub (Tables.full n1) (Count_dp.get t1 0) in
       let many2 =
         Tables.sub (Tables.full n2) (Tables.add (Count_dp.get t2 0) (Count_dp.get t2 1))
@@ -166,13 +150,10 @@ module Alg = struct
 
   (* Only a cross product nests a connected component under the root;
      its facts re-evaluate Figure 5 on their removal databases. *)
-  let leaf_removals ctx q db _ =
-    Engine.each_removal db (connected_dup_counts ?count_memo:ctx.count ctx.tau q)
+  let leaf_removals tau q db _ = Engine.each_removal db (connected_dup_counts tau q)
 end
 
 module E = Engine.Pass (Alg)
-
-let ctx_of ?memo tau = { Alg.tau; count = Option.map (fun m -> m.count) memo }
 
 let check (a : Agg_query.t) =
   if a.alpha <> Aggregate.Has_duplicates then
@@ -183,7 +164,7 @@ let check (a : Agg_query.t) =
 
 let sum_k (a : Agg_query.t) db =
   check a;
-  Tables.to_rationals (E.eval_top (ctx_of a.tau) a.query db)
+  Tables.to_rationals (E.eval_top a.tau a.query db)
 
 let shapley ?(score = Aggshap_arith.Score.Shapley) a db f =
   Sumk.score_of_db_fn ~score (fun db -> sum_k a db) db f
@@ -194,10 +175,9 @@ let shapley ?(score = Aggshap_arith.Score.Shapley) a db f =
    sign flipped (Dup = 1 − NoDup); a cross product takes whole-query
    variants from the engine (its root is never a partition, so the
    context is always [neutral]). *)
-let batch ?(score = Aggshap_arith.Score.Shapley) ?memo (a : Agg_query.t) db =
+let batch ?(score = Aggshap_arith.Score.Shapley) (a : Agg_query.t) db =
   check a;
   let n = Database.endo_size db in
-  let ctx = ctx_of ?memo a.tau in
   let finish (v : _ Engine.variant) slice =
     (v.fact, Aggshap_arith.Score.finish score ~den:B.one ~n (fun k -> slice.(k)))
   in
@@ -205,7 +185,7 @@ let batch ?(score = Aggshap_arith.Score.Shapley) ?memo (a : Agg_query.t) db =
     (match Decompose.connected_components a.query with
      | [ _ ] ->
        let db_rel, irrelevant = Decompose.relevant_part a.query db in
-       let outside, groups = connected_split ?count_memo:ctx.count a.tau a.query db_rel in
+       let outside, groups = connected_split a.tau a.query db_rel in
        let pad = irrelevant + Database.endo_size outside in
        List.concat_map
          (fun (others, vs) ->
@@ -216,7 +196,7 @@ let batch ?(score = Aggshap_arith.Score.Shapley) ?memo (a : Agg_query.t) db =
              vs)
          groups
      | _ ->
-       let s = E.split ?memo:(Option.map (fun m -> m.self) memo) ctx a.query db in
+       let s = E.split a.tau a.query db in
        List.concat_map
          (fun (_, vs) ->
            List.map

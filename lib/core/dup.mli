@@ -11,13 +11,6 @@
     nonempty and [Q₂] has ≥ 2 answers, or [Q₁] has duplicates and [Q₂]
     exactly one (Appendix E.2.3). *)
 
-type memo
-(** Shared cache of Dup tables and answer-count sub-tables; see {!Memo}.
-    Create one per session over a fixed [(query, τ)]. *)
-
-val create_memo : unit -> memo
-val memo_stats : memo -> Memo.stats
-
 val sum_k :
   Aggshap_agg.Agg_query.t ->
   Aggshap_relational.Database.t ->
@@ -36,7 +29,6 @@ val shapley :
 
 val batch :
   ?score:Aggshap_arith.Score.t ->
-  ?memo:memo ->
   Aggshap_agg.Agg_query.t ->
   Aggshap_relational.Database.t ->
   (Aggshap_relational.Fact.t * Aggshap_arith.Rational.t) list

@@ -54,7 +54,6 @@ module type TABLE_ALGEBRA = sig
   type table
   type ctx
 
-  val memo_prefix : ctx -> string
   val leaf : ctx -> Cq.t -> Database.t -> (unit -> table) option
   val connected_leaf : ctx -> Cq.t -> Database.t -> (unit -> table) option
   val empty : ctx -> Database.t -> table
@@ -104,8 +103,6 @@ module type PASS_ALGEBRA = sig
 end
 
 module Make (A : TABLE_ALGEBRA) = struct
-  let key ctx q db () = A.memo_prefix ctx ^ Decompose.block_key q db
-
   let components comps db =
     List.map
       (fun comp -> (comp, fst (Database.restrict_relations (Cq.relations comp) db)))
@@ -124,10 +121,7 @@ module Make (A : TABLE_ALGEBRA) = struct
     let blocks, dropped = root_blocks q root db in
     (root, blocks, dropped)
 
-  let rec eval ?memo ctx q db =
-    Memo.find_or_compute memo ~key:(key ctx q db) (fun () -> eval_uncached ?memo ctx q db)
-
-  and eval_uncached ?memo ctx q db =
+  let rec eval ctx q db =
     Atomic.incr c_nodes;
     match A.leaf ctx q db with
     | Some compute ->
@@ -136,16 +130,16 @@ module Make (A : TABLE_ALGEBRA) = struct
     | None -> begin
       match Decompose.connected_components q with
       | [] -> A.empty ctx db
-      | [ _ ] -> connected ?memo ctx q db
+      | [ _ ] -> connected ctx q db
       | comps ->
         Atomic.incr c_combines;
         A.combine ctx q db
           (List.map
-             (fun (comp, db_c) -> (comp, db_c, fun () -> eval ?memo ctx comp db_c))
+             (fun (comp, db_c) -> (comp, db_c, fun () -> eval ctx comp db_c))
              (components comps db))
     end
 
-  and connected ?memo ctx q db =
+  and connected ctx q db =
     match A.connected_leaf ctx q db with
     | Some compute ->
       Atomic.incr c_leaves;
@@ -155,14 +149,13 @@ module Make (A : TABLE_ALGEBRA) = struct
       let subst = Cq.substituter q root in
       Atomic.incr c_merges;
       let tables =
-        List.map (fun (v, block) -> (v, block, eval ?memo ctx (subst v) block)) blocks
+        List.map (fun (v, block) -> (v, block, eval ctx (subst v) block)) blocks
       in
       A.pad ctx (Database.endo_size dropped) (A.merge ctx ~root tables)
 
-
-  let eval_top ?memo ctx q db =
+  let eval_top ctx q db =
     let db_rel, pad = Decompose.relevant_part q db in
-    A.pad ctx pad (eval ?memo ctx q db_rel)
+    A.pad ctx pad (eval ctx q db_rel)
 end
 
 (* The variant pass. A fact's removal database differs from [db] only
@@ -198,56 +191,53 @@ module Pass (A : PASS_ALGEBRA) = struct
 
   exception Null_player
 
-  let node ?memo ctx q db compute =
-    Memo.find_or_compute memo ~key:(key ctx q db) (fun () ->
-        Atomic.incr c_nodes;
-        compute ())
-
   let union ctx a b =
     if a == A.neutral then b else if b == A.neutral then a else A.union ctx a b
 
   (* The node's own table, built on demand, and every live fact's
      removal table. *)
-  let rec walk ?memo ctx q db =
+  let rec walk ctx q db =
     match A.leaf ctx q db with
-    | Some compute -> leaf ?memo ctx q db compute
+    | Some compute -> leaf ctx q db compute
     | None -> begin
       match Decompose.connected_components q with
-      | [] -> (lazy (node ?memo ctx q db (fun () -> A.empty ctx db)), [])
+      | [] ->
+        ( lazy
+            (Atomic.incr c_nodes;
+             A.empty ctx db),
+          [] )
       | [ _ ] -> begin
         match A.connected_leaf ctx q db with
-        | Some compute -> leaf ?memo ctx q db compute
-        | None -> partitioned ?memo ctx q db
+        | Some compute -> leaf ctx q db compute
+        | None -> partitioned ctx q db
       end
-      | comps -> conjunction ?memo ctx q db comps
+      | comps -> conjunction ctx q db comps
     end
 
-  and leaf ?memo ctx q db compute =
-    let t =
-      node ?memo ctx q db (fun () ->
-          Atomic.incr c_leaves;
-          compute ())
-    in
+  and leaf ctx q db compute =
+    Atomic.incr c_nodes;
+    Atomic.incr c_leaves;
+    let t = compute () in
     (Lazy.from_val t, A.leaf_removals ctx q db t)
 
-  and blocks ?memo ctx q db =
+  and blocks ctx q db =
     let root, blocks, dropped = partition q db in
     let subst = Cq.substituter q root in
-    let children = List.map (fun (v, block) -> walk ?memo ctx (subst v) block) blocks in
+    let children = List.map (fun (v, block) -> walk ctx (subst v) block) blocks in
     let ls, all =
       leave_one_out ~unit:A.neutral ~op:(A.union ctx)
         (Array.of_list (List.map (fun (t, _) -> Lazy.force t) children))
     in
     (children, ls, all, dropped)
 
-  and partitioned ?memo ctx q db =
-    let children, ls, all, dropped = blocks ?memo ctx q db in
+  and partitioned ctx q db =
+    let children, ls, all, dropped = blocks ctx q db in
     let p = Database.endo_size dropped in
     let t =
       lazy
-        (node ?memo ctx q db (fun () ->
-             Atomic.incr c_merges;
-             A.pad ctx p (Lazy.force all)))
+        (Atomic.incr c_nodes;
+         Atomic.incr c_merges;
+         A.pad ctx p (Lazy.force all))
     in
     let rms =
       List.concat
@@ -258,10 +248,10 @@ module Pass (A : PASS_ALGEBRA) = struct
     in
     (t, rms)
 
-  and conjunction ?memo ctx q db comps =
+  and conjunction ctx q db comps =
     let parts =
       List.map
-        (fun (comp, db_c) -> (comp, db_c, lazy (walk ?memo ctx comp db_c)))
+        (fun (comp, db_c) -> (comp, db_c, lazy (walk ctx comp db_c)))
         (components comps db)
     in
     let entries =
@@ -274,7 +264,11 @@ module Pass (A : PASS_ALGEBRA) = struct
       Atomic.incr c_combines;
       t
     in
-    let t = lazy (node ?memo ctx q db (fun () -> conj db entries)) in
+    let t =
+      lazy
+        (Atomic.incr c_nodes;
+         conj db entries)
+    in
     let rms =
       List.concat
         (List.mapi
@@ -305,15 +299,15 @@ module Pass (A : PASS_ALGEBRA) = struct
     in
     (t, rms)
 
-  let removals ?memo ctx q db = snd (walk ?memo ctx q db)
+  let removals ctx q db = snd (walk ctx q db)
   let diffs t rms = List.map (fun (fact, rm) -> { fact; diff = A.diff t rm }) rms
 
-  let variants ?memo ctx q db =
-    let t, rms = walk ?memo ctx q db in
+  let variants ctx q db =
+    let t, rms = walk ctx q db in
     let t = Lazy.force t in
     (t, diffs t rms)
 
-  let split ?memo ctx q db =
+  let split ctx q db =
     let db_rel, irrelevant = Decompose.relevant_part q db in
     let partitions =
       Option.is_none (A.leaf ctx q db_rel)
@@ -322,12 +316,12 @@ module Pass (A : PASS_ALGEBRA) = struct
           | _ -> false)
     in
     if partitions then begin
-      let children, ls, _, dropped = blocks ?memo ctx q db_rel in
+      let children, ls, _, dropped = blocks ctx q db_rel in
       { pad = irrelevant + Database.endo_size dropped;
         groups = List.mapi (fun i (t, rms) -> (ls.(i), diffs (Lazy.force t) rms)) children }
     end
     else begin
-      let t, rms = walk ?memo ctx q db_rel in
+      let t, rms = walk ctx q db_rel in
       { pad = irrelevant; groups = [ (A.neutral, diffs (Lazy.force t) rms) ] }
     end
 end

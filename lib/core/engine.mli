@@ -20,8 +20,10 @@
     (Section 4.2), [(a,k,ℓ)]-tables for Avg/Quantile (Section 5), and
     duplicate-freeness counts for Has-duplicates (Section 6). This
     module factors the shared recursion out: each aggregate supplies a
-    {!TABLE_ALGEBRA} and inherits memoization, fault injection and
-    per-node statistics for free.
+    {!TABLE_ALGEBRA} and inherits fault injection and per-node
+    statistics for free. No node's table is cached, in a one-shot solve
+    or in an incremental session: a cache keyed on the sub-instance
+    cost more to key than it saved (DESIGN.md §6).
 
     The engine is the {e only} module that calls
     {!Aggshap_cq.Decompose.choose_root} and
@@ -39,7 +41,7 @@
     concurrent domains. *)
 
 type stats = {
-  nodes : int;  (** recursion nodes entered (memo hits excluded) *)
+  nodes : int;  (** recursion nodes entered *)
   leaves : int;  (** base cases: ground atoms and algebra-specific leaves *)
   merges : int;  (** root-variable partitions merged *)
   combines : int;  (** disconnected-component conjunctions *)
@@ -53,23 +55,14 @@ val reset_stats : unit -> unit
 (** What an aggregate must provide to instantiate the engine. The table
     type is the DP state attached to a sub-instance [(q, db)]; the
     context is the per-run environment threaded through the recursion
-    unchanged (the value function τ, reference values, sub-algorithm
-    memo handles). *)
+    unchanged (the value function τ, reference values, caps). *)
 module type TABLE_ALGEBRA = sig
   type table
-  (** The DP table of one sub-instance. Must be immutable: tables are
-      shared through the memo across facts and domains. *)
+  (** The DP table of one sub-instance. Must be immutable: the pass
+      shares a node's table among the facts whose tables it builds. *)
 
   type ctx
   (** Per-run environment, constant across the recursion. *)
-
-  val memo_prefix : ctx -> string
-  (** Prepended to {!Aggshap_cq.Decompose.block_key} to form the memo
-      key. [""] when the block key alone identifies the table; the
-      Avg/Quantile algebra prepends its reference value (the same
-      sub-instance is revisited once per realizable τ-value). Context
-      components outside the key (τ itself) make a memo sound only
-      within one run — see {!Memo}. *)
 
   val leaf :
     ctx -> Aggshap_cq.Cq.t -> Aggshap_relational.Database.t -> (unit -> table) option
@@ -121,8 +114,8 @@ module type TABLE_ALGEBRA = sig
   (** Conjunction over connected components, given as
       [(component, restricted db, recursion thunk)] in component order.
       Forcing a thunk evaluates that component through the engine
-      (memoized; in {!Pass}, walked once per conjunction and shared by
-      every call); algebras that treat some components specially (the
+      (in {!Pass}, walked once per conjunction and shared by every
+      call); algebras that treat some components specially (the
       τ-free sides of Min/Max and Avg/Quantile, the cross-product step
       of Has-duplicates) may ignore the thunks of those components and
       run a sub-algorithm on the restricted database instead. The whole
@@ -137,26 +130,14 @@ end
 (** {1 The engine} *)
 
 module Make (A : TABLE_ALGEBRA) : sig
-  val eval :
-    ?memo:A.table Memo.t ->
-    A.ctx ->
-    Aggshap_cq.Cq.t ->
-    Aggshap_relational.Database.t ->
-    A.table
+  val eval : A.ctx -> Aggshap_cq.Cq.t -> Aggshap_relational.Database.t -> A.table
   (** The Figure-2 recursion, assuming every fact of [db] matches some
       atom of [q] (sub-instances produced by the engine itself satisfy
-      this). Every node is memoized under
-      [A.memo_prefix ctx ^ Decompose.block_key q db] when [?memo] is
-      given.
+      this).
       @raise Invalid_argument via [A.root_error] when a connected
       sub-query has no admissible root. *)
 
-  val eval_top :
-    ?memo:A.table Memo.t ->
-    A.ctx ->
-    Aggshap_cq.Cq.t ->
-    Aggshap_relational.Database.t ->
-    A.table
+  val eval_top : A.ctx -> Aggshap_cq.Cq.t -> Aggshap_relational.Database.t -> A.table
   (** {!eval} on the relevant part of [db]
       ({!Aggshap_cq.Decompose.relevant_part}), padding the result with
       the irrelevant endogenous facts — the standard top-level entry of
@@ -267,7 +248,6 @@ module Pass (A : PASS_ALGEBRA) : sig
   include module type of Make (A)
 
   val removals :
-    ?memo:A.table Memo.t ->
     A.ctx ->
     Aggshap_cq.Cq.t ->
     Aggshap_relational.Database.t ->
@@ -278,7 +258,6 @@ module Pass (A : PASS_ALGEBRA) : sig
       root partition. *)
 
   val variants :
-    ?memo:A.table Memo.t ->
     A.ctx ->
     Aggshap_cq.Cq.t ->
     Aggshap_relational.Database.t ->
@@ -287,12 +266,7 @@ module Pass (A : PASS_ALGEBRA) : sig
       endogenous fact of [db] that is not a null player, under the same
       assumption as {!Make.eval}. *)
 
-  val split :
-    ?memo:A.table Memo.t ->
-    A.ctx ->
-    Aggshap_cq.Cq.t ->
-    Aggshap_relational.Database.t ->
-    A.table split
+  val split : A.ctx -> Aggshap_cq.Cq.t -> Aggshap_relational.Database.t -> A.table split
   (** The top of the pass on the relevant part of [db], as {!Make.eval_top}
       does. At a root partition each group's differences are read off its
       block's own table, and the root's own table is never built. *)

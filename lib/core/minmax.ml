@@ -103,28 +103,15 @@ let ground_base tau (atom : Cq.atom) db =
      | Database.Endogenous ->
        { n = 1; empty = [| B.one; B.zero |]; by_value = QMap.singleton v [| B.zero; B.one |] })
 
-type memo = {
-  self : table Memo.t;
-  bool : Boolean_dp.memo;
-}
-
-let create_memo () = { self = Memo.create (); bool = Boolean_dp.create_memo () }
-
-let memo_stats m =
-  Memo.merge_stats (Memo.stats m.self) (Boolean_dp.memo_stats m.bool)
-
 (* The Figure-2 template instantiated with (a,k)-tables, for sub-queries
    containing the τ-relation (Appendix C): root blocks combine by
    bag-union, τ-free components contribute only nonempty/empty counts
    (the Boolean engine provides them), and the τ-component recurses.
-   The memo key does not mention τ, so a memo is only sound across
-   calls sharing one value function — {!Batch} checks the stamp of a
-   session's memo. *)
+   The context is τ. *)
 module Alg = struct
   type nonrec table = table
-  type ctx = { tau : Value_fn.t; bool : Boolean_dp.memo option }
+  type ctx = Value_fn.t
 
-  let memo_prefix _ = ""
   let leaf _ _ _ = None
 
   let ground_atom q =
@@ -132,8 +119,8 @@ module Alg = struct
     | [ atom ] -> atom
     | _ -> invalid_arg "Minmax: ground component with several atoms"
 
-  let connected_leaf ctx q db =
-    if Decompose.is_ground q then Some (fun () -> ground_base ctx.tau (ground_atom q) db)
+  let connected_leaf tau q db =
+    if Decompose.is_ground q then Some (fun () -> ground_base tau (ground_atom q) db)
     else None
 
   let empty _ _ = invalid_arg "Minmax: τ-relation vanished from the query"
@@ -143,8 +130,8 @@ module Alg = struct
   let merge _ ~root:_ blocks =
     List.fold_left (fun acc (_, _, t) -> combine_union acc t) neutral blocks
 
-  let combine ctx _q db comps =
-    let rel = ctx.tau.Value_fn.rel in
+  let combine tau _q db comps =
+    let rel = tau.Value_fn.rel in
     let with_r, without_r =
       List.partition (fun (c, _, _) -> List.mem rel (Cq.relations c)) comps
     in
@@ -164,7 +151,7 @@ module Alg = struct
            List.map
              (fun (c, _, _) ->
                let db_c, _ = Database.restrict_relations (Cq.relations c) db in
-               (Database.endo_size db_c, Boolean_dp.counts ?memo:ctx.bool c db_c))
+               (Database.endo_size db_c, Boolean_dp.counts c db_c))
              without_r
          in
          let n2 = List.fold_left (fun acc (n, _) -> acc + n) 0 sats in
@@ -180,13 +167,10 @@ module Alg = struct
       empty = Tables.variant_diff t.empty rm.empty;
       by_value = QMap.merge (fun _ -> Tables.variant_diff_row rm.n) t.by_value rm.by_value }
 
-  let leaf_removals ctx q db _ =
-    Engine.each_removal db (ground_base ctx.tau (ground_atom q))
+  let leaf_removals tau q db _ = Engine.each_removal db (ground_base tau (ground_atom q))
 end
 
 module E = Engine.Pass (Alg)
-
-let ctx_of ?memo tau = { Alg.tau; bool = Option.map (fun m -> m.bool) memo }
 
 let check (a : Agg_query.t) =
   if not (Hierarchy.is_all_hierarchical a.query) then
@@ -194,7 +178,7 @@ let check (a : Agg_query.t) =
 
 let sum_of_table t = Tables.weighted_sum t.n (QMap.bindings t.by_value)
 
-let max_sum_k (a : Agg_query.t) db = sum_of_table (E.eval_top (ctx_of a.tau) a.query db)
+let max_sum_k (a : Agg_query.t) db = sum_of_table (E.eval_top a.tau a.query db)
 
 let negate_tau (a : Agg_query.t) =
   { a with
@@ -273,8 +257,8 @@ let readout ~pad l vs =
 
 (* All facts of Max from one variant pass: per group one read-out, per
    fact one kernel application to its block-sized variant tables. *)
-let max_batch ~score ?memo (a : Agg_query.t) db =
-  let s = E.split ?memo:(Option.map (fun m -> m.self) memo) (ctx_of ?memo a.tau) a.query db in
+let max_batch ~score (a : Agg_query.t) db =
+  let s = E.split a.tau a.query db in
   let n = Database.endo_size db in
   List.concat_map
     (fun (l, vs) ->
@@ -286,13 +270,13 @@ let max_batch ~score ?memo (a : Agg_query.t) db =
         vs)
     s.Engine.groups
 
-let batch ?(score = Aggshap_arith.Score.Shapley) ?memo (a : Agg_query.t) db =
+let batch ?(score = Aggshap_arith.Score.Shapley) (a : Agg_query.t) db =
   check a;
   Sumk.in_order db
     (match a.alpha with
-     | Aggregate.Max -> max_batch ~score ?memo a db
+     | Aggregate.Max -> max_batch ~score a db
      | Aggregate.Min ->
-       List.map (fun (f, v) -> (f, Q.neg v)) (max_batch ~score ?memo (negate_tau a) db)
+       List.map (fun (f, v) -> (f, Q.neg v)) (max_batch ~score (negate_tau a) db)
      | other ->
        invalid_arg ("Minmax: aggregate " ^ Aggregate.to_string other ^ " is not min/max"))
 

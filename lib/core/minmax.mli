@@ -35,13 +35,6 @@ val pad_table : int -> table -> table
 val table_equal : table -> table -> bool
 (** Structural equality, treating absent value rows as rows of zeros. *)
 
-type memo
-(** Shared cache of (a,k)-tables and Boolean sub-tables; see {!Memo}.
-    Create one per session over a fixed [(query, τ, aggregate)]. *)
-
-val create_memo : unit -> memo
-val memo_stats : memo -> Memo.stats
-
 val sum_k :
   Aggshap_agg.Agg_query.t ->
   Aggshap_relational.Database.t ->
@@ -60,7 +53,6 @@ val shapley :
 
 val batch :
   ?score:Aggshap_arith.Score.t ->
-  ?memo:memo ->
   Aggshap_agg.Agg_query.t ->
   Aggshap_relational.Database.t ->
   (Aggshap_relational.Fact.t * Aggshap_arith.Rational.t) list

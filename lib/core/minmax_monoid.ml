@@ -136,7 +136,6 @@ module Alg = struct
   type nonrec table = table
   type ctx = { m : monoid; tracked : string list }
 
-  let memo_prefix _ = ""
   let leaf _ _ _ = None
 
   let connected_leaf ctx q db =

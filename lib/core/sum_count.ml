@@ -27,11 +27,6 @@ let weighted_answers (a : Agg_query.t) db =
   | Aggregate.Count -> List.map (fun (t, _) -> (t, Q.one)) answers
   | _ -> answers
 
-type memo = Boolean_dp.memo
-
-let create_memo = Boolean_dp.create_memo
-let memo_stats = Boolean_dp.memo_stats
-
 (* The membership games, one per answer, with their weights — the part
    of the computation shared by every fact. *)
 let membership_games (a : Agg_query.t) db =
@@ -53,14 +48,14 @@ let shapley ?score a db f = per_fact ?score a db f
 
 (* One Boolean variant pass per membership game; a fact's score is the
    weighted sum over the games it plays in. *)
-let batch ?score ?memo a db =
+let batch ?score a db =
   check a;
   Sumk.in_order db
     (List.concat_map
        (fun (mq, weight) ->
          List.map
            (fun (f, v) -> (f, Q.mul weight v))
-           (Boolean_dp.shapley_all ?score ?memo mq db))
+           (Boolean_dp.shapley_all ?score mq db))
        (membership_games a db))
 
 let shapley_all a db =

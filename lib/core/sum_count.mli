@@ -10,13 +10,6 @@
     [t], which {!Boolean_dp} solves. [Count] is [Sum] with τ ≡ 1 per
     answer. *)
 
-type memo
-(** Shared cache of Boolean sub-tables across the membership games; see
-    {!Memo}. Create one per session over a fixed [(query, τ)]. *)
-
-val create_memo : unit -> memo
-val memo_stats : memo -> Memo.stats
-
 val membership_games :
   Aggshap_agg.Agg_query.t ->
   Aggshap_relational.Database.t ->
@@ -40,7 +33,6 @@ val shapley :
 
 val batch :
   ?score:Aggshap_arith.Score.t ->
-  ?memo:memo ->
   Aggshap_agg.Agg_query.t ->
   Aggshap_relational.Database.t ->
   (Aggshap_relational.Fact.t * Aggshap_arith.Rational.t) list

@@ -117,9 +117,8 @@ let induced_schema q =
     Aggshap_relational.Schema.empty q.body
 
 (* The canonical [Q(head) <- R(t, ...), S(...)] rendering, built in one
-   pass: this string is the query half of every engine memo key
-   ({!Aggshap_cq.Decompose.block_key}), computed at every DP node, so
-   it is built without intermediate lists or format parsing. *)
+   pass without intermediate lists or format parsing: it backs
+   [Cq.equal] and keys the incremental session's per-answer games. *)
 let to_string q =
   let buf = Buffer.create 64 in
   Buffer.add_string buf q.name;

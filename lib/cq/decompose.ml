@@ -97,9 +97,9 @@ let rec matched_by_some atoms f =
 (* The engine only pads by the number of {e endogenous} irrelevant
    facts; counting them first keeps the common case — nothing
    irrelevant at the top of a solve — a single allocation-free pass
-   that returns the database {e as is}, built indexes and cached digest
-   alive. When something is irrelevant the relevant half is rebuilt by
-   inserting the survivors into an empty database: the membership games
+   that returns the database {e as is}, built indexes alive. When
+   something is irrelevant the relevant half is rebuilt by inserting
+   the survivors into an empty database: the membership games
    of the incremental session keep only a thin slice of the database,
    and deriving that slice by deleting the majority would pay a
    log-sized path rebuild plus index maintenance per deletion. *)
@@ -121,41 +121,6 @@ let relevant_part q db =
       !irr_endo )
 
 module ValueSet = Set.Make (Value)
-
-(* Injective serialization of a database block: facts arrive in
-   [Fact.compare] order, every value is tagged and length-prefixed, so
-   two blocks collide iff they are equal as provenance-tagged fact sets.
-   Together with [Cq.to_string] (canonical — it backs [Cq.equal]) this
-   keys the DP-table caches of the batch engine. *)
-let fingerprint_uncached db =
-  let buf = Buffer.create 128 in
-  Database.iter
-    (fun (f : Aggshap_relational.Fact.t) p ->
-      Buffer.add_string buf f.rel;
-      Buffer.add_char buf '(';
-      Array.iter
-        (fun v ->
-          (match v with
-           | Value.Int n ->
-             Buffer.add_char buf 'i';
-             Buffer.add_string buf (string_of_int n)
-           | Value.Str s ->
-             Buffer.add_char buf 's';
-             Buffer.add_string buf (string_of_int (String.length s));
-             Buffer.add_char buf ':';
-             Buffer.add_string buf s);
-          Buffer.add_char buf ',')
-        f.args;
-      Buffer.add_char buf ')';
-      Buffer.add_char buf
-        (match p with Database.Endogenous -> '+' | Database.Exogenous -> '@'))
-    db;
-  Buffer.contents buf
-
-let fingerprint db = Database.cached_digest db fingerprint_uncached
-
-let block_key q db = Cq.to_string q ^ "\x00" ^ fingerprint db
-
 module FactSet = Set.Make (Aggshap_relational.Fact)
 
 (* The first position of an atom holding the root variable — the index

@@ -31,19 +31,8 @@ val relevant_part : Cq.t -> Aggshap_relational.Database.t -> Aggshap_relational.
 (** The facts matching some atom of the query, plus the number of
     {e endogenous} facts left out (all null players — exactly the pad
     the engines need). When every fact is relevant the input database
-    is returned as is, keeping its built indexes and cached digest
-    alive; this is the solve-path entry point. *)
-
-val fingerprint : Aggshap_relational.Database.t -> string
-(** Injective serialization of a database block (facts in [Fact.compare]
-    order, values tagged and length-prefixed, provenance marked): two
-    databases share a fingerprint iff they are equal. Used to key a
-    session's DP-table memo. *)
-
-val block_key : Cq.t -> Aggshap_relational.Database.t -> string
-(** [Cq.to_string q] (canonical) paired with [fingerprint db] — the memo
-    key under which a dynamic program may cache its table for the
-    sub-instance [(q, db)]. *)
+    is returned as is, keeping its built indexes alive; this is the
+    solve-path entry point. *)
 
 val partition :
   Cq.t ->

@@ -17,7 +17,6 @@ type stats = {
   steps : int;
   games_computed : int;
   games_reused : int;
-  full_recomputes : int;
   tables : Memo.stats;
 }
 
@@ -31,10 +30,8 @@ let stats_to_string s =
     | None -> "n/a"
     | Some r -> Printf.sprintf "%.1f%%" (100.0 *. r)
   in
-  Printf.sprintf
-    "steps=%d games=%d computed/%d reused (reuse %s) flushes=%d tables=%s" s.steps
-    s.games_computed s.games_reused ratio s.full_recomputes
-    (Memo.stats_to_string s.tables)
+  Printf.sprintf "steps=%d games=%d computed/%d reused (reuse %s)" s.steps
+    s.games_computed s.games_reused ratio
 
 (* One membership game — one answer tuple of the Sum/Count query —
    restricted to the facts matching its atoms. Everything outside that
@@ -47,21 +44,10 @@ type game_entry = {
   mutable contribs : (Fact.t * Q.t) list;
 }
 
-type lin = {
-  games : (string, game_entry) Hashtbl.t;
-  bool_memo : Boolean_dp.memo;
-      (* shared across games and steps; its (sub-query, block
-         fingerprint) keys never go stale under updates *)
-}
-
-type gen = {
-  mutable memo : Batch.memo;
-  mutable memo_fp : string;
-}
-
 type engine =
-  | Linear of lin  (* Sum/Count: per-answer games, dirty-set invalidation *)
-  | Generic of gen  (* the other families: persistent cross-run batch memo *)
+  | Linear of (string, game_entry) Hashtbl.t
+      (* Sum/Count: per-answer games, dirty-set invalidation *)
+  | Generic  (* the other families: every read is a one-shot solve *)
 
 type t = {
   mutable a : Agg_query.t;
@@ -70,7 +56,6 @@ type t = {
   mutable steps : int;
   mutable games_computed : int;
   mutable games_reused : int;
-  mutable full_recomputes : int;
 }
 
 let open_ (a : Agg_query.t) db =
@@ -78,14 +63,10 @@ let open_ (a : Agg_query.t) db =
     invalid_arg "Incr.Session: query is outside the tractability frontier";
   let engine =
     match a.alpha with
-    | Aggregate.Sum | Aggregate.Count ->
-      Linear
-        { games = Hashtbl.create 256; bool_memo = Boolean_dp.create_memo () }
-    | _ ->
-      Generic { memo = Batch.create_memo a; memo_fp = Batch.fingerprint_of a }
+    | Aggregate.Sum | Aggregate.Count -> Linear (Hashtbl.create 256)
+    | _ -> Generic
   in
-  { a; db; engine; steps = 0; games_computed = 0; games_reused = 0;
-    full_recomputes = 0 }
+  { a; db; engine; steps = 0; games_computed = 0; games_reused = 0 }
 
 let query t = t.a
 let database t = t.db
@@ -97,11 +78,11 @@ let matches_game mq f =
    [`Stale_block] fault, the first matching game (in key order, for
    deterministic replay) keeps its cached contributions — exactly the
    skipped-invalidation bug class the differential oracle must catch. *)
-let invalidate lin f =
+let invalidate games f =
   let matched = ref [] in
   Hashtbl.iter
     (fun key e -> if (not e.dirty) && matches_game e.mq f then matched := (key, e) :: !matched)
-    lin.games;
+    games;
   let matched = List.sort (fun (k1, _) (k2, _) -> String.compare k1 k2) !matched in
   let matched =
     match (!Fault.current, matched) with
@@ -115,59 +96,45 @@ let apply t u =
   match u with
   | Update.Insert (f, prov) ->
     t.db <- Database.add ~provenance:prov f t.db;
-    (match t.engine with Linear lin -> invalidate lin f | Generic _ -> ())
+    (match t.engine with Linear games -> invalidate games f | Generic -> ())
   | Update.Delete f ->
     if not (Database.mem f t.db) then
       invalid_arg ("Incr.Session: delete of absent fact " ^ Fact.to_string f);
     t.db <- Database.remove f t.db;
-    (match t.engine with Linear lin -> invalidate lin f | Generic _ -> ())
+    (match t.engine with Linear games -> invalidate games f | Generic -> ())
   | Update.Set_tau (vf, _) ->
-    let a = Agg_query.make t.a.Agg_query.alpha vf t.a.Agg_query.query in
-    t.a <- a;
-    (match t.engine with
-     | Linear _ ->
-       (* Membership games do not depend on τ: only the per-answer
-          weights change, and those are re-derived on every read. *)
-       ()
-     | Generic g ->
-       (* τ is outside the DP-table cache key, so a τ change must flush
-          the memo — except under the [`Stale_block] fault, which skips
-          the flush (the fingerprint guard in Batch then refuses the
-          stale memo). *)
-       let fp = Batch.fingerprint_of a in
-       if fp <> g.memo_fp && !Fault.current <> `Stale_block then begin
-         g.memo <- Batch.create_memo a;
-         g.memo_fp <- fp;
-         t.full_recomputes <- t.full_recomputes + 1
-       end)
+    (* Nothing to invalidate: membership games do not depend on τ (only
+       the per-answer weights change, and those are re-derived on every
+       read), and the Generic engine caches nothing. *)
+    t.a <- Agg_query.make t.a.Agg_query.alpha vf t.a.Agg_query.query
 
 (* The game restricted to its matching facts: identical Shapley values
    (a fact outside every atom is a null player, and null players change
    nobody's value), at the cost of the block it lives in instead of the
    whole database. One Boolean variant pass gives every fact that is
    not a null player its value; the others contribute nothing. *)
-let compute_game t lin mq =
+let compute_game t mq =
   let relevant, _pad = Decompose.relevant_part mq t.db in
-  Boolean_dp.shapley_all ~memo:lin.bool_memo mq relevant
+  Boolean_dp.shapley_all mq relevant
 
 let shapley_all t =
   match t.engine with
-  | Generic g -> fst (Batch.shapley_all ~memo:g.memo t.a t.db)
-  | Linear lin ->
+  | Generic -> fst (Batch.shapley_all t.a t.db)
+  | Linear games ->
     Sumk.in_order t.db
       (List.concat_map
          (fun (mq, weight) ->
            let key = Cq.to_string mq in
            let entry =
-             match Hashtbl.find_opt lin.games key with
+             match Hashtbl.find_opt games key with
              | Some e -> e
              | None ->
                let e = { mq; dirty = true; contribs = [] } in
-               Hashtbl.add lin.games key e;
+               Hashtbl.add games key e;
                e
            in
            if entry.dirty then begin
-             entry.contribs <- compute_game t lin entry.mq;
+             entry.contribs <- compute_game t entry.mq;
              entry.dirty <- false;
              t.games_computed <- t.games_computed + 1
            end
@@ -176,10 +143,5 @@ let shapley_all t =
          (Sum_count.membership_games t.a t.db))
 
 let stats t =
-  let tables =
-    match t.engine with
-    | Linear lin -> Boolean_dp.memo_stats lin.bool_memo
-    | Generic g -> Batch.memo_stats g.memo
-  in
   { steps = t.steps; games_computed = t.games_computed;
-    games_reused = t.games_reused; full_recomputes = t.full_recomputes; tables }
+    games_reused = t.games_reused; tables = { Memo.hits = 0; misses = 0 } }

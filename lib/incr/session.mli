@@ -1,10 +1,9 @@
 (** A live solver session: exact all-facts Shapley values maintained
     incrementally under database updates.
 
-    The batch engine's premise — a fact only perturbs the hierarchy
-    block it lives in — applies across time as well: an update only
-    dirties the DP state it touches. A session keeps that state alive
-    between updates and recomputes only the dirty part:
+    The session owns the one cache that pays across reads, and decides
+    alone what it reuses; no table cache is threaded through the
+    engine:
 
     - {b Sum/Count} (the [Linear] engine): by linearity the Shapley
       value is a weighted sum over per-answer membership games, and each
@@ -15,15 +14,13 @@
       [insert]/[delete] dirty only
       the games whose atoms match the touched fact, [set_tau] dirties
       nothing (the games are τ-independent — only the answer weights,
-      re-derived on every read, change). The Boolean sub-tables are
-      shared across games {e and} steps through the content-addressed
-      {!Aggshap_core.Memo}.
+      re-derived on every read, change).
     - {b Min/Max, Count-distinct, Avg/Median/Quantile, Has-duplicates}
-      (the [Generic] engine): a persistent {!Aggshap_core.Batch.memo}
-      threaded through the family's DP via its [?memo] seam. Updated
-      blocks change their content fingerprint, so invalidation is
-      automatic; [set_tau] replaces the memo (a full recompute — τ is
-      outside the cache key, enforced by the memo's fingerprint stamp).
+      (the [Generic] engine): every read is a one-shot
+      {!Aggshap_core.Batch.shapley_all} on the current database and τ,
+      so an update invalidates nothing. A DP-table cache would save
+      less than its keys cost, since the variant pass rebuilds every
+      fact's removal table on every read (DESIGN.md §5).
 
     Results are bit-identical to a from-scratch
     {!Aggshap_core.Batch.shapley_all} at every step: exact rationals in
@@ -44,8 +41,9 @@ val apply : t -> Update.t -> unit
 
 val shapley_all :
   t -> (Aggshap_relational.Fact.t * Aggshap_arith.Rational.t) list
-(** Exact Shapley values of all currently endogenous facts, reusing
-    every clean cached table; dirty games are recomputed on demand. *)
+(** Exact Shapley values of all currently endogenous facts. The Linear
+    engine reuses every clean game's contributions and recomputes the
+    dirty games; the Generic engine solves from scratch. *)
 
 val query : t -> Aggshap_agg.Agg_query.t
 val database : t -> Aggshap_relational.Database.t
@@ -56,15 +54,15 @@ type stats = {
   steps : int;  (** updates applied *)
   games_computed : int;  (** membership games (re)computed, Linear engine *)
   games_reused : int;  (** games served from cache across all reads *)
-  full_recomputes : int;  (** [set_tau] memo flushes, Generic engine *)
-  tables : Aggshap_core.Memo.stats;  (** the shared DP-table cache *)
+  tables : Aggshap_core.Memo.stats;
+      (** always zero: no DP-table cache is kept. Kept for the benchmark
+          in [perf/], which reads it (ROADMAP item 9). *)
 }
 
 val stats : t -> stats
 
 val reuse_ratio : stats -> float option
 (** [games_reused / (games_computed + games_reused)], [None] before any
-    game has been read (e.g. the Generic engine, which reuses through
-    [tables] instead). *)
+    game has been read (always, for the Generic engine). *)
 
 val stats_to_string : stats -> string

@@ -34,8 +34,8 @@ module IdxMap = Map.Make (IdxKey)
 (* Facts are split into per-relation segments; [Fact.compare] orders by
    relation name first, so iterating segments in [StringMap] order and
    facts in [FactMap] order inside each visits the global [Fact.compare]
-   order — every list view, [fold]/[iter], and crucially the engine's
-   block fingerprints are unchanged from the flat-map representation.
+   order — every list view and [fold]/[iter] is unchanged from the
+   flat-map representation.
 
    [idx] memoizes the secondary indexes built so far. The cell holds an
    immutable map, updated by compare-and-set: concurrent domains may
@@ -49,7 +49,6 @@ type t = {
   size : int;
   endo : int;
   idx : index IdxMap.t Atomic.t;
-  dig : string option Atomic.t;
 }
 
 type stats = {
@@ -76,22 +75,7 @@ let reset_stats () =
 
 let no_idx () = Atomic.make IdxMap.empty
 
-(* [dig] memoizes an injective serialization of the database (the
-   engine's fingerprint): databases are immutable, so the digest is a
-   pure function of the value and is computed at most once per database
-   no matter how many memo keys mention it. Like [idx], every derived
-   database gets a fresh cell; racing writers store identical strings. *)
-let no_dig () = Atomic.make None
-
-let cached_digest db compute =
-  match Atomic.get db.dig with
-  | Some s -> s
-  | None ->
-    let s = compute db in
-    Atomic.set db.dig (Some s);
-    s
-
-let empty = { segs = StringMap.empty; size = 0; endo = 0; idx = no_idx (); dig = no_dig () }
+let empty = { segs = StringMap.empty; size = 0; endo = 0; idx = no_idx () }
 let is_empty db = db.size = 0
 
 let find_opt (f : Fact.t) db =
@@ -187,7 +171,7 @@ let add ?(provenance = Endogenous) (f : Fact.t) db =
         in
         index_add f provenance pos vmap)
   in
-  { segs; size; endo; idx; dig = no_dig () }
+  { segs; size; endo; idx }
 
 let of_list entries = List.fold_left (fun db (f, p) -> add ~provenance:p f db) empty entries
 
@@ -225,8 +209,7 @@ let remove (f : Fact.t) db =
     { segs;
       size = db.size - 1;
       endo = (db.endo - match p with Endogenous -> 1 | Exogenous -> 0);
-      idx = derive_idx db.idx f (index_remove f);
-      dig = no_dig () }
+      idx = derive_idx db.idx f (index_remove f) }
 
 let set_provenance p (f : Fact.t) db =
   let old = ref None in
@@ -261,8 +244,7 @@ let set_provenance p (f : Fact.t) db =
       { segs;
         size = db.size;
         endo = (db.endo + match p with Endogenous -> 1 | Exogenous -> -1);
-        idx = derive_idx db.idx f (fun pos vmap -> index_add f p pos vmap);
-        dig = no_dig () }
+        idx = derive_idx db.idx f (fun pos vmap -> index_add f p pos vmap) }
 
 let mem f db = find_opt f db <> None
 let provenance db f = find_opt f db
@@ -301,7 +283,7 @@ let filter pred db =
           endo = acc.endo + sendo }
       end)
     db.segs
-    { segs = StringMap.empty; size = 0; endo = 0; idx = no_idx (); dig = no_dig () }
+    { segs = StringMap.empty; size = 0; endo = 0; idx = no_idx () }
 
 (* The list views below are built by a single fold each; [fold] ascends
    [Fact.compare] order (relation-major, see the type comment), so the
@@ -348,8 +330,8 @@ let restrict_relations names db =
       if StringSet.mem rel nameset then (move rel seg inside, outside)
       else (inside, move rel seg outside))
     db.segs
-    ( { segs = StringMap.empty; size = 0; endo = 0; idx = no_idx (); dig = no_dig () },
-      { segs = StringMap.empty; size = 0; endo = 0; idx = no_idx (); dig = no_dig () } )
+    ( { segs = StringMap.empty; size = 0; endo = 0; idx = no_idx () },
+      { segs = StringMap.empty; size = 0; endo = 0; idx = no_idx () } )
 
 let equal a b =
   a.size = b.size && a.endo = b.endo

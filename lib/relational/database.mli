@@ -103,13 +103,6 @@ val probe : t -> rel:string -> pos:int -> Value.t -> Fact.t list
     [Fact.compare] order; O(log) lookup + O(matches) materialization
     once the index is built. *)
 
-val cached_digest : t -> (t -> string) -> string
-(** [cached_digest db compute] memoizes [compute db] on the database
-    value: databases are immutable, so the digest is computed at most
-    once per value no matter how many memo keys mention it. The caller
-    must always pass the same (pure) [compute] — the engine's
-    fingerprint serialization does. *)
-
 (** {1 Instrumentation} *)
 
 type stats = {

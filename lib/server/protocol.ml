@@ -50,7 +50,6 @@ type session_stats = {
   steps : int;
   games_computed : int;
   games_reused : int;
-  full_recomputes : int;
   facts : int;
   endogenous : int;
 }
@@ -170,7 +169,6 @@ let response_to_json = function
         ("session", Json.String session); ("steps", Json.Int stats.steps);
         ("games_computed", Json.Int stats.games_computed);
         ("games_reused", Json.Int stats.games_reused);
-        ("full_recomputes", Json.Int stats.full_recomputes);
         ("facts", Json.Int stats.facts);
         ("endogenous", Json.Int stats.endogenous) ]
   | Server_stats { sessions; requests; evictions; restores } ->
@@ -329,15 +327,13 @@ let decode_response line =
         let* steps = Json.int_field ~what "steps" j in
         let* games_computed = Json.int_field ~what "games_computed" j in
         let* games_reused = Json.int_field ~what "games_reused" j in
-        let* full_recomputes = Json.int_field ~what "full_recomputes" j in
         let* facts = Json.int_field ~what "facts" j in
         let* endogenous = Json.int_field ~what "endogenous" j in
         Ok
           (Session_stats
              { session;
                stats =
-                 { steps; games_computed; games_reused; full_recomputes; facts;
-                   endogenous } })
+                 { steps; games_computed; games_reused; facts; endogenous } })
       | None ->
         let* items = Json.list_field ~what "sessions" j in
         let* sessions =

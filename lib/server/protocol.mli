@@ -43,7 +43,6 @@ type session_stats = {
   steps : int;
   games_computed : int;
   games_reused : int;
-  full_recomputes : int;
   facts : int;
   endogenous : int;
 }

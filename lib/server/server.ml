@@ -112,7 +112,6 @@ let dispatch (st : state) (req : Protocol.request) : Protocol.response =
                     { Protocol.steps = stats.Session.steps;
                       games_computed = stats.Session.games_computed;
                       games_reused = stats.Session.games_reused;
-                      full_recomputes = stats.Session.full_recomputes;
                       facts = Database.size db;
                       endogenous = Database.endo_size db } })))
   | Protocol.Stats { session = None } ->

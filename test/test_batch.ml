@@ -1,10 +1,10 @@
 (* Batch-engine tests.
 
-   The batch layer (Batch + Solver.shapley_all, with a session's Memo)
-   must be an observationally pure optimisation: the all-facts results
-   are bit-identical — as exact rationals — to the sequential per-fact
+   The batch layer (Batch + Solver.shapley_all) must be an
+   observationally pure optimisation: the all-facts results are
+   bit-identical — as exact rationals — to the sequential per-fact
    path, across every algorithm family of the frontier and the
-   out-of-frontier fallbacks, with or without a memo. *)
+   out-of-frontier fallbacks. *)
 
 module Q = Aggshap_arith.Rational
 module Database = Aggshap_relational.Database
@@ -65,31 +65,6 @@ let test_pool_exception () =
     [ 1; 4 ]
 
 (* ------------------------------------------------------------------ *)
-(* Memo                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let test_memo_stats () =
-  let m = Core.Memo.create () in
-  let calls = ref 0 in
-  let get k =
-    Core.Memo.find_or_compute (Some m) ~key:(fun () -> k) (fun () -> incr calls; String.length k)
-  in
-  Alcotest.(check int) "first compute" 3 (get "abc");
-  Alcotest.(check int) "cached" 3 (get "abc");
-  Alcotest.(check int) "second key" 2 (get "xy");
-  Alcotest.(check int) "computed twice total" 2 !calls;
-  let s = Core.Memo.stats m in
-  Alcotest.(check int) "hits" 1 s.Core.Memo.hits;
-  Alcotest.(check int) "misses" 2 s.Core.Memo.misses
-
-let test_memo_disabled () =
-  (* With no memo the key must not even be evaluated. *)
-  let v =
-    Core.Memo.find_or_compute None ~key:(fun () -> Alcotest.fail "key evaluated") (fun () -> 42)
-  in
-  Alcotest.(check int) "computes directly" 42 v
-
-(* ------------------------------------------------------------------ *)
 (* Batch vs sequential per-fact, across every algorithm family         *)
 (* ------------------------------------------------------------------ *)
 
@@ -132,7 +107,7 @@ let batch_agrees (name, alpha, tau, query) () =
       let actual, stats = Core.Batch.shapley_all a db in
       check_same_results (Printf.sprintf "%s (seed %d)" name seed) expected actual;
       if Option.is_some stats.Core.Batch.cache then
-        Alcotest.failf "%s: memo stats without a memo" name
+        Alcotest.failf "%s: cache stats from a solve that keeps no cache" name
     end
   done
 
@@ -343,10 +318,11 @@ let test_tau_free_component () =
   Alcotest.(check bool) "the tau-free fact Rel0(0, 0) is not a null player" false
     (Q.is_zero (List.assoc (Fact.of_ints "Rel0" [ 0; 0 ]) values))
 
-let test_batch_cache_hits () =
-  (* A session's memo outlives one run: a second run over the unchanged
-     database finds every table the first one stored, so it adds hits
-     and no misses, and returns the same values. *)
+let test_batch_rerun_repeats_work () =
+  (* One-shot solves keep no table between them: a second solve of an
+     unchanged database returns the same values and enters exactly the
+     engine nodes of the first. A cache carried from one solve to the
+     next would make the second enter fewer. *)
   let a = Agg_query.make Aggregate.Max (vid "R" 0) Catalog.q_xyy in
   let db =
     List.fold_left
@@ -357,26 +333,17 @@ let test_batch_cache_hits () =
         Fact.of_ints "S" [ 1 ]; Fact.of_ints "S" [ 2 ];
       ]
   in
-  let memo = Core.Batch.create_memo a in
   let run () =
-    let values, stats = Core.Batch.shapley_all ~memo a db in
-    match stats.Core.Batch.cache with
-    | None -> Alcotest.fail "expected memo stats"
-    | Some m -> (values, m)
+    Core.Engine.reset_stats ();
+    let values, _ = Core.Batch.shapley_all a db in
+    let s = Core.Engine.stats () in
+    (values, [ s.Core.Engine.nodes; s.leaves; s.merges; s.combines ])
   in
-  let first, m1 = run () in
-  let second, m2 = run () in
-  check_same_results "rerun with the memo" first second;
-  let show (m : Core.Memo.stats) = Core.Memo.stats_to_string m in
-  Alcotest.(check bool)
-    (Printf.sprintf "first run stored tables (%s)" (show m1))
-    true (m1.Core.Memo.misses > 0);
-  Alcotest.(check int)
-    (Printf.sprintf "second run misses nothing (%s then %s)" (show m1) (show m2))
-    m1.Core.Memo.misses m2.Core.Memo.misses;
-  Alcotest.(check bool)
-    (Printf.sprintf "second run hits (%s then %s)" (show m1) (show m2))
-    true (m2.Core.Memo.hits > m1.Core.Memo.hits)
+  let first, work1 = run () in
+  let second, work2 = run () in
+  check_same_results "rerun" first second;
+  Alcotest.(check bool) "the first solve enters engine nodes" true (List.hd work1 > 0);
+  Alcotest.(check (list int)) "nodes, leaves, merges, combines" work1 work2
 
 let test_batch_outside_frontier () =
   let a = Agg_query.make Aggregate.Max (vid "R" 0) Catalog.q_exists in
@@ -454,9 +421,9 @@ let test_solver_all_monte_carlo_fallback () =
 module B = Aggshap_arith.Bigint
 module Tables = Core.Tables
 
-(* Without a memo, the multiset of kernel invocations is a function of
-   the workload alone, so [copies] solves of one instance count exactly
-   [copies] times one solve. Running the copies at once on parallel
+(* No table is cached, so the multiset of kernel invocations is a
+   function of the workload alone: [copies] solves of one instance
+   count exactly [copies] times one solve. Running the copies at once on parallel
    domains makes every increment race: the Atomic counters in Bigint,
    Tables and Engine must still report the exact totals. This is what
    makes --stats trustworthy under --jobs N: a racy int counter would
@@ -595,11 +562,6 @@ let () =
           Alcotest.test_case "edge cases" `Quick test_pool_edge_cases;
           Alcotest.test_case "exception propagation" `Quick test_pool_exception;
         ] );
-      ( "memo",
-        [
-          Alcotest.test_case "hit/miss stats" `Quick test_memo_stats;
-          Alcotest.test_case "disabled memo" `Quick test_memo_disabled;
-        ] );
       ( "batch vs sequential",
         List.map
           (fun ((name, _, _, _) as fam) ->
@@ -610,7 +572,7 @@ let () =
             prop_pass_matches_per_fact;
             prop_diffs_match_variant_dbs;
             Alcotest.test_case "fact in a tau-free component" `Quick test_tau_free_component;
-            Alcotest.test_case "cache actually hits" `Quick test_batch_cache_hits;
+            Alcotest.test_case "a rerun repeats the work" `Quick test_batch_rerun_repeats_work;
             Alcotest.test_case "outside frontier rejected" `Quick test_batch_outside_frontier;
           ] );
       ( "solver batch",

@@ -259,17 +259,15 @@ let test_utrial_generation_deterministic () =
   Alcotest.(check string) "same script" (Utrial.to_script t1) (Utrial.to_script t2)
 
 (* `Stale_block makes the session skip one cache invalidation per
-   update. Both engines must be caught by the step-wise oracle:
+   update: the Linear engine (Sum/Count) leaves one membership game
+   clean that an insert or delete touched, so the session serves its
+   stale contributions (a "session-vs-naive" disagreement). It is the
+   only engine with a cache to invalidate: a Generic read re-solves
+   from scratch.
 
-   - the Generic engine skips the set_tau memo flush, which trips the
-     memo's τ-fingerprint guard (an "exception" failure);
-   - the Linear engine skips dirtying one membership game, so the
-     session serves stale values (a "session-vs-naive" disagreement).
-
-   The campaign over seed 42 finds the first within a couple of trials
-   (the "stale-block caught and shrunk" case below); the directed hunt
-   asserts a genuine value-level disagreement is also found and shrinks
-   to a 1-minimal op script. *)
+   The campaign over seed 42 catches it (the "stale-block caught and
+   shrunk" case below); the directed hunt asserts the disagreement is
+   value-level and shrinks to a 1-minimal op script. *)
 let test_stale_block_value_level () =
   assert (!Fault.current = `None);
   Fault.current := `Stale_block;

@@ -1,8 +1,8 @@
 (* The incremental maintenance engine: session results must be
-   bit-identical to from-scratch batch solves after every update, the
-   persistent memo must refuse to serve tables stamped for a different
-   (aggregate, τ, query), and the session's own argument checks must
-   fire. *)
+   bit-identical to from-scratch batch solves after every update, a
+   Generic session read must do exactly the work of a one-shot solve,
+   only the Linear engine keeps anything a skipped invalidation can
+   leave stale, and the session's own argument checks must fire. *)
 
 module Q = Aggshap_arith.Rational
 module Fact = Aggshap_relational.Fact
@@ -12,10 +12,12 @@ module Aggregate = Aggshap_agg.Aggregate
 module Value_fn = Aggshap_agg.Value_fn
 module Agg_query = Aggshap_agg.Agg_query
 module Batch = Aggshap_core.Batch
+module Engine = Aggshap_core.Engine
 module Solver = Aggshap_core.Solver
 module Session = Aggshap_incr.Session
 module Update = Aggshap_incr.Update
 module Script = Aggshap_incr.Script
+module Fault = Aggshap_arith.Fault
 
 let query s =
   match Parser.parse_query s with Ok q -> q | Error m -> Alcotest.fail m
@@ -40,51 +42,95 @@ let db0 =
   db "R(1, 10)\nR(2, 10)\nR(3, 20)\nS(10)\nS(20) @exo"
 
 (* ------------------------------------------------------------------ *)
-(* the memo's τ contract                                               *)
+(* set_tau and updates on a non-Boolean head                           *)
 (* ------------------------------------------------------------------ *)
 
-(* DP tables are keyed on (sub-query, block fingerprint) — τ is outside
-   the key, so a memo created under one τ must never be consulted under
-   another. The fingerprint stamp enforces this at the API boundary. *)
-let test_memo_refuses_other_tau () =
+(* [q_rs] has one answer per R block, so one session serves several
+   answers. After a set_tau or an update, a read must equal a fresh
+   solve of the current database under the current τ. *)
+let check_read what session a db =
+  let expected, _ = Batch.shapley_all a db in
+  Alcotest.check results_testable what expected (Session.shapley_all session)
+
+(* The two τ give different values, so a table kept from the first
+   read and served in the second would show. *)
+let test_generic_set_tau () =
+  let a1 = Agg_query.make Aggregate.Max (Value_fn.id ~rel:"R" ~pos:1) q_rs in
+  let a2 = Agg_query.make Aggregate.Max (Value_fn.id ~rel:"R" ~pos:0) q_rs in
+  Alcotest.(check bool) "the two tau give different values" false
+    (Alcotest.equal results_testable (fst (Batch.shapley_all a1 db0))
+       (fst (Batch.shapley_all a2 db0)));
+  let session = Session.open_ a1 db0 in
+  check_read "read under id:R:1" session a1 db0;
+  Session.apply session (Update.Set_tau (a2.Agg_query.tau, "id:R:0"));
+  check_read "read under id:R:0" session a2 db0
+
+(* Membership games do not depend on τ: after a set_tau a Sum session
+   recomputes no game and serves every game of its last read from its
+   cache, re-weighted under the new τ. *)
+let test_linear_set_tau_keeps_games () =
   let a1 = Agg_query.make Aggregate.Sum (Value_fn.const ~rel:"R" Q.one) q_rs in
   let a2 = Agg_query.make Aggregate.Sum (Value_fn.id ~rel:"R" ~pos:1) q_rs in
-  let memo = Batch.create_memo a1 in
-  let r1, _ = Batch.shapley_all ~jobs:1 ~memo a1 db0 in
-  let fresh, _ = Batch.shapley_all ~jobs:1 a1 db0 in
-  Alcotest.check results_testable "memo run matches fresh run" fresh r1;
-  Alcotest.check_raises "τ changed: memo refused"
-    (Invalid_argument
-       "Batch: memo was created for a different (aggregate, tau, query); \
-        create a fresh one (tau is outside the DP-table cache key)")
-    (fun () -> ignore (Batch.shapley_all ~jobs:1 ~memo a2 db0))
+  let session = Session.open_ a1 db0 in
+  check_read "read under const:R:1" session a1 db0;
+  let s1 = Session.stats session in
+  Session.apply session (Update.Set_tau (a2.Agg_query.tau, "id:R:1"));
+  check_read "read under id:R:1" session a2 db0;
+  let s2 = Session.stats session in
+  Alcotest.(check int) "no game recomputed" s1.Session.games_computed
+    s2.Session.games_computed;
+  Alcotest.(check int) "every game reused" s1.Session.games_computed
+    (s2.Session.games_reused - s1.Session.games_reused)
 
-let test_memo_refuses_other_aggregate_and_query () =
-  let a1 = Agg_query.make Aggregate.Sum (Value_fn.const ~rel:"R" Q.one) q_rs in
-  let memo = Batch.create_memo a1 in
-  let a_count = Agg_query.make Aggregate.Count (Value_fn.const ~rel:"R" Q.one) q_rs in
-  let q' = query "Q(x) <- R(x, y)" in
-  let a_q' = Agg_query.make Aggregate.Sum (Value_fn.const ~rel:"R" Q.one) q' in
+(* R(1, 20) joins the answer x = 1. Deleting S(10) takes x = 2 away
+   and changes the game of x = 1. Inserting S(10) back, now exogenous,
+   returns x = 2 with a different game than it left with. Each step
+   changes a game the Sum session read before it, so a game served
+   stale would show; the Max session re-solves. *)
+let test_answers_leave_and_return () =
   List.iter
-    (fun a ->
-      match Batch.shapley_all ~jobs:1 ~memo a db0 with
-      | _ -> Alcotest.fail "memo accepted a mismatched query"
-      | exception Invalid_argument _ -> ())
-    [ a_count; a_q' ]
+    (fun alpha ->
+      let a = Agg_query.make alpha (Value_fn.id ~rel:"R" ~pos:0) q_rs in
+      let session = Session.open_ a db0 in
+      let db = ref db0 in
+      let name what = Printf.sprintf "%s, %s" (Aggregate.to_string alpha) what in
+      check_read (name "initial read") session a !db;
+      List.iter
+        (fun op ->
+          (match op with
+           | Update.Insert (f, prov) -> db := Database.add ~provenance:prov f !db
+           | Update.Delete f -> db := Database.remove f !db
+           | Update.Set_tau _ -> ());
+          Session.apply session op;
+          check_read (name (Update.to_string op)) session a !db)
+        [ Update.Insert (fact "R(1, 20)", Database.Endogenous);
+          Update.Delete (fact "S(10)");
+          Update.Insert (fact "S(10)", Database.Exogenous) ])
+    [ Aggregate.Sum; Aggregate.Max ]
 
-(* Database updates, by contrast, need no flush: changed blocks change
-   their content fingerprint, so a memo stays valid across them. *)
-let test_memo_survives_database_updates () =
-  let a = Agg_query.make Aggregate.Max (Value_fn.id ~rel:"R" ~pos:1) q_rs in
-  let memo = Batch.create_memo a in
-  let check db =
-    let with_memo, _ = Batch.shapley_all ~jobs:1 ~memo a db in
-    let fresh, _ = Batch.shapley_all ~jobs:1 a db in
-    Alcotest.check results_testable "memo run matches fresh run" fresh with_memo
-  in
-  check db0;
-  check (Database.add (fact "R(4, 30)") db0);
-  check (Database.remove (fact "R(1, 10)") db0)
+(* `Stale_block skips one invalidation per update. Only the Linear
+   engine has anything to invalidate: under the fault a Sum session
+   serves the stale game of x = 1 after R(1, 20) joins it, while a Max
+   session, which re-solves on every read, stays exact. *)
+let test_stale_block_reaches_only_linear () =
+  assert (!Fault.current = `None);
+  Fault.current := `Stale_block;
+  Fun.protect
+    ~finally:(fun () -> Fault.current := `None)
+    (fun () ->
+      let after_insert alpha =
+        let a = Agg_query.make alpha (Value_fn.id ~rel:"R" ~pos:0) q_rs in
+        let session = Session.open_ a db0 in
+        ignore (Session.shapley_all session);
+        let f = fact "R(1, 20)" in
+        Session.apply session (Update.Insert (f, Database.Endogenous));
+        (fst (Batch.shapley_all a (Database.add f db0)), Session.shapley_all session)
+      in
+      let expected, read = after_insert Aggregate.Max in
+      Alcotest.check results_testable "max session exact under the fault" expected read;
+      let expected, read = after_insert Aggregate.Sum in
+      Alcotest.(check bool) "sum session stale under the fault" false
+        (Alcotest.equal results_testable expected read))
 
 (* ------------------------------------------------------------------ *)
 (* session argument checks                                             *)
@@ -168,8 +214,27 @@ let test_linear_engine_reuses () =
   (match Session.reuse_ratio stats with
    | Some r -> Alcotest.(check bool) "reuse ratio positive" true (r > 0.)
    | None -> Alcotest.fail "no games read");
-  Alcotest.(check int) "one update applied" 1 stats.Session.steps;
-  Alcotest.(check int) "no set_tau flushes" 0 stats.Session.full_recomputes
+  Alcotest.(check int) "one update applied" 1 stats.Session.steps
+
+(* The Generic engine keeps no table cache: a read of a warm session,
+   after an update, enters the same engine nodes as a one-shot solve of
+   the updated database. A table cache hidden anywhere below the
+   session would make the read enter fewer. *)
+let test_generic_read_is_a_solve () =
+  let a = Agg_query.make Aggregate.Max (Value_fn.id ~rel:"R" ~pos:0) q_rs in
+  let session = Session.open_ a db0 in
+  ignore (Session.shapley_all session);
+  Session.apply session (Update.Insert (fact "R(4, 10)", Database.Endogenous));
+  let counted read =
+    Engine.reset_stats ();
+    ignore (read ());
+    let s = Engine.stats () in
+    [ s.Engine.nodes; s.Engine.leaves; s.Engine.merges; s.Engine.combines ]
+  in
+  let solve = counted (fun () -> Batch.shapley_all a (Session.database session)) in
+  let read = counted (fun () -> Session.shapley_all session) in
+  Alcotest.(check bool) "the solve enters engine nodes" true (List.hd solve > 0);
+  Alcotest.(check (list int)) "nodes, leaves, merges, combines" solve read
 
 (* Round-trip of the textual script format behind shapctl session. *)
 let test_script_round_trip () =
@@ -198,12 +263,14 @@ let test_script_errors_carry_line_numbers () =
 
 let () =
   Alcotest.run "incr"
-    [ ( "memo contract",
-        [ Alcotest.test_case "refuses other tau" `Quick test_memo_refuses_other_tau;
-          Alcotest.test_case "refuses other aggregate/query" `Quick
-            test_memo_refuses_other_aggregate_and_query;
-          Alcotest.test_case "survives database updates" `Quick
-            test_memo_survives_database_updates;
+    [ ( "tau and updates",
+        [ Alcotest.test_case "generic set_tau re-solves" `Quick test_generic_set_tau;
+          Alcotest.test_case "linear set_tau keeps every game" `Quick
+            test_linear_set_tau_keeps_games;
+          Alcotest.test_case "answers leave and return" `Quick
+            test_answers_leave_and_return;
+          Alcotest.test_case "stale-block reaches only the linear engine" `Quick
+            test_stale_block_reaches_only_linear;
         ] );
       ( "session checks",
         [ Alcotest.test_case "delete of absent fact" `Quick test_delete_absent_raises;
@@ -221,7 +288,9 @@ let () =
             Aggregate.Quantile (Q.of_string "1/3"); Aggregate.Has_duplicates ] );
       ( "engine economy",
         [ Alcotest.test_case "linear engine reuses games" `Quick
-            test_linear_engine_reuses ] );
+            test_linear_engine_reuses;
+          Alcotest.test_case "a generic read does the work of a solve" `Quick
+            test_generic_read_is_a_solve ] );
       ( "scripts",
         [ Alcotest.test_case "round trip" `Quick test_script_round_trip;
           Alcotest.test_case "errors carry line numbers" `Quick

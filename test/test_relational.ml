@@ -201,20 +201,6 @@ let test_stale_index_fault () =
   Alcotest.(check (list string)) "clean update is correct" [ "R(1, 2)" ]
     (probe_strings db3 ~rel:"R" ~pos:0 1)
 
-let test_cached_digest () =
-  let db = indexed_db () in
-  let computations = ref 0 in
-  let compute db =
-    incr computations;
-    String.concat ";" (List.map Fact.to_string (Database.facts db))
-  in
-  let d1 = Database.cached_digest db compute in
-  let d2 = Database.cached_digest db compute in
-  Alcotest.(check string) "stable" d1 d2;
-  Alcotest.(check int) "computed once" 1 !computations;
-  Alcotest.(check bool) "derived database digests fresh" true
-    (Database.cached_digest (Database.remove f_r13 db) compute <> d1)
-
 module Schema = Aggshap_relational.Schema
 
 let test_schema () =
@@ -269,7 +255,6 @@ let () =
           Alcotest.test_case "incremental maintenance" `Quick test_index_maintenance;
           Alcotest.test_case "kernel counters" `Quick test_index_counters;
           Alcotest.test_case "stale-index fault reproducer" `Quick test_stale_index_fault;
-          Alcotest.test_case "cached digest" `Quick test_cached_digest;
         ] );
       ( "schema",
         [ Alcotest.test_case "declarations" `Quick test_schema;

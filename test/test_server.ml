@@ -115,13 +115,13 @@ let arb_response =
           (tup5 s s s bool s)
           (list_size (int_range 0 5) s);
         map2
-          (fun session (steps, games_computed, games_reused, full_recomputes, facts) ->
+          (fun session (steps, games_computed, games_reused, facts) ->
             Protocol.Session_stats
               { session;
                 stats =
-                  { Protocol.steps; games_computed; games_reused; full_recomputes;
-                    facts; endogenous = facts } })
-          s (tup5 nat nat nat nat nat);
+                  { Protocol.steps; games_computed; games_reused; facts;
+                    endogenous = facts } })
+          s (tup4 nat nat nat nat);
         map
           (fun (sessions, requests, evictions, restores) ->
             Protocol.Server_stats { sessions; requests; evictions; restores })
@@ -530,7 +530,57 @@ let serve_tests =
                 (Printf.sprintf "the reply is under 256 bytes (%d)" (String.length reply))
                 true
                 (String.length reply < 256)
-            | _ -> Alcotest.fail "the next request was not answered") ) ]
+            | _ -> Alcotest.fail "the next request was not answered") );
+    ( "a max tenant answers what a one-shot solve gives",
+      `Quick,
+      fun () ->
+        let socket = Filename.temp_file "aggshap_server" ".sock" in
+        Sys.remove socket;
+        let pid = start_server socket in
+        Fun.protect
+          ~finally:(fun () ->
+            ignore
+              (Client.with_connection socket (fun c ->
+                   Client.request c Protocol.Shutdown));
+            ignore (Server.retry_intr (fun () -> Unix.waitpid [] pid));
+            try Sys.remove socket with Sys_error _ -> ())
+          (fun () ->
+            (* A Max session keeps no cache between reads: after a
+               read, an insert and a set_tau, its next read equals the
+               stateless solve of the updated database under the new
+               τ, and it reports no membership game. *)
+            let max_spec = { spec with agg = "max" } in
+            let updated_db = spec.db ^ "\nR(4, 20)" in
+            let session = "m" in
+            let replies =
+              ok
+                (Client.with_connection socket (fun c ->
+                     let ( let* ) = Result.bind in
+                     let* _ = Client.request c (Protocol.Open { session; spec = max_spec }) in
+                     let* _ = Client.request c (Protocol.Solve { session }) in
+                     let* _ =
+                       Client.request c (Protocol.Update { session; script = "insert R(4, 20)" })
+                     in
+                     let* _ = Client.request c (Protocol.Set_tau { session; tau = "id:R:1" }) in
+                     let* read = Client.request c (Protocol.Solve { session }) in
+                     let* one_shot =
+                       Client.request c
+                         (Protocol.Solve_query
+                            { query = spec.query; db = updated_db; agg = "max";
+                              tau = Some "id:R:1"; fallback = None; kc_node_budget = None })
+                     in
+                     let* stats = Client.request c (Protocol.Stats { session = Some session }) in
+                     Ok (read, one_shot, stats)))
+            in
+            match replies with
+            | ( Protocol.Solved { values = read; _ },
+                Protocol.Query_solved { values = one_shot; _ },
+                Protocol.Session_stats { stats; _ } ) ->
+              Alcotest.(check (list (pair string string))) "session read" one_shot read;
+              Alcotest.(check bool) "R(4, 20) is read" true (List.mem_assoc "R(4, 20)" read);
+              Alcotest.(check (list int)) "steps, games computed, games reused" [ 2; 0; 0 ]
+                [ stats.Protocol.steps; stats.games_computed; stats.games_reused ]
+            | _ -> Alcotest.fail "unexpected replies") ) ]
 
 let () =
   Alcotest.run "server"
