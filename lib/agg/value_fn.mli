@@ -38,6 +38,13 @@ val custom :
   (Aggshap_relational.Value.t array -> Aggshap_arith.Rational.t) ->
   t
 
+val of_spec : string -> (t, string) result
+(** Parses a value-function spec: [id:REL:POS], [relu:REL:POS],
+    [gt:REL:POS:BOUND] or [const:REL:VALUE], with [POS] a non-negative
+    integer and [BOUND], [VALUE] an integer or P/Q rational. Whether
+    [REL] is an atom of a query is the caller's check. Errors quote the
+    offending part and the spec through {!Aggshap_cq.Parser.quote}. *)
+
 val numeric : Aggshap_relational.Value.t -> Aggshap_arith.Rational.t
 (** Interprets a constant as a rational.
     @raise Invalid_argument on non-numeric constants. *)

@@ -56,47 +56,13 @@ let parse_fact s =
   | Ok (f, prov) -> Ok (f, prov)
   | Error msg -> Error (Printf.sprintf "cannot parse fact %s: %s" (Parser.quote s) msg)
 
-let parse_pos spec s =
-  match int_of_string_opt s with
-  | Some n when n >= 0 -> Ok n
-  | Some _ | None ->
-    Error
-      (Printf.sprintf
-         "malformed position %s in value function spec %s (expected a non-negative integer)"
-         (Parser.quote s) (Parser.quote spec))
-
-let parse_rational what spec s =
-  match Q.of_string s with
-  | q -> Ok q
-  | exception (Invalid_argument _ | Division_by_zero) ->
-    Error
-      (Printf.sprintf "malformed %s %s in %s (expected an integer or P/Q rational)" what
-         (Parser.quote s) (Parser.quote spec))
-
 let parse_tau q spec =
-  let check_rel rel =
-    if List.mem rel (Cq.relations q) then Ok rel
-    else Error (Printf.sprintf "value function relation %s is not an atom of the query" rel)
-  in
-  match String.split_on_char ':' spec with
-  | [ "id"; rel; pos ] ->
-    let* rel = check_rel rel in
-    let* pos = parse_pos spec pos in
-    Ok (Value_fn.id ~rel ~pos)
-  | [ "relu"; rel; pos ] ->
-    let* rel = check_rel rel in
-    let* pos = parse_pos spec pos in
-    Ok (Value_fn.relu ~rel ~pos)
-  | [ "gt"; rel; pos; bound ] ->
-    let* rel = check_rel rel in
-    let* pos = parse_pos spec pos in
-    let* bound = parse_rational "bound" spec bound in
-    Ok (Value_fn.gt ~rel ~pos bound)
-  | [ "const"; rel; value ] ->
-    let* rel = check_rel rel in
-    let* value = parse_rational "value" spec value in
-    Ok (Value_fn.const ~rel value)
-  | _ -> Error (Printf.sprintf "cannot parse value function spec %s" (Parser.quote spec))
+  let* vf = Value_fn.of_spec spec in
+  if List.mem vf.Value_fn.rel (Cq.relations q) then Ok vf
+  else
+    Error
+      (Printf.sprintf "value function relation %s is not an atom of the query"
+         vf.Value_fn.rel)
 
 let default_tau q =
   match Cq.relations q with

@@ -37,8 +37,9 @@ val parse_fact :
   string -> (Fact.t * Database.provenance, string) result
 
 val parse_tau : Cq.t -> string -> (Value_fn.t, string) result
-(** [id:REL:POS | relu:REL:POS | gt:REL:POS:BOUND | const:REL:VALUE];
-    checks that [REL] is an atom of the query. *)
+(** {!Value_fn.of_spec}'s grammar ([id:REL:POS | relu:REL:POS |
+    gt:REL:POS:BOUND | const:REL:VALUE]), then a check that [REL] is an
+    atom of the query. *)
 
 val default_tau : Cq.t -> (Value_fn.t, string) result
 (** The constant-1 value function on the first atom. *)

@@ -54,7 +54,7 @@ type t =
       contents, so the planned evaluator and the indexed partition go
       wrong wherever a stale index is probed.
     - [`Ddnnf_cache_poison] makes the knowledge-compilation tier's
-      Shannon-expansion compiler ({!Aggshap_lineage.Ddnnf}) store (and
+      d-DNNF compiler ({!Aggshap_lineage.Ddnnf}) store (and
       answer with) a child-swapped decision node in its formula-keyed
       cache, so every compiled circuit that hits the poisoned cache is
       semantically wrong. With the cache disabled there is nothing to

@@ -2,7 +2,7 @@
     finisher.
 
     Every exact route — the frontier DPs, knowledge compilation, naive
-    enumeration, the read-once d-trees and the closed forms — reduces a
+    enumeration and the closed forms — reduces a
     player [p] of an [n]-player game with utility [u] to its {e slice}
 
     {v Δ_p(k) = Σ_(|S| = k, p ∉ S) (u(S ∪ {p}) − u(S)),   k = 0 … n−1 v}

@@ -1,42 +1,5 @@
-module Q = Aggshap_arith.Rational
 module Parser = Aggshap_cq.Parser
 module Value_fn = Aggshap_agg.Value_fn
-
-let parse_pos s =
-  match int_of_string_opt s with
-  | Some n when n >= 0 -> Ok n
-  | Some _ | None ->
-    Error
-      (Printf.sprintf "malformed position %s (expected a non-negative integer)"
-         (Parser.quote s))
-
-let parse_rational what s =
-  match Q.of_string s with
-  | q -> Ok q
-  | exception (Invalid_argument _ | Division_by_zero) ->
-    Error
-      (Printf.sprintf "malformed %s %s (expected an integer or P/Q rational)" what
-         (Parser.quote s))
-
-(* Same grammar as shapctl --tau; localization of the relation on the
-   query is checked when the session applies the op, not here. *)
-let parse_tau spec =
-  let ( let* ) = Result.bind in
-  match String.split_on_char ':' spec with
-  | [ "id"; rel; pos ] ->
-    let* pos = parse_pos pos in
-    Ok (Value_fn.id ~rel ~pos)
-  | [ "relu"; rel; pos ] ->
-    let* pos = parse_pos pos in
-    Ok (Value_fn.relu ~rel ~pos)
-  | [ "gt"; rel; pos; bound ] ->
-    let* pos = parse_pos pos in
-    let* bound = parse_rational "bound" bound in
-    Ok (Value_fn.gt ~rel ~pos bound)
-  | [ "const"; rel; value ] ->
-    let* value = parse_rational "value" value in
-    Ok (Value_fn.const ~rel value)
-  | _ -> Error (Printf.sprintf "cannot parse value function spec %s" (Parser.quote spec))
 
 let split_op line =
   match String.index_opt line ' ' with
@@ -67,7 +30,9 @@ let parse_line line =
         Error "delete takes a bare fact (no @exo/@endo marker)"
       | Error msg -> Error msg)
     | "set_tau" when arg <> "" -> (
-      match parse_tau arg with
+      (* Localization of the relation on the query is checked when the
+         session applies the op, not here. *)
+      match Value_fn.of_spec arg with
       | Ok vf -> Ok (Some (Update.Set_tau (vf, arg)))
       | Error msg -> Error msg)
     | "insert" | "delete" | "set_tau" ->

@@ -46,7 +46,5 @@ val parse : string -> ((int * Update.t) list, string) result
 val parse_line : string -> (Update.t option, string) result
 (** [Ok None] for blank/comment lines. *)
 
-val parse_tau : string -> (Aggshap_agg.Value_fn.t, string) result
-
 val to_string : Update.t list -> string
 (** One line per op; [parse] inverts it. *)

@@ -42,6 +42,7 @@ type game_entry = {
   mq : Cq.t;
   mutable dirty : bool;
   mutable contribs : (Fact.t * Q.t) list;
+  mutable last_read : int;  (* the read that last used the game *)
 }
 
 type engine =
@@ -56,6 +57,7 @@ type t = {
   mutable steps : int;
   mutable games_computed : int;
   mutable games_reused : int;
+  mutable reads : int;
 }
 
 let open_ (a : Agg_query.t) db =
@@ -66,7 +68,7 @@ let open_ (a : Agg_query.t) db =
     | Aggregate.Sum | Aggregate.Count -> Linear (Hashtbl.create 256)
     | _ -> Generic
   in
-  { a; db; engine; steps = 0; games_computed = 0; games_reused = 0 }
+  { a; db; engine; steps = 0; games_computed = 0; games_reused = 0; reads = 0 }
 
 let query t = t.a
 let database t = t.db
@@ -117,30 +119,47 @@ let compute_game t mq =
   let relevant, _pad = Decompose.relevant_part mq t.db in
   Boolean_dp.shapley_all mq relevant
 
+(* A Linear read keeps exactly the games it used: the game of an answer
+   that has left the database (or whose weight fell to zero) goes with
+   it, so the cache is bounded by the current answers, not by every
+   answer the session has seen. Each game records the last read that
+   used it, and the table is swept only when it holds more games than
+   this read used. *)
 let shapley_all t =
   match t.engine with
   | Generic -> fst (Batch.shapley_all t.a t.db)
   | Linear games ->
-    Sumk.in_order t.db
-      (List.concat_map
-         (fun (mq, weight) ->
-           let key = Cq.to_string mq in
-           let entry =
-             match Hashtbl.find_opt games key with
-             | Some e -> e
-             | None ->
-               let e = { mq; dirty = true; contribs = [] } in
-               Hashtbl.add games key e;
-               e
-           in
-           if entry.dirty then begin
-             entry.contribs <- compute_game t entry.mq;
-             entry.dirty <- false;
-             t.games_computed <- t.games_computed + 1
-           end
-           else t.games_reused <- t.games_reused + 1;
-           List.map (fun (f, v) -> (f, Q.mul weight v)) entry.contribs)
-         (Sum_count.membership_games t.a t.db))
+    t.reads <- t.reads + 1;
+    let used = ref 0 in
+    let values =
+      Sumk.in_order t.db
+        (List.concat_map
+           (fun (mq, weight) ->
+             let key = Cq.to_string mq in
+             let entry =
+               match Hashtbl.find_opt games key with
+               | Some e -> e
+               | None ->
+                 let e = { mq; dirty = true; contribs = []; last_read = 0 } in
+                 Hashtbl.add games key e;
+                 e
+             in
+             entry.last_read <- t.reads;
+             incr used;
+             if entry.dirty then begin
+               entry.contribs <- compute_game t entry.mq;
+               entry.dirty <- false;
+               t.games_computed <- t.games_computed + 1
+             end
+             else t.games_reused <- t.games_reused + 1;
+             List.map (fun (f, v) -> (f, Q.mul weight v)) entry.contribs)
+           (Sum_count.membership_games t.a t.db))
+    in
+    if Hashtbl.length games > !used then
+      Hashtbl.filter_map_inplace
+        (fun _ e -> if e.last_read = t.reads then Some e else None)
+        games;
+    values
 
 let stats t =
   { steps = t.steps; games_computed = t.games_computed;

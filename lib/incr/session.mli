@@ -9,8 +9,11 @@
       value is a weighted sum over per-answer membership games, and each
       game restricted to the facts matching its atoms has the same exact
       values (everything else is a null player). The session caches the
-      per-fact contributions of every game, computed by one Boolean
-      variant pass per dirty game ({!Aggshap_core.Boolean_dp.shapley_all});
+      per-fact contributions of every game the last read used, computed
+      by one Boolean variant pass per dirty game
+      ({!Aggshap_core.Boolean_dp.shapley_all}); a read drops the games
+      of answers that have left, so the cache is bounded by the current
+      answers;
       [insert]/[delete] dirty only
       the games whose atoms match the touched fact, [set_tau] dirties
       nothing (the games are τ-independent — only the answer weights,

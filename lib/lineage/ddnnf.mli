@@ -1,13 +1,15 @@
-(** d-DNNF circuits by Shannon expansion, and exact weighted model
-    counting over them.
+(** d-DNNF circuits by decomposition and Shannon expansion, and exact
+    weighted model counting over them.
 
-    A circuit is a DAG of decision nodes ⟨v, hi, lo⟩ ≡ (v ∧ hi) ∨ (¬v ∧
-    lo): deterministic (the disjuncts disagree on v) and decomposable
-    (v occurs in neither child — enforced at construction), hence a
-    d-DNNF on which per-size model counts are one bottom-up pass. Nodes
-    are hash-consed per {!manager}; compilation is memoized per formula
-    id — the formula-keyed cache made sound by {!Formula}'s interning.
-    See DESIGN.md §10. *)
+    A circuit is a DAG of three node kinds: decisions ⟨v, hi, lo⟩ ≡
+    (v ∧ hi) ∨ (¬v ∧ lo), deterministic (the disjuncts disagree on v)
+    and decomposable (v occurs in neither child — enforced at
+    construction); ANDs of parts with pairwise disjoint variables; and
+    ORs of parts with pairwise disjoint variables, the d-trees' ⊗ and ⊕
+    of Remark 4.5. Per-size model counts are one bottom-up pass over
+    any of them. Nodes are hash-consed per {!manager}; compilation is
+    memoized per formula id — the formula-keyed cache made sound by
+    {!Formula}'s interning. See DESIGN.md §10. *)
 
 type node =
   | True
@@ -19,6 +21,12 @@ type node =
       lo : node;
       vars : Formula.ISet.t;
     }
+  | And of { id : int; parts : node list; vars : Formula.ISet.t }
+      (** conjunction of two or more parts, pairwise variable-disjoint;
+          [vars] is their union *)
+  | Or of { id : int; parts : node list; vars : Formula.ISet.t }
+      (** disjunction of two or more parts, pairwise variable-disjoint;
+          [vars] is their union *)
 
 exception Budget_exceeded
 (** Raised (without a backtrace) by {!compile} when the manager's node
@@ -36,14 +44,17 @@ val create : ?cache:bool -> ?budget:int -> Formula.store -> manager
 (** [cache] (default [true]) enables the formula-keyed compile cache;
     disabling it re-expands shared sub-formulas (exponentially slower,
     semantically identical — a qcheck invariant). [budget] caps the
-    number of decision nodes the manager may ever compile (counting
-    allocates none); exceeding it raises {!Budget_exceeded} and bumps
+    number of nodes, of every kind, the manager may ever compile
+    (counting allocates none); exceeding it raises {!Budget_exceeded} and bumps
     the [budget_aborts] counter. *)
 
 val compile : manager -> Formula.t -> node
-(** Shannon expansion, branching on the variable that appears first in
-    a depth-first walk of the formula ({!Formula.pick_var}); the rank
-    table lives in the manager and is rebuilt per call. *)
+(** Decomposition first: a formula whose children fall into two or
+    more variable-disjoint groups compiles to an [And]/[Or] node over
+    its groups' circuits. Any other formula is Shannon-expanded on the
+    variable that appears first in a depth-first walk of the formula
+    being compiled ({!Formula.pick_var}); the rank table lives in the
+    manager and is rebuilt per call. *)
 
 val model_counts :
   manager -> n:int -> node -> Aggshap_arith.Bigint.t array
@@ -61,7 +72,9 @@ val slices :
     conditioned on [p] and on [¬p] over the other [s − 1] variables.
     One bottom-up pass (the memoized polynomials of {!model_counts})
     and one top-down pass of adjoint polynomials give every slice at
-    once. Empty for a constant circuit.
+    once; an [And]/[Or] node hands each part the product of its
+    siblings' factors, found by one prefix and one suffix sweep. Empty
+    for a constant circuit.
 
     The ground set is the circuit's variables, not the database's
     facts: a fact outside them is a null player of the event, and both
@@ -81,7 +94,7 @@ val node_count : manager -> int
 (** {1 Instrumentation} *)
 
 type stats = {
-  nodes : int;  (** decision nodes compiled (after hash-consing) *)
+  nodes : int;  (** nodes compiled, every kind (after hash-consing) *)
   cache_hits : int;  (** formula-keyed cache hits *)
   cache_misses : int;  (** sub-formulas actually expanded *)
   compiles : int;  (** circuits compiled *)

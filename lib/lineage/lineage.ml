@@ -31,8 +31,10 @@
       value zero and is never encoded.
 
    3. Counting. Each distinct event formula (the weights of shared
-      formulas are merged first) compiles to a d-DNNF once, branching
-      in the order the formula first mentions its facts. One
+      formulas are merged first) compiles to a d-DNNF once: its
+      variable-disjoint parts become independent AND/OR nodes, and
+      the rest branches in the order the formula first mentions its
+      facts. One
       {!Ddnnf.slices} pass over the circuit gives every variable's
       slice Δ_p(k) = C1_k − C0_k (its conditioned model counts,
       differenced), and {!Score.finish} weighs it over the circuit's

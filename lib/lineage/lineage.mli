@@ -7,11 +7,15 @@
     answer's lineage (a positive DNF over the endogenous facts); the
     aggregate is decomposed into a linear combination of Boolean-event
     indicators (sound for Sum, Count, Count-distinct, Min, Max and
-    Has-duplicates — see {!supports}); each event compiles once by
-    Shannon expansion ({!Ddnnf}), and one counting pass per circuit
-    gives every fact's slice, finished into its exact Shapley (or
-    Banzhaf) value. Exponential only in
-    the treewidth of the lineage, not in the number of facts — and
+    Has-duplicates — see {!supports}); each event compiles once
+    ({!Ddnnf}: variable-disjoint parts become independent AND/OR nodes,
+    anything else is Shannon-expanded), and one counting pass per
+    circuit gives every fact's slice, finished into its exact Shapley
+    (or Banzhaf) value. Read-once lineage, that of a hierarchical
+    Boolean query (Remark 4.5), compiles to one node per gate and per
+    fact. Other lineage costs one node per distinct residual formula
+    that Shannon expansion reaches, exponentially many in the worst
+    case, and the node budget bounds that work. The values are
     exact-rational identical to naive enumeration wherever both run. *)
 
 type extraction = {

@@ -770,71 +770,57 @@ let () =
              (agree_with_naive ~seeds:5 ~config:dense "sum dense" Aggregate.Sum (vid "R" 0)
                 Catalog.q_exists sumcount);
          ]) );
-      ( "d-trees (Remark 4.5)",
-        [ Alcotest.test_case "compiled counts match the Boolean DP" `Quick (fun () ->
-              List.iter
-                (fun (name, query, _) ->
-                  let q = Cq.make_boolean query in
-                  if Hierarchy.is_all_hierarchical q then
-                    for seed = 0 to 4 do
-                      let db = Generate.random_database ~seed ~config:small_config query in
-                      let tree = Core.Dtree.compile q db in
-                      if not (Core.Dtree.is_read_once tree) then
-                        Alcotest.failf "%s: compiled tree is not read-once" name;
-                      let from_tree = Core.Dtree.satisfying_counts tree db in
-                      let from_dp = Core.Boolean_dp.counts q db in
-                      Array.iteri
-                        (fun k c ->
-                          if not (B.equal c from_tree.(k)) then
-                            Alcotest.failf "%s seed %d: counts differ at k=%d" name seed k)
-                        from_dp
-                    done)
-                Catalog.figure1);
-          Alcotest.test_case "evaluation matches direct CQ evaluation" `Quick (fun () ->
-              let q = Cq.make_boolean Catalog.q_xyy in
-              for seed = 0 to 4 do
-                let db = Generate.random_database ~seed ~config:small_config Catalog.q_xyy in
-                let tree = Core.Dtree.compile q db in
-                let endo = Array.of_list (Database.endogenous db) in
-                let n = Array.length endo in
-                if n <= 10 then
-                  for mask = 0 to (1 lsl n) - 1 do
-                    let chosen f =
-                      let i = ref (-1) in
-                      Array.iteri (fun j g -> if Fact.equal f g then i := j) endo;
-                      !i >= 0 && mask land (1 lsl !i) <> 0
-                    in
-                    let sub =
-                      Database.filter
-                        (fun f p -> p = Database.Exogenous || chosen f)
-                        db
-                    in
-                    let direct = Aggshap_cq.Eval.is_satisfied q sub in
-                    let via_tree = Core.Dtree.eval tree chosen in
-                    if direct <> via_tree then
-                      Alcotest.failf "seed %d mask %d: tree=%b direct=%b" seed mask
-                        via_tree direct
-                  done
-              done);
-          Alcotest.test_case "shapley via the tree matches Boolean DP" `Quick (fun () ->
-              for seed = 0 to 4 do
-                let db = Generate.random_database ~seed ~config:small_config Catalog.q1_sq in
-                let q = Cq.make_boolean Catalog.q1_sq in
-                let tree = Core.Dtree.compile q db in
-                List.iter
-                  (fun f ->
-                    let a = Core.Dtree.shapley tree db f in
-                    let b = Core.Boolean_dp.shapley q db f in
-                    if not (Q.equal a b) then
-                      Alcotest.failf "seed %d: %s" seed (Fact.to_string f))
-                  (Database.endogenous db)
-              done);
-          Alcotest.test_case "rejects non-hierarchical queries" `Quick (fun () ->
-              let db = Generate.random_database ~seed:0 Catalog.q_nonhier in
-              Alcotest.(check bool) "raises" true
-                (try ignore (Core.Dtree.compile Catalog.q_nonhier db); false
-                 with Invalid_argument _ -> true));
-        ] );
+      ( "membership by knowledge compilation (Remark 4.5)",
+        (* The membership game is Count over the Boolean query with a
+           constant τ: Σ_ans 1[lin_ans] over its one answer. Forced KC
+           compiles its read-once lineage into AND/OR nodes (the d-trees
+           of Remark 4.5) and must equal the Boolean DP, null players
+           (left out by the DP) scoring zero. *)
+        (let kc_membership ?budget q db =
+           let q = Cq.make_boolean q in
+           let rel = List.hd (Cq.relations q) in
+           let a = Agg_query.make Aggregate.Count (Value_fn.const ~rel Q.one) q in
+           Aggshap_lineage.Lineage.shapley_all ?budget a db
+         in
+         let check_against_dp name q db kc =
+           let dp = Core.Boolean_dp.shapley_all (Cq.make_boolean q) db in
+           List.iter
+             (fun (f, v) ->
+               let expected =
+                 match List.find_opt (fun (g, _) -> Fact.equal f g) dp with
+                 | Some (_, w) -> w
+                 | None -> Q.zero
+               in
+               if not (Q.equal v expected) then
+                 Alcotest.failf "%s: Shapley(%s) kc=%s dp=%s" name (Fact.to_string f)
+                   (Q.to_string v) (Q.to_string expected))
+             kc
+         in
+         [ Alcotest.test_case "q_xyy at 120 rows compiles to at most 302 nodes" `Quick
+             (fun () ->
+               (* 130 players; the d-tree of this lineage has 151 nodes.
+                  Shannon expansion alone needs 55,292. *)
+               let db = Generate.chain_database ~rows:120 in
+               let kc =
+                 try kc_membership ~budget:302 Catalog.q_xyy db
+                 with Aggshap_lineage.Ddnnf.Budget_exceeded ->
+                   Alcotest.fail "the lineage needs more than 302 nodes"
+               in
+               Alcotest.(check int) "every fact scored" 130 (List.length kc);
+               check_against_dp "q_xyy rows=120" Catalog.q_xyy db kc);
+           Alcotest.test_case "equals the Boolean DP on all-hierarchical queries" `Quick
+             (fun () ->
+               List.iter
+                 (fun (name, query, _) ->
+                   if Hierarchy.is_all_hierarchical (Cq.make_boolean query) then
+                     for seed = 0 to 4 do
+                       let db = Generate.random_database ~seed ~config:small_config query in
+                       check_against_dp
+                         (Printf.sprintf "%s seed %d" name seed)
+                         query db (kc_membership query db)
+                     done)
+                 Catalog.figure1);
+         ]) );
       ( "monotone monoid max (Sec 7.3)",
         (* Non-localized τ = monoid over head variables; ground truth is
            a hand-built game evaluating Max ∘ ⊗ directly. *)

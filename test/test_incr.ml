@@ -108,6 +108,34 @@ let test_answers_leave_and_return () =
           Update.Insert (fact "S(10)", Database.Exogenous) ])
     [ Aggregate.Sum; Aggregate.Max ]
 
+(* Each cycle inserts a fact that makes a new answer, reads, deletes it
+   and reads again. The departed answer's game must go with it: after
+   warm-up cycles, further cycles leave the live heap where it was,
+   where keeping every game ever read grew it by 59 words a cycle on
+   this chain. *)
+let test_departed_answers_are_forgotten () =
+  let a = Agg_query.make Aggregate.Sum (Value_fn.id ~rel:"R" ~pos:0) q_rs in
+  let db = Aggshap_workload.Generate.chain_database ~rows:30 in
+  let session = Session.open_ a db in
+  let cycle k =
+    let f = Fact.of_ints "R" [ 1_000 + k; 1 ] in
+    Session.apply session (Update.Insert (f, Database.Endogenous));
+    ignore (Session.shapley_all session);
+    Session.apply session (Update.Delete f);
+    ignore (Session.shapley_all session)
+  in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  for k = 0 to 19 do cycle k done;
+  let before = live_words () in
+  for k = 20 to 79 do cycle k done;
+  let grown = live_words () - before in
+  if grown > 8 * 60 then
+    Alcotest.failf "60 cycles grew the live heap by %d words" grown;
+  check_read "values after the cycles" session a db
+
 (* `Stale_block skips one invalidation per update. Only the Linear
    engine has anything to invalidate: under the fault a Sum session
    serves the stale game of x = 1 after R(1, 20) joins it, while a Max
@@ -271,6 +299,8 @@ let () =
             test_answers_leave_and_return;
           Alcotest.test_case "stale-block reaches only the linear engine" `Quick
             test_stale_block_reaches_only_linear;
+          Alcotest.test_case "departed answers leave no game behind" `Quick
+            test_departed_answers_are_forgotten;
         ] );
       ( "session checks",
         [ Alcotest.test_case "delete of absent fact" `Quick test_delete_absent_raises;

@@ -1,11 +1,12 @@
 (* Property tests (qcheck) for the knowledge-compilation tier: the
-   Shannon d-DNNF compiler against brute-force model counting (≤16
-   variables), every variable's slice against brute force, circuit-level
-   Shapley and Banzhaf against their subset-sum definitions, structural
-   d-DNNF invariants (decomposability, determinism, support), the
-   formula-keyed cache as a pure optimization, a node bound that pins
-   the compiler's branch order, and the whole lineage pipeline against
-   naive enumeration on random trials. *)
+   d-DNNF compiler against brute-force model counting (≤16 variables),
+   every variable's slice against brute force, circuit-level Shapley
+   and Banzhaf against their subset-sum definitions, structural d-DNNF
+   invariants (decomposability, determinism, disjoint parts, support),
+   the formula-keyed cache as a pure optimization — each over random
+   formulas and over formulas built from variable-disjoint parts — a
+   node bound that pins the compiler's branch order, and the whole
+   lineage pipeline against naive enumeration on random trials. *)
 
 module B = Aggshap_arith.Bigint
 module Q = Aggshap_arith.Rational
@@ -79,6 +80,41 @@ let arb_inst lo hi =
   QCheck.make
     ~print:(fun (n, f) -> Printf.sprintf "n=%d %s" n (fd_to_string f))
     QCheck.Gen.(int_range lo hi >>= fun n -> map (fun f -> (n, f)) (gen_fd n))
+
+(* Formulas built from variable-disjoint parts: a variable range splits
+   at a random cut into two sub-ranges whose formulas are joined by AND
+   or OR (nested splits flatten into wider nodes); a range that stops
+   splitting holds a random formula over its own variables. Every split
+   is an independent AND/OR the compiler decomposes, and the leaves
+   still exercise Shannon expansion. *)
+let gen_disjoint_fd nvars =
+  let open QCheck.Gen in
+  let rec shift lo = function
+    | FVar v -> FVar (v + lo)
+    | FAnd fs -> FAnd (List.map (shift lo) fs)
+    | FOr fs -> FOr (List.map (shift lo) fs)
+    | (FTrue | FFalse) as c -> c
+  in
+  let rec over lo hi depth =
+    if hi - lo = 1 then return (FVar lo)
+    else
+      let leaf = map (shift lo) (gen_fd (hi - lo)) in
+      if depth = 0 then leaf
+      else
+        frequency
+          [ (1, leaf);
+            ( 3,
+              int_range (lo + 1) (hi - 1) >>= fun cut ->
+              map3
+                (fun conj l r -> if conj then FAnd [ l; r ] else FOr [ l; r ])
+                bool (over lo cut (depth - 1)) (over cut hi (depth - 1)) ) ]
+  in
+  over 0 nvars 4
+
+let arb_disjoint lo hi =
+  QCheck.make
+    ~print:(fun (n, f) -> Printf.sprintf "n=%d %s" n (fd_to_string f))
+    QCheck.Gen.(int_range lo hi >>= fun n -> map (fun f -> (n, f)) (gen_disjoint_fd n))
 
 let popcount mask =
   let rec go acc m = if m = 0 then acc else go (acc + (m land 1)) (m lsr 1) in
@@ -218,25 +254,38 @@ let formula_props =
 
 (* Structural d-DNNF invariants, checked over the whole DAG: a decision
    variable occurs in neither child (decomposability — determinism is
-   by the ⟨v,hi,lo⟩ shape), and the recorded support is exactly the
-   children's supports plus the decision variable. *)
+   by the ⟨v,hi,lo⟩ shape), an AND/OR node's two or more parts are
+   pairwise variable-disjoint, and every node's recorded support is
+   exactly its children's supports (plus a decision's variable). *)
 let rec circuit_wellformed seen node =
   match node with
   | D.True | D.False -> true
+  | _ when Hashtbl.mem seen (D.node_id node) -> true
   | D.Decision { id; var; hi; lo; _ } ->
-    if Hashtbl.mem seen id then true
-    else begin
-      Hashtbl.add seen id ();
-      (not (F.ISet.mem var (D.node_vars hi)))
-      && (not (F.ISet.mem var (D.node_vars lo)))
-      && F.ISet.equal (D.node_vars node)
-           (F.ISet.add var (F.ISet.union (D.node_vars hi) (D.node_vars lo)))
-      && circuit_wellformed seen hi
-      && circuit_wellformed seen lo
-    end
+    Hashtbl.add seen id ();
+    (not (F.ISet.mem var (D.node_vars hi)))
+    && (not (F.ISet.mem var (D.node_vars lo)))
+    && F.ISet.equal (D.node_vars node)
+         (F.ISet.add var (F.ISet.union (D.node_vars hi) (D.node_vars lo)))
+    && circuit_wellformed seen hi
+    && circuit_wellformed seen lo
+  | D.And { id; parts; _ } | D.Or { id; parts; _ } ->
+    Hashtbl.add seen id ();
+    let rec disjoint = function
+      | [] -> true
+      | p :: rest ->
+        List.for_all (fun q -> F.ISet.disjoint (D.node_vars p) (D.node_vars q)) rest
+        && disjoint rest
+    in
+    List.length parts >= 2
+    && disjoint parts
+    && F.ISet.equal (D.node_vars node)
+         (List.fold_left (fun acc p -> F.ISet.union acc (D.node_vars p)) F.ISet.empty parts)
+    && List.for_all (circuit_wellformed seen) parts
 
-let ddnnf_props =
-  [ prop "model counts match brute force (≤10 vars)" 300 (arb_inst 1 10)
+let ddnnf_props ?(label = "") arb =
+  let prop name = prop (label ^ name) in
+  [ prop "model counts match brute force (≤10 vars)" 300 (arb 1 10)
       (fun (n, fd) ->
         let store = F.create_store () in
         let mgr = D.create store in
@@ -245,7 +294,7 @@ let ddnnf_props =
         let expected = brute_counts n fd in
         Array.length counts = n + 1
         && Array.for_all2 (fun b e -> B.equal b (B.of_int e)) counts expected);
-    prop "model counts match brute force (≤16 vars)" 40 (arb_inst 11 16)
+    prop "model counts match brute force (≤16 vars)" 40 (arb 11 16)
       (fun (n, fd) ->
         let store = F.create_store () in
         let mgr = D.create store in
@@ -253,12 +302,12 @@ let ddnnf_props =
         let counts = D.model_counts mgr ~n c in
         let expected = brute_counts n fd in
         Array.for_all2 (fun b e -> B.equal b (B.of_int e)) counts expected);
-    prop "circuits are decomposable with exact supports" 300 (arb_inst 1 10)
+    prop "circuits are decomposable with exact supports" 300 (arb 1 10)
       (fun (_, fd) ->
         let store = F.create_store () in
         let mgr = D.create store in
         circuit_wellformed (Hashtbl.create 16) (D.compile mgr (build store fd)));
-    prop "slices match brute force" 200 (arb_inst 1 8)
+    prop "slices match brute force" 200 (arb 1 8)
       (fun (_, fd) ->
         let store = F.create_store () in
         let mgr = D.create store in
@@ -276,7 +325,7 @@ let ddnnf_props =
     (* Two players beyond the formula's range widen the ground set, so
        the null players' zero is checked too. *)
     prop "shapley_diff matches the permutation definition" 200
-      (QCheck.pair arb_score (arb_inst 1 7))
+      (QCheck.pair arb_score (arb 1 7))
       (fun (score, (n, fd)) ->
         let n = n + 2 in
         let store = F.create_store () in
@@ -286,7 +335,7 @@ let ddnnf_props =
         List.for_all
           (fun p -> Q.equal values.(p) (brute_score score n fd p))
           (List.init n Fun.id));
-    prop "circuit Shapley satisfies efficiency" 200 (arb_inst 1 8)
+    prop "circuit Shapley satisfies efficiency" 200 (arb 1 8)
       (fun (n, fd) ->
         let store = F.create_store () in
         let mgr = D.create store in
@@ -298,7 +347,7 @@ let ddnnf_props =
         in
         Q.equal total expected);
     prop "cache off is semantically identical" 200
-      (QCheck.pair arb_score (arb_inst 1 9))
+      (QCheck.pair arb_score (arb 1 9))
       (fun (score, (n, fd)) ->
         let store = F.create_store () in
         let cached = D.create ~cache:true store in
@@ -400,7 +449,8 @@ let lineage_pipeline_props =
 let () =
   Alcotest.run "lineage"
     [ ("formula", formula_props);
-      ("ddnnf", ddnnf_props);
+      ("ddnnf", ddnnf_props arb_inst);
+      ("ddnnf disjoint parts", ddnnf_props ~label:"disjoint parts: " arb_disjoint);
       ("ddnnf order", ddnnf_order_tests);
       ("pipeline", lineage_pipeline_props);
     ]
