@@ -36,6 +36,10 @@
    reaches them (DESIGN.md §4); numerals from outside the program are
    capped in [Rational.of_string]. *)
 
+(* No coverage counters here: test_arith's allocation guards count the
+   minor words of this file's kernels exactly. *)
+[@@@coverage exclude_file]
+
 let limb_bits = 30
 let base = 1 lsl limb_bits
 let limb_mask = base - 1

@@ -175,7 +175,7 @@ val convolve_small : t array -> t array -> t array option
     output entry is [min_int]. The tables are read in place and the
     native output array is returned as the result, so no entry is
     converted or boxed. The first tier of
-    {!Aggshap_core.Tables.convolve}, which counts the calls that return
+    {!Tables.convolve}, which counts the calls that return
     [Some]; it lives here because it relies on how a small value is
     represented (DESIGN.md §8). *)
 

@@ -2,15 +2,14 @@
     ({!Aggshap_check}).
 
     One process-wide cell, read by every layer a variant corrupts: the
-    bignum arithmetic ({!Bigint}), the relational storage
-    ({!Aggshap_relational.Database}), the convolution kernels and the
-    decomposition engine ({!Aggshap_core.Tables},
-    {!Aggshap_core.Engine}), the incremental engine
-    ({!Aggshap_incr.Session}) and the knowledge-compilation tier
-    ({!Aggshap_lineage.Ddnnf}). It lives in the lowest library all of
-    them link, so arming one variant needs no per-layer copy. Every
-    frontier DP funnels through these layers, so the oracle must flag
-    each corruption. *)
+    bignum arithmetic ({!Bigint}), the counting kernel ({!Tables}), the
+    relational storage ({!Aggshap_relational.Database}), the
+    decomposition engine ({!Aggshap_core.Engine}), the incremental
+    engine ({!Aggshap_incr.Session}) and the knowledge-compilation
+    compiler ({!Aggshap_lineage.Ddnnf}). It lives in the lowest library
+    all of them link, so arming one variant needs no per-layer copy.
+    Every frontier DP and every compiled circuit funnels through these
+    layers, so the oracle must flag each corruption. *)
 
 type t =
   [ `None
@@ -23,12 +22,17 @@ type t =
   | `Ddnnf_cache_poison
   | `Kc_budget_leak ]
 (** - [`None]: every layer computes correctly (the default).
-    - [`Convolve_off_by_one] makes {!Aggshap_core.Tables.convolve}
-      corrupt its top entry whenever both operands are non-trivial,
-      simulating an off-by-one in a DP [combine] step.
-    - [`Tree_fold_skew] makes {!Aggshap_core.Tables.convolve_many} swap
-      the top two entries of the reduced table whenever the reduction
-      tree has at least three leaves, simulating mis-paired siblings.
+    - [`Convolve_off_by_one] makes {!Tables.convolve} corrupt its top
+      entry whenever both operands are non-trivial, simulating an
+      off-by-one in a DP [combine] step. It reaches every frontier DP
+      and the knowledge-compilation tier, whose circuits count their
+      products with the same kernel; naive enumeration and Monte Carlo
+      convolve nothing.
+    - [`Tree_fold_skew] makes {!Tables.convolve_many} swap the top two
+      entries of the reduced table whenever the reduction tree has at
+      least three leaves, simulating mis-paired siblings. It reaches
+      the frontier DPs' balanced folds and the compiled circuits'
+      AND/OR nodes of three or more parts.
     - [`Karatsuba_split] makes every {!Bigint.mul} (and so every
       {!Bigint.pow}) of two operands both at least [4] in magnitude
       gain a spurious [+ (|a|/4)*(|b|/4)*4] term: the classic "forgot

@@ -1,13 +1,19 @@
-(** Shared helpers for the dynamic-programming tables.
+(** The one counting kernel: tables of bignum counts indexed by subset
+    size.
 
-    Every algorithm instantiated from the paper's generic template
-    (Figure 2) manipulates tables of bignum counts indexed by the size [k]
-    of the endogenous subset, i.e. arrays [c] with [c.(k)] = number of
-    [k]-subsets having some property. This module provides the common
-    array plumbing: convolution (for [combine] steps), binomial padding
-    (for null players dropped during decomposition), and totals. *)
+    Every exact route reduces to per-size subset counts (the [sum_k]
+    reduction of Sec. 3.2), so every one of them counts here: arrays
+    [c] with [c.(k)] = number of [k]-subsets having some property. The
+    algorithms instantiated from the paper's generic template (Figure 2)
+    carry such tables up the decomposition, and the knowledge-compilation
+    tier's d-DNNF circuits ({!Aggshap_lineage.Ddnnf}) count their size
+    polynomials with them. This module provides the common array
+    plumbing: convolution (for [combine] steps and circuit products),
+    binomial padding (for null players and smoothing), complements,
+    leave-one-out products, and totals. It lives in the arithmetic
+    library, below both, and [Aggshap_core.Tables] re-exports it. *)
 
-type counts = Aggshap_arith.Bigint.t array
+type counts = Bigint.t array
 (** [c.(k)] for [k = 0 .. n]; length is the number of endogenous facts
     plus one. *)
 
@@ -16,7 +22,7 @@ type counts = Aggshap_arith.Bigint.t array
     Call counters for the convolution layer, surfaced by
     [shapctl solve --stats] and the bench JSON reports. Backed by
     [Atomic.t], so the counts are exact under concurrent domains (see
-    {!Aggshap_arith.Bigint.stats}). *)
+    {!Bigint.stats}). *)
 
 type stats = {
   convolve : int;  (** pairwise convolutions (including inside folds) *)
@@ -69,10 +75,10 @@ val convolve : counts -> counts -> counts
     [Σ_{k1+k2=k} a.(k1) * b.(k2)] — the table of a conjunction over two
     disjoint fact sets. Two tiers (see DESIGN.md §8): tables whose
     entries are all small run wholly in native ints, read in place by
-    {!Aggshap_arith.Bigint.convolve_small} (overflow-checked, aborting
+    {!Bigint.convolve_small} (overflow-checked, aborting
     to the tier below); everything else takes the classic paths — a
     zero-skipping scatter loop for sparse/thin operands, a
-    multiply-accumulate buffer ({!Aggshap_arith.Bigint.Acc}) for dense
+    multiply-accumulate buffer ({!Bigint.Acc}) for dense
     ones. Both tiers produce bit-identical results. *)
 
 val convolve_many : counts list -> counts
@@ -86,32 +92,44 @@ val pad : int -> counts -> counts
 (** [pad p c] extends the underlying fact set by [p] endogenous null
     players: [result.(k) = Σ_j c.(k-j) * C(p, j)]. *)
 
-val total : counts -> Aggshap_arith.Bigint.t
+val leave_one_out :
+  unit:'a -> op:('a -> 'a -> 'a) -> 'a array -> 'a array * 'a Lazy.t
+(** [leave_one_out ~unit ~op ts]: for every [i], the product under [op]
+    of every [ts.(j)] with [j <> i], from one prefix and one suffix
+    sweep ([3g − 6] applications of [op] for [g ≥ 2] tables; none where
+    an operand is [unit], compared physically), and, built on demand
+    from the last prefix, the product of all of them (one more
+    application). [op] must be associative and commutative with unit
+    [unit]. The variant pass takes each block's siblings' union from it,
+    Has-duplicates its per-class convolutions, and a d-DNNF AND/OR node
+    the product of each part's siblings. *)
+
+val total : counts -> Bigint.t
 (** Sum of all entries. *)
 
-val to_rationals : counts -> Aggshap_arith.Rational.t array
+val to_rationals : counts -> Rational.t array
 
-val scale_to : Aggshap_arith.Rational.t -> counts -> Aggshap_arith.Rational.t array
+val scale_to : Rational.t -> counts -> Rational.t array
 (** [scale_to r c] is the rational array [r * c.(k)]. *)
 
-val add_rat : Aggshap_arith.Rational.t array -> Aggshap_arith.Rational.t array -> Aggshap_arith.Rational.t array
-val zeros_rat : int -> Aggshap_arith.Rational.t array
+val add_rat : Rational.t array -> Rational.t array -> Rational.t array
+val zeros_rat : int -> Rational.t array
 
-val pad_rat : int -> Aggshap_arith.Rational.t array -> Aggshap_arith.Rational.t array
+val pad_rat : int -> Rational.t array -> Rational.t array
 (** Binomial padding of a rational-valued table (e.g. a [sum_k] vector). *)
 
 val convolve_rat :
-  Aggshap_arith.Rational.t array ->
-  Aggshap_arith.Rational.t array ->
-  Aggshap_arith.Rational.t array
+  Rational.t array ->
+  Rational.t array ->
+  Rational.t array
 (** Common-denominator convolution: both operands are lifted to integer
     arrays over the lcm of their denominators, convolved exactly, and
     normalized once per entry — instead of one gcd per term. *)
 
 val weighted_sum :
   int ->
-  (Aggshap_arith.Rational.t * counts) list ->
-  Aggshap_arith.Rational.t array
+  (Rational.t * counts) list ->
+  Rational.t array
 (** [weighted_sum n pairs] is [Σ_i w_i * c_i] as a rational array of
     length [n + 1] (every [c_i] must have length [n + 1]). Accumulates
     in integers over the lcm of the weights' denominators, normalizing

@@ -7,16 +7,7 @@ module Database = Aggshap_relational.Database
 let ground_case q db =
   match q.Cq.body with
   | [ atom ] ->
-    let fact =
-      { Aggshap_relational.Fact.rel = atom.Cq.rel;
-        args =
-          Array.map
-            (function
-              | Cq.Const v -> v
-              | Cq.Var x -> invalid_arg ("Boolean_dp: ground case with variable " ^ x))
-            atom.Cq.terms }
-    in
-    (match Database.provenance db fact with
+    (match Database.provenance db (Decompose.ground_fact atom) with
      | Some Database.Exogenous -> Tables.pad (Database.endo_size db) [| B.one |]
      | Some Database.Endogenous ->
        (* The fact itself must be chosen; the other endogenous facts of

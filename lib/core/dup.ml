@@ -85,14 +85,14 @@ let connected_dup_counts tau q db =
 
 (* The variant pass of Figure 5: a fact changes only its own class, so
    its NoDup counts are the product of the other classes' at-most-one
-   counts ({!Engine.leave_one_out}) with its class's variants from
+   counts ({!Tables.leave_one_out}) with its class's variants from
    {!Count_dp.variants}. Returns the facts in no class and, per class,
    the product of the others with the class's answer-count variants. *)
 let connected_split tau q db =
   let classes, outside = classes tau q db in
   let parts = List.map (Count_dp.variants ~cap:2 q) classes in
   let others, _ =
-    Engine.leave_one_out ~unit:[| B.one |] ~op:Tables.convolve
+    Tables.leave_one_out ~unit:[| B.one |] ~op:Tables.convolve
       (Array.of_list (List.map (fun (t, _) -> at_most_one_of t) parts))
   in
   (outside, List.mapi (fun i (_, vs) -> (others.(i), vs)) parts)

@@ -80,19 +80,6 @@ type 'table split = {
 let each_removal db table_of =
   List.map (fun f -> (f, table_of (Database.remove f db))) (Database.endogenous db)
 
-let leave_one_out ~unit ~op tables =
-  let op a b = if a == unit then b else if b == unit then a else op a b in
-  let g = Array.length tables in
-  let pre = Array.make (g + 1) unit and suf = Array.make (g + 1) unit in
-  for i = 0 to g - 2 do
-    pre.(i + 1) <- op pre.(i) tables.(i)
-  done;
-  for i = g - 1 downto 1 do
-    suf.(i) <- op tables.(i) suf.(i + 1)
-  done;
-  ( Array.init g (fun i -> op pre.(i) suf.(i + 1)),
-    lazy (if g = 0 then unit else op pre.(g - 1) tables.(g - 1)) )
-
 module type PASS_ALGEBRA = sig
   include TABLE_ALGEBRA
 
@@ -166,8 +153,8 @@ end
    down:
 
    - at a root partition, by the union of the block's removal table with
-     the leave-one-out table L_i of its siblings (prefix/suffix sweeps of
-     [union], whose last prefix is the node's own table); a fact in no
+     the leave-one-out table L_i of its siblings ([Tables.leave_one_out]
+     over [union], whose last prefix is the node's own table); a fact in no
      block is a null player and gets no removal table;
    - at a conjunction, by the algebra's [combine] on the removal
      database with the fact's component replaced. Every component is
@@ -225,7 +212,7 @@ module Pass (A : PASS_ALGEBRA) = struct
     let subst = Cq.substituter q root in
     let children = List.map (fun (v, block) -> walk ctx (subst v) block) blocks in
     let ls, all =
-      leave_one_out ~unit:A.neutral ~op:(A.union ctx)
+      Tables.leave_one_out ~unit:A.neutral ~op:(A.union ctx)
         (Array.of_list (List.map (fun (t, _) -> Lazy.force t) children))
     in
     (children, ls, all, dropped)

@@ -155,7 +155,7 @@ end
     {e removal} table (the node's table without [f]), rebuilt only
     along the fact's own path: at a root partition by the union of its
     block's removal table with the leave-one-out table of the block's
-    siblings, at a conjunction by [combine] with the fact's component
+    siblings ({!Tables.leave_one_out} over [union]), at a conjunction by [combine] with the fact's component
     replaced, and at a leaf by [leaf_removals]. A conjunction walks each
     component at most once and hands that walk's table to every
     [combine]; components the algebra hands to a sub-algorithm are
@@ -199,16 +199,6 @@ val each_removal :
 (** Every endogenous fact of [db] with a table function re-evaluated on
     [db] without it: the [leaf_removals] of leaves that read a few facts
     directly (ground atoms). *)
-
-val leave_one_out :
-  unit:'a -> op:('a -> 'a -> 'a) -> 'a array -> 'a array * 'a Lazy.t
-(** [leave_one_out ~unit ~op ts]: for every [i], the product under [op]
-    of every [ts.(j)] with [j <> i], from one prefix and one suffix
-    sweep ([3g − 6] applications of [op] for [g ≥ 2] tables; none where
-    an operand is [unit], compared physically), and, built on demand
-    from the last prefix, the product of all of them (one more
-    application). [op] must be associative and commutative with unit
-    [unit]. *)
 
 (** What the variant pass needs beyond {!TABLE_ALGEBRA}. *)
 module type PASS_ALGEBRA = sig

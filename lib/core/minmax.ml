@@ -28,6 +28,9 @@ let pad_table p t =
       empty = Tables.pad p t.empty;
       by_value = QMap.map (Tables.pad p) t.by_value }
 
+let add_key a c map =
+  QMap.update a (function None -> Some c | Some c' -> Some (Tables.add c' c)) map
+
 (* Bag-union of two independent sub-databases: the maximum of the union
    is [a] iff one side attains [a] and the other stays at most [a]
    (counting the empty side as "at most anything"). Sweeping values in
@@ -53,27 +56,43 @@ let combine_union t1 t2 =
   in
   { n = t1.n + t2.n; empty = Tables.convolve t1.empty t2.empty; by_value }
 
-(* Cross product with a τ-free side given by its nonempty counts. *)
+(* The empty row of a conjunction of [t] with a side over [n2] facts
+   whose nonempty counts are [nonempty2]: a subset has an answer iff
+   both sides do. *)
+let cross_empty t n2 nonempty2 =
+  Tables.sub (Tables.full (t.n + n2))
+    (Tables.convolve (Tables.complement t.n t.empty) nonempty2)
+
+(* Cross product with a τ-free side given by its nonempty counts: every
+   row keeps its value. *)
 let combine_cross t (n2, nonempty2) =
-  let empty2 = Tables.sub (Tables.full n2) nonempty2 in
-  let empty =
-    Tables.sub
-      (Tables.add (Tables.convolve t.empty (Tables.full n2))
-         (Tables.convolve (Tables.full t.n) empty2))
-      (Tables.convolve t.empty empty2)
-  in
   { n = t.n + n2;
-    empty;
+    empty = cross_empty t n2 nonempty2;
     by_value = QMap.map (fun c -> Tables.convolve c nonempty2) t.by_value }
+
+(* Cross product of two valued sides: by monotonicity of [op], the
+   maximum over a subset of the product is [op] of the sides' maxima. *)
+let cross op t1 t2 =
+  { n = t1.n + t2.n;
+    empty = cross_empty t1 t2.n (Tables.complement t2.n t2.empty);
+    by_value =
+      QMap.fold
+        (fun v1 c1 acc ->
+          QMap.fold
+            (fun v2 c2 acc ->
+              let c = Tables.convolve c1 c2 in
+              if B.is_zero (Tables.total c) then acc else add_key (op v1 v2) c acc)
+            t2.by_value acc)
+        t1.by_value QMap.empty }
+
+let rekey f t =
+  { t with
+    by_value = QMap.fold (fun a c acc -> add_key (f a) c acc) t.by_value QMap.empty }
 
 let table_of_values ~n ~empty values =
   { n;
     empty;
-    by_value =
-      List.fold_left
-        (fun acc (a, c) ->
-          QMap.update a (function None -> Some c | Some c' -> Some (Tables.add c' c)) acc)
-        QMap.empty values }
+    by_value = List.fold_left (fun acc (a, c) -> add_key a c acc) QMap.empty values }
 
 (* [combine_union] drops all-zero rows, so equality must not distinguish
    an absent value from a value whose counts are all zero. *)
@@ -84,24 +103,24 @@ let table_equal t1 t2 =
   && counts_equal t1.empty t2.empty
   && QMap.equal counts_equal (nonzero t1.by_value) (nonzero t2.by_value)
 
-let ground_base tau (atom : Cq.atom) db =
+let ground value q db =
   let fact =
-    { Aggshap_relational.Fact.rel = atom.Cq.rel;
-      args =
-        Array.map
-          (function
-            | Cq.Const v -> v
-            | Cq.Var x -> invalid_arg ("Minmax: ground base with variable " ^ x))
-          atom.Cq.terms }
+    match q.Cq.body with
+    | [ atom ] -> Decompose.ground_fact atom
+    | _ -> invalid_arg "Minmax: ground component with several atoms"
   in
   match Database.provenance db fact with
-  | None -> { n = Database.endo_size db; empty = Tables.full (Database.endo_size db); by_value = QMap.empty }
+  | None ->
+    let n = Database.endo_size db in
+    { n; empty = Tables.full n; by_value = QMap.empty }
   | Some p ->
-    let v = Value_fn.apply tau fact.args in
+    let v = value fact.args in
     (match p with
      | Database.Exogenous -> { n = 0; empty = [| B.zero |]; by_value = QMap.singleton v [| B.one |] }
      | Database.Endogenous ->
        { n = 1; empty = [| B.one; B.zero |]; by_value = QMap.singleton v [| B.zero; B.one |] })
+
+let sum_of_table t = Tables.weighted_sum t.n (QMap.bindings t.by_value)
 
 (* The Figure-2 template instantiated with (a,k)-tables, for sub-queries
    containing the τ-relation (Appendix C): root blocks combine by
@@ -114,13 +133,8 @@ module Alg = struct
 
   let leaf _ _ _ = None
 
-  let ground_atom q =
-    match q.Cq.body with
-    | [ atom ] -> atom
-    | _ -> invalid_arg "Minmax: ground component with several atoms"
-
   let connected_leaf tau q db =
-    if Decompose.is_ground q then Some (fun () -> ground_base tau (ground_atom q) db)
+    if Decompose.is_ground q then Some (fun () -> ground (Value_fn.apply tau) q db)
     else None
 
   let empty _ _ = invalid_arg "Minmax: τ-relation vanished from the query"
@@ -167,7 +181,7 @@ module Alg = struct
       empty = Tables.variant_diff t.empty rm.empty;
       by_value = QMap.merge (fun _ -> Tables.variant_diff_row rm.n) t.by_value rm.by_value }
 
-  let leaf_removals tau q db _ = Engine.each_removal db (ground_base tau (ground_atom q))
+  let leaf_removals tau q db _ = Engine.each_removal db (ground (Value_fn.apply tau) q)
 end
 
 module E = Engine.Pass (Alg)
@@ -175,8 +189,6 @@ module E = Engine.Pass (Alg)
 let check (a : Agg_query.t) =
   if not (Hierarchy.is_all_hierarchical a.query) then
     invalid_arg ("Minmax: query is not all-hierarchical: " ^ Cq.to_string a.query)
-
-let sum_of_table t = Tables.weighted_sum t.n (QMap.bindings t.by_value)
 
 let max_sum_k (a : Agg_query.t) db = sum_of_table (E.eval_top a.tau a.query db)
 

@@ -11,7 +11,13 @@
     across blocks and components.
 
     It also shows restriction is {e necessary}: for arbitrary poly-time
-    non-localized τ, even [Max] over a Cartesian product is #P-hard. *)
+    non-localized τ, even [Max] over a Cartesian product is #P-hard.
+
+    The dynamic program is Min/Max's, on its (a,k)-table ({!Minmax}):
+    its bag-union, padding, ground leaf (keyed on the monoid unit) and
+    [sum_k] read-out. This module adds only the monoid, the lift of a
+    tracked root value ({!Minmax.rekey} by [⊗ a]) and the conjunction
+    of valued components ({!Minmax.cross} by [⊗]). *)
 
 type monoid = {
   op : Aggshap_arith.Rational.t -> Aggshap_arith.Rational.t -> Aggshap_arith.Rational.t;

@@ -3,6 +3,15 @@ module Database = Aggshap_relational.Database
 
 let is_ground q = Cq.vars q = []
 
+let ground_fact (atom : Cq.atom) =
+  { Aggshap_relational.Fact.rel = atom.Cq.rel;
+    args =
+      Array.map
+        (function
+          | Cq.Const v -> v
+          | Cq.Var x -> invalid_arg ("Decompose.ground_fact: atom with variable " ^ x))
+        atom.Cq.terms }
+
 (* Variable sharing between two atoms, without materializing var lists:
    the engine asks for components at every DP node, and almost every
    query it builds there has one or two atoms. *)

@@ -10,6 +10,11 @@
 val is_ground : Cq.t -> bool
 (** No variables at all. *)
 
+val ground_fact : Cq.atom -> Aggshap_relational.Fact.t
+(** The fact a variable-free atom denotes: what a ground-atom leaf of
+    the decomposition reads the provenance of.
+    @raise Invalid_argument if the atom has a variable. *)
+
 val connected_components : Cq.t -> Cq.t list
 (** Components of the atom graph (atoms adjacent when they share a
     variable). Variable-free atoms are singleton components. The head of

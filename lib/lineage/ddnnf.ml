@@ -34,8 +34,12 @@
 
    where gap_child = |V| − 1 − |vars(child)| smooths the variables a
    decision's child never mentions (each is free: a factor (1+x)), and
-   Q_i counts part i's non-models over its own variables V_i. All
-   arithmetic is exact over {!Aggshap_arith.Bigint}.
+   Q_i counts part i's non-models over its own variables V_i. A size
+   polynomial is a table of the DPs' counting kernel
+   ({!Aggshap_arith.Tables}): products are its convolutions (an AND/OR
+   node's a balanced [convolve_many]), smoothing is its binomial [pad],
+   Q_i its [complement]. The circuit counts on the same int tier as the
+   frontier DPs, exactly, and the kernel's faults reach it too.
 
    Every variable's Shapley slice then comes from one more, top-down
    pass (the differential approach: Darwiche, JACM 2003). The adjoint
@@ -54,11 +58,14 @@
    smoothed (free: it contributes the same to both cofactors) on every
    other, so the slice of p is the sum over the decisions on p of
    A(node) · ((1+x)^gap_hi · P(hi) − (1+x)^gap_lo · P(lo)): its
-   cofactors' per-size counts over the other variables, differenced. *)
+   cofactors' per-size counts over the other variables, differenced.
+   An AND/OR node's products of all parts but one come from one
+   prefix and one suffix sweep ({!Aggshap_arith.Tables.leave_one_out},
+   the variant pass's sweep over sibling blocks). *)
 
 module B = Aggshap_arith.Bigint
 module Fault = Aggshap_arith.Fault
-module Combinat = Aggshap_arith.Combinat
+module Tables = Aggshap_arith.Tables
 module ISet = Formula.ISet
 
 type node =
@@ -336,47 +343,10 @@ let compile mgr f =
 
 (* {1 Weighted model counting} *)
 
-(* Exact polynomial product (each entry is a model count, its degree a
-   subset size; lengths stay ≤ n+1). *)
-let poly_mul a b =
-  let la = Array.length a and lb = Array.length b in
-  let res = Array.make (la + lb - 1) B.zero in
-  for i = 0 to la - 1 do
-    if not (B.is_zero a.(i)) then
-      for j = 0 to lb - 1 do
-        res.(i + j) <- B.add res.(i + j) (B.mul a.(i) b.(j))
-      done
-  done;
-  res
-
-let product ps = List.fold_left poly_mul [| B.one |] ps
-
 (* Smoothing: each variable of the ground set the sub-circuit never
-   mentions is free — a factor (1+x), i.e. one binomial row. *)
+   mentions is free — a factor (1+x), i.e. binomial padding. *)
 let lift p gap =
-  if gap = 0 then p
-  else if gap < 0 then invalid_arg "Ddnnf.lift: negative smoothing gap"
-  else poly_mul p (Combinat.binomial_row gap)
-
-(* The non-models over [n] variables of a size polynomial over them:
-   (1+x)^n − P. *)
-let complement n p = Array.map2 B.sub (Combinat.binomial_row n) p
-
-(* Every product of all factors but one, by one prefix and one suffix
-   sweep: the j-th of [leave_one_out fs] is Π_{i≠j} f_i. *)
-let leave_one_out fs =
-  let fs = Array.of_list fs in
-  let k = Array.length fs in
-  let prefix = Array.make k [| B.one |] in
-  for j = 1 to k - 1 do
-    prefix.(j) <- poly_mul prefix.(j - 1) fs.(j - 1)
-  done;
-  let suffix = ref [| B.one |] in
-  for j = k - 1 downto 0 do
-    prefix.(j) <- poly_mul prefix.(j) !suffix;
-    if j > 0 then suffix := poly_mul fs.(j) !suffix
-  done;
-  Array.to_list prefix
+  if gap < 0 then invalid_arg "Ddnnf.lift: negative smoothing gap" else Tables.pad gap p
 
 let rec polynomial mgr node =
   match node with
@@ -396,8 +366,9 @@ let rec polynomial mgr node =
           Array.iteri (fun i c -> res.(i + 1) <- c) p_hi;
           Array.iteri (fun i c -> res.(i) <- B.add res.(i) c) p_lo;
           res
-        | And d -> product (List.map (polynomial mgr) d.parts)
-        | Or d -> complement (size node) (product (non_models mgr d.parts))
+        | And d -> Tables.convolve_many (List.map (polynomial mgr) d.parts)
+        | Or d ->
+          Tables.complement (size node) (Tables.convolve_many (non_models mgr d.parts))
         | True | False -> assert false
       in
       Hashtbl.add mgr.count_memo (node_id node) res;
@@ -405,7 +376,7 @@ let rec polynomial mgr node =
 
 (* Each part's Q_i = (1+x)^|V_i| − P_i. *)
 and non_models mgr parts =
-  List.map (fun p -> complement (size p) (polynomial mgr p)) parts
+  List.map (fun p -> Tables.complement (size p) (polynomial mgr p)) parts
 
 (* [model_counts mgr ~n node] is [|c_0; ...; c_n|]: c_k = number of
    size-k subsets of the n-variable ground set satisfying the circuit
@@ -413,7 +384,7 @@ and non_models mgr parts =
 let model_counts mgr ~n node =
   let gap = n - ISet.cardinal (node_vars node) in
   match node with
-  | False -> Array.make (n + 1) B.zero
+  | False -> Tables.zeros n
   | _ -> lift (polynomial mgr node) gap
 
 (* Every variable's slice in one top-down pass (see the header): the
@@ -462,8 +433,11 @@ let slices mgr root =
             accumulate adjoint (node_id child) (s - size child + 1) p
         in
         let push_parts a parts factors =
-          List.iter2 (fun part others -> push part (poly_mul a others))
-            parts (leave_one_out factors)
+          let others, _ =
+            Tables.leave_one_out ~unit:[| B.one |] ~op:Tables.convolve
+              (Array.of_list factors)
+          in
+          List.iteri (fun j part -> push part (Tables.convolve a others.(j))) parts
         in
         Hashtbl.add adjoint (node_id root) [| B.one |];
         List.iter
@@ -478,7 +452,7 @@ let slices mgr root =
               push d.lo (lift a gap_lo);
               let p_hi = lift (polynomial mgr d.hi) gap_hi in
               let p_lo = lift (polynomial mgr d.lo) gap_lo in
-              accumulate slice d.var s (poly_mul a (Array.map2 B.sub p_hi p_lo))
+              accumulate slice d.var s (Tables.convolve a (Tables.sub p_hi p_lo))
             | And d -> push_parts a d.parts (List.map (polynomial mgr) d.parts)
             | Or d -> push_parts a d.parts (non_models mgr d.parts))
           !order;

@@ -7,7 +7,9 @@
     construction); ANDs of parts with pairwise disjoint variables; and
     ORs of parts with pairwise disjoint variables, the d-trees' ⊗ and ⊕
     of Remark 4.5. Per-size model counts are one bottom-up pass over
-    any of them. Nodes are hash-consed per {!manager}; compilation is
+    any of them, counted with the frontier DPs' kernel
+    ({!Aggshap_arith.Tables}: its convolutions, binomial padding and
+    complements, int tier included). Nodes are hash-consed per {!manager}; compilation is
     memoized per formula id — the formula-keyed cache made sound by
     {!Formula}'s interning. See DESIGN.md §10. *)
 
@@ -33,7 +35,7 @@ exception Budget_exceeded
     budget would be exceeded by the next allocation. The caller is
     expected to abandon the manager and fall back to the solve
     planner's next tier — the knowledge-compilation analogue of the
-    int tier's abort-and-retry in [Tables.convolve]. *)
+    int tier's abort-and-retry in {!Aggshap_arith.Tables.convolve}. *)
 
 type manager
 (** Unique node table + formula-keyed compile cache + counting memo.
@@ -73,7 +75,8 @@ val slices :
     One bottom-up pass (the memoized polynomials of {!model_counts})
     and one top-down pass of adjoint polynomials give every slice at
     once; an [And]/[Or] node hands each part the product of its
-    siblings' factors, found by one prefix and one suffix sweep. Empty
+    siblings' factors, found by one prefix and one suffix sweep
+    ({!Aggshap_arith.Tables.leave_one_out}). Empty
     for a constant circuit.
 
     The ground set is the circuit's variables, not the database's

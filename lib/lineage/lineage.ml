@@ -24,7 +24,9 @@
         Has-dup        1[∨_{τ(a)=τ(b), a≠b} (lin_a ∧ lin_b)]
 
       The telescoping Max/Min forms agree with [Aggregate.apply] on the
-      empty bag (value 0) and on negative τ-values. Avg / Median /
+      empty bag (value 0) and on negative τ-values. Min's events are
+      Max's over the negated τ-values, weights negated (Min(bag) =
+      −Max(−bag), as in [Minmax.negate_tau]). Avg / Median /
       Quantile are not linear in any event basis — {!supports} says so
       and the solver falls through to naive enumeration for them. The
       constant shift −α(exogenous part) of the utility has Shapley
@@ -41,8 +43,9 @@
       own s variables, not all n facts: the facts outside vars(φ) are
       null players of the event, which changes neither the Shapley
       nor the Banzhaf value of the others and leaves their own at
-      zero, so they cost nothing. Any Shapley-like score is linear in
-      the utility, so the events' values sum to the aggregate's. *)
+      zero, so they cost nothing; a one-fact solve skips every event
+      that does not mention its fact. Any Shapley-like score is linear
+      in the utility, so the events' values sum to the aggregate's. *)
 
 module B = Aggshap_arith.Bigint
 module Q = Aggshap_arith.Rational
@@ -146,7 +149,7 @@ let by_value answers =
            m)
        QMap.empty answers)
 
-let events alpha store answers =
+let rec events alpha store answers =
   match alpha with
   | Aggregate.Sum -> List.map (fun (v, lin) -> (v, lin)) answers
   | Aggregate.Count -> List.map (fun (_, lin) -> (Q.one, lin)) answers
@@ -173,22 +176,12 @@ let events alpha store answers =
     in
     evs
   | Aggregate.Min ->
-    let groups = by_value answers in  (* ascending *)
-    let _, _, evs =
-      List.fold_left
-        (fun (prefix, lower, evs) (v, lins) ->
-          let f = Formula.or_ store (prefix @ lins) in
-          let evs =
-            (* coefficient of F_{j−1} is v_{j−1} − v_j, known once v_j
-               arrives; F_m keeps weight v_m. *)
-            match (lower, evs) with
-            | Some v', (_, f') :: rest -> (Q.sub v' v, f') :: rest
-            | _ -> evs
-          in
-          ([ f ], Some v, (v, f) :: evs))
-        ([], None, []) groups
-    in
-    List.rev evs
+    (* Min = −Max over negated τ-values (the identity
+       [Minmax.negate_tau] relies on): the Max events of −τ are the
+       F_j, highest value first, so negating their weights and
+       reversing them gives F_1 … F_m. *)
+    events Aggregate.Max store (List.map (fun (v, lin) -> (Q.neg v, lin)) answers)
+    |> List.rev_map (fun (c, f) -> (Q.neg c, f))
   | Aggregate.Has_duplicates ->
     let pairs =
       List.concat_map
@@ -236,18 +229,23 @@ let check_supported alpha =
       (Printf.sprintf "Lineage: %s is outside the knowledge-compilation tier"
          (Aggregate.to_string alpha))
 
-(* Shared solve core: compile each merged event once, take every slice
-   of its circuit in one pass, and finish the requested players' slices
-   over the circuit's own variables. [budget] caps the total d-DNNF
-   node count across all events; Ddnnf.Budget_exceeded escapes to the
-   caller. *)
+(* Shared solve core: compile each merged event that mentions a
+   requested player once, take every slice of its circuit in one pass,
+   and finish the requested players' slices over the circuit's own
+   variables. A player outside an event's formula is a null player of
+   it and scores zero there, so the other events are skipped. [budget]
+   caps the total d-DNNF node count across the compiled events;
+   Ddnnf.Budget_exceeded escapes to the caller. *)
 let solve ~score ?budget (a : Agg_query.t) db select =
   check_supported a.Agg_query.alpha;
   let ext = extract a db in
   let n = Array.length ext.players in
   let acc = Array.make (max n 1) Q.zero in
   if n > 0 then begin
-    let evs = merge_events (events a.Agg_query.alpha ext.store ext.answers) in
+    let evs =
+      merge_events (events a.Agg_query.alpha ext.store ext.answers)
+      |> List.filter (fun (_, fml) -> Formula.ISet.exists select (Formula.var_set fml))
+    in
     let mgr = Ddnnf.create ?budget ext.store in
     List.iter
       (fun (c, fml) ->

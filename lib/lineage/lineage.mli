@@ -67,8 +67,10 @@ val shapley :
   Aggshap_relational.Database.t ->
   Aggshap_relational.Fact.t ->
   Aggshap_arith.Rational.t
-(** Single-fact variant: every circuit still compiles and takes its
-    one counting pass, and only the requested fact's slices are
-    finished.
+(** Single-fact variant: only the events whose formula mentions the
+    fact compile and take their counting pass (the fact is a null
+    player of every other event and scores zero there), and only its
+    slices are finished. [budget] caps the nodes of those events'
+    circuits alone.
     @raise Ddnnf.Budget_exceeded when [budget] would be exceeded.
     @raise Invalid_argument if the fact is not endogenous. *)

@@ -161,6 +161,27 @@ let minmax_laws =
     prop "pad 0 is the identity" 200 arb_minmax_table (fun a ->
         Minmax.table_equal (Minmax.pad_table 0 a) a);
   ]
+  (* [cross op], the monoid Max's conjunction, under the two monoids
+     Minmax_monoid ships: the generated values lie in [-3, 3], so -1000
+     is a unit of [Q.max] on them. *)
+  @ List.concat_map
+      (fun (name, op, unit_) ->
+        let unit_table =
+          Minmax.table_of_values ~n:0 ~empty:[| B.zero |] [ (unit_, [| B.one |]) ]
+        in
+        [ prop ("cross " ^ name ^ " is associative") 200
+            QCheck.(triple arb_minmax_table arb_minmax_table arb_minmax_table)
+            (fun (a, b, c) ->
+              Minmax.table_equal
+                (Minmax.cross op (Minmax.cross op a b) c)
+                (Minmax.cross op a (Minmax.cross op b c)));
+          prop ("cross " ^ name ^ " is commutative") 200
+            QCheck.(pair arb_minmax_table arb_minmax_table)
+            (fun (a, b) -> Minmax.table_equal (Minmax.cross op a b) (Minmax.cross op b a));
+          prop ("cross " ^ name ^ ": the one-row unit table is the unit") 200
+            arb_minmax_table (fun a -> Minmax.table_equal (Minmax.cross op a unit_table) a);
+        ])
+      [ ("add", Q.add, Q.zero); ("max", Q.max, Q.of_int (-1000)) ]
 
 let avg_laws =
   let module A = Avg_quantile in

@@ -446,6 +446,108 @@ let lineage_pipeline_props =
           direct dispatched);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* The compiled tier on the counting kernel                            *)
+(* ------------------------------------------------------------------ *)
+
+let db_of facts =
+  List.fold_left
+    (fun db (rel, args) -> Database.add (Aggshap_relational.Fact.of_ints rel args) db)
+    Database.empty facts
+
+let rst = Aggshap_cq.Parser.parse_query_exn "Q() <- R(x), T(x, y), S(y)"
+let rst_x = Aggshap_cq.Parser.parse_query_exn "Q(x) <- R(x), T(x, y), S(y)"
+
+let same_values kc naive =
+  List.length kc = List.length naive
+  && List.for_all2
+       (fun (f1, v1) (f2, v2) -> Aggshap_relational.Fact.equal f1 f2 && Q.equal v1 v2)
+       kc naive
+
+(* The circuits count with the DPs' kernel, so an off-by-one armed in
+   its convolution corrupts forced knowledge compilation; naive
+   enumeration over the legacy evaluator convolves nothing. *)
+let test_convolve_fault_reaches_kc () =
+  let module Fault = Aggshap_arith.Fault in
+  let a =
+    Agg_query.make Aggshap_agg.Aggregate.Count
+      (Aggshap_agg.Value_fn.const ~rel:"R" Q.one) rst
+  in
+  let db =
+    db_of
+      [ ("R", [ 1 ]); ("R", [ 2 ]); ("R", [ 3 ]); ("S", [ 1 ]); ("S", [ 2 ]);
+        ("T", [ 1; 1 ]); ("T", [ 2; 1 ]); ("T", [ 2; 2 ]); ("T", [ 3; 2 ]) ]
+  in
+  let naive = Naive.shapley_all ~visit:Aggshap_cq.Eval.Legacy.visit_homomorphisms a db in
+  assert (!Fault.current = `None);
+  Fault.current := `Convolve_off_by_one;
+  let faulty =
+    Fun.protect ~finally:(fun () -> Fault.current := `None) (fun () -> L.shapley_all a db)
+  in
+  Alcotest.(check bool) "disagrees under the fault" false (same_values faulty naive);
+  Alcotest.(check bool) "agrees once cleared" true (same_values (L.shapley_all a db) naive)
+
+(* Min's events are Max's over negated τ-values: values of both signs
+   (and a zero) must come out as naive enumeration's, outside the
+   frontier. *)
+let test_kc_min_both_signs () =
+  let a =
+    Agg_query.make Aggshap_agg.Aggregate.Min
+      (Aggshap_agg.Value_fn.id ~rel:"R" ~pos:0) rst_x
+  in
+  Alcotest.(check bool) "outside the frontier" false
+    (Solver.within_frontier a.Agg_query.alpha a.Agg_query.query);
+  let db =
+    db_of
+      [ ("R", [ -2 ]); ("R", [ 0 ]); ("R", [ 3 ]); ("R", [ -5 ]); ("S", [ 1 ]); ("S", [ 2 ]);
+        ("T", [ -2; 1 ]); ("T", [ 0; 1 ]); ("T", [ 0; 2 ]); ("T", [ 3; 2 ]); ("T", [ -5; 2 ]) ]
+  in
+  Alcotest.(check bool) "kc equals naive" true
+    (same_values (L.shapley_all a db) (Naive.shapley_all a db))
+
+(* A one-fact solve compiles only the events whose formula mentions the
+   fact: it is a null player of the others. *)
+let test_one_fact_compiles_its_events () =
+  let a =
+    Agg_query.make Aggshap_agg.Aggregate.Sum
+      (Aggshap_agg.Value_fn.id ~rel:"R" ~pos:0)
+      (Aggshap_cq.Parser.parse_query_exn "Q(w) <- R(w, x), T(x, y), S(y)")
+  in
+  Alcotest.(check bool) "outside the frontier" false
+    (Solver.within_frontier a.Agg_query.alpha a.Agg_query.query);
+  let db =
+    db_of
+      [ ("R", [ 1; 1 ]); ("R", [ 2; 1 ]); ("R", [ 3; 2 ]); ("T", [ 1; 1 ]); ("T", [ 1; 2 ]);
+        ("T", [ 2; 2 ]); ("S", [ 1 ]); ("S", [ 2 ]) ]
+  in
+  let f = Aggshap_relational.Fact.of_ints "S" [ 1 ] in
+  let ext = L.extract a db in
+  let p =
+    match List.find_index (Aggshap_relational.Fact.equal f) (Array.to_list ext.L.players) with
+    | Some p -> p
+    | None -> Alcotest.fail "S(1) is a player"
+  in
+  let evs = L.events a.Agg_query.alpha ext.L.store ext.L.answers in
+  let mentioning = List.filter (fun (_, fml) -> F.ISet.mem p (F.var_set fml)) evs in
+  Alcotest.(check int) "three answers, three events" 3 (List.length evs);
+  Alcotest.(check int) "two of them mention S(1)" 2 (List.length mentioning);
+  D.reset_stats ();
+  let v = L.shapley a db f in
+  Alcotest.(check int) "one circuit per mentioning event" (List.length mentioning)
+    (D.stats ()).D.compiles;
+  Alcotest.(check string) "the fact's entry of shapley_all"
+    (Q.to_string (List.assoc f (L.shapley_all a db)))
+    (Q.to_string v)
+
+let kernel_tests =
+  [ Alcotest.test_case "convolution faults reach the compiled tier" `Quick
+      test_convolve_fault_reaches_kc;
+    Alcotest.test_case "kc min with values of both signs equals naive" `Quick
+      test_kc_min_both_signs;
+    Alcotest.test_case "a one-fact solve compiles only its events" `Quick
+      test_one_fact_compiles_its_events;
+  ]
+
 let () =
   Alcotest.run "lineage"
     [ ("formula", formula_props);
@@ -453,4 +555,5 @@ let () =
       ("ddnnf disjoint parts", ddnnf_props ~label:"disjoint parts: " arb_disjoint);
       ("ddnnf order", ddnnf_order_tests);
       ("pipeline", lineage_pipeline_props);
+      ("counting kernel", kernel_tests);
     ]
