@@ -724,6 +724,30 @@ let e19 () =
     (fun () -> Agg_query.make Aggregate.Median (vid "R" 0) Catalog.q_xyy_full);
   List.rev !results
 
+(* A BENCH_v1 row's [kernels] for a solve that may compile lineage:
+   the d-DNNF compiler's counters and those of the counting kernel its
+   circuits count with ([Tables]). [counted] resets both, runs the
+   solve under [time] and reads them. *)
+let counted f =
+  let module Ddnnf = Aggshap_lineage.Ddnnf in
+  Ddnnf.reset_stats ();
+  Core.Tables.reset_stats ();
+  let result, wall = time f in
+  let ks = Ddnnf.stats () and ts = Core.Tables.stats () in
+  let open Bench_json in
+  ( result,
+    wall,
+    ks,
+    Obj
+      [ ("ddnnf_nodes", Int ks.Ddnnf.nodes);
+        ("ddnnf_cache_hits", Int ks.Ddnnf.cache_hits);
+        ("ddnnf_cache_misses", Int ks.Ddnnf.cache_misses);
+        ("ddnnf_compiles", Int ks.Ddnnf.compiles);
+        ("ddnnf_wmc_passes", Int ks.Ddnnf.wmc_passes);
+        ("convolve", Int ts.Core.Tables.convolve);
+        ("convolve_small", Int ts.Core.Tables.convolve_small);
+        ("tree_folds", Int ts.Core.Tables.tree_folds) ] )
+
 (* E20: the knowledge-compilation tier vs naive enumeration beyond the
    frontier. The RST family instantiates the canonical non-hierarchical
    pattern Q() <- R(x), T(x,y), S(y): T is mostly a matching (plus two
@@ -767,9 +791,7 @@ let e20 () =
         let a = Agg_query.make alpha tau q_rst in
         let players = Database.endo_size db in
         let f = first_endo db in
-        Ddnnf.reset_stats ();
-        let kc_all, t_kc = time (fun () -> Lineage.shapley_all a db) in
-        let ks = Ddnnf.stats () in
+        let kc_all, t_kc, ks, kernels = counted (fun () -> Lineage.shapley_all a db) in
         let naive =
           if players <= naive_cap then
             Some (time (fun () -> Core.Naive.shapley a db f))
@@ -811,14 +833,6 @@ let e20 () =
                 "E20: kc speedup %.1fx below the 10x bar at n=%d" s players)
          | _ -> ());
         let open Bench_json in
-        let kernels =
-          Obj
-            [ ("ddnnf_nodes", Int ks.Ddnnf.nodes);
-              ("ddnnf_cache_hits", Int ks.Ddnnf.cache_hits);
-              ("ddnnf_cache_misses", Int ks.Ddnnf.cache_misses);
-              ("ddnnf_compiles", Int ks.Ddnnf.compiles);
-              ("ddnnf_wmc_passes", Int ks.Ddnnf.wmc_passes) ]
-        in
         results :=
           Obj
             ([ ("experiment", String "E20");
@@ -901,7 +915,7 @@ let e21 () =
   in
   let a = Agg_query.make Aggregate.Count (Value_fn.const ~rel:"R" Q.one) q_rst in
   let results = ref [] in
-  let row workload m players wall extra =
+  let row ?(kernels = Bench_json.Obj []) workload m players wall extra =
     let open Bench_json in
     results :=
       Obj
@@ -911,7 +925,7 @@ let e21 () =
            ("players", Int players);
            ("wall_s", Float wall) ]
         @ extra
-        @ [ ("kernels", Obj []) ])
+        @ [ ("kernels", kernels) ])
       :: !results
   in
   (* Naive evaluates all 2^n coalitions once per solve: only run it
@@ -923,8 +937,8 @@ let e21 () =
       let db = rst_db m in
       let players = Database.endo_size db in
       let solve fallback = Core.Solver.shapley_all ~fallback ~jobs:1 a db in
-      let auto_res, t_auto = time (fun () -> solve `Auto) in
-      let kc_res, t_kc = time (fun () -> solve `Knowledge_compilation) in
+      let auto_res, t_auto, _, auto_kernels = counted (fun () -> solve `Auto) in
+      let kc_res, t_kc, _, kc_kernels = counted (fun () -> solve `Knowledge_compilation) in
       let naive =
         if players <= naive_cap then Some (time (fun () -> solve `Naive))
         else None
@@ -948,10 +962,10 @@ let e21 () =
         ratio
         (verdict (Printf.sprintf "E21, m %d: the auto pick vs the forced exact tiers" m) agree);
       let open Bench_json in
-      row "count_rst:auto" m players t_auto
+      row ~kernels:auto_kernels "count_rst:auto" m players t_auto
         [ ("best_forced_s", Float best_forced);
           ("algorithm", String (snd auto_res).Core.Solver.algorithm) ];
-      row "count_rst:kc" m players t_kc [];
+      row ~kernels:kc_kernels "count_rst:kc" m players t_kc [];
       match naive with
       | Some (_, t_n) -> row "count_rst:naive" m players t_n []
       | None -> ())

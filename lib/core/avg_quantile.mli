@@ -12,16 +12,19 @@
     where [f_q] is the rank-indicator weight of Section 5.1. The
     q-hierarchical property makes sibling answer sets disjoint (ℓ adds
     under union) and cross products multiply ℓ by the τ-free side's
-    answer count, provided by {!Count_dp}.
+    answer count, provided by {!Count_dp}. These per-value tables are
+    the per-fact reference {!sum_k} for every aggregate, and the
+    all-facts pass ({!batch}) of Median and the quantiles.
 
-    Avg's weight [ℓ= / (ℓ<+ℓ=+ℓ>)] never tells ℓ< from ℓ>, so its
-    all-facts pass ({!batch}) keys its tables on (ℓ=, ℓ≠) with
-    [ℓ≠ = ℓ<+ℓ>]: its leaves file a τ-value below the reference value
-    under the same key component as one above it. The projection
-    commutes with union (a vector sum) and cross product (a scaling),
-    so the tables are the projections of the full ones, with fewer
-    keys. Quantiles keep (ℓ<, ℓ=, ℓ>), and so does the per-fact
-    reference {!sum_k} for every aggregate. *)
+    Avg needs only the first moment: for each size [k],
+    [Σ_(|S|=k) T(S)/ℓ(S)], with [ℓ(S)] the answers present and [T(S)]
+    their τ-total. Its all-facts pass keeps one table per sub-query,
+    mapping ℓ to the pair (C, T): the number of [k]-subsets with ℓ
+    answers and the sum of their τ-totals, as integers over [D], the
+    lcm of the answers' τ-value denominators. Union adds ℓ and
+    multiplies pairs as (C₁C₂, T₁C₂ + C₁T₂); a τ-free side's row ℓ₂
+    multiplies ℓ and T by ℓ₂. So Avg takes one pass where the
+    per-value tables take one per distinct τ-value. *)
 
 (** {2 Table algebra}
 
@@ -73,10 +76,24 @@ val batch :
   Aggshap_relational.Database.t ->
   (Aggshap_relational.Fact.t * Aggshap_arith.Rational.t) list
 (** Every endogenous fact's score (default Shapley), in
-    [Database.endogenous] order, from one variant pass per reference
-    value ({!Engine.Pass.split}): each block's siblings collapse to one
-    kernel per ℓ-vector (per (ℓ=, ℓ≠) for Avg). Bit-identical to
-    {!shapley} fact by fact. *)
+    [Database.endogenous] order, from variant passes
+    ({!Engine.Pass.split}): for Avg one first-moment pass, whose
+    blocks' siblings collapse to two kernels per answer count; for
+    Median and the quantiles one pass per reference value, whose
+    blocks' siblings collapse to one kernel per ℓ-vector. Bit-identical
+    to {!shapley} fact by fact. *)
+
+val first_moments :
+  Aggshap_agg.Agg_query.t ->
+  Aggshap_relational.Database.t ->
+  (int * Tables.counts * Aggshap_arith.Rational.t array) list
+(** The first-moment table Avg's {!batch} runs on, for the whole query
+    on [db]: for each answer count ℓ in increasing order, per size [k],
+    the number of [k]-subsets of the endogenous facts whose answer bag
+    has ℓ answers, and the sum of those bags' τ-totals. Rows with no
+    subset are left out.
+    @raise Invalid_argument if the aggregate is not Avg/Median/Quantile
+    or the CQ is not q-hierarchical. *)
 
 val shapley_all :
   Aggshap_agg.Agg_query.t ->

@@ -75,8 +75,8 @@ let dp_name = function
   | Aggregate.Sum | Aggregate.Count -> "sum/count via linearity + Boolean DP"
   | Aggregate.Count_distinct -> "count-distinct via per-value Boolean DP"
   | Aggregate.Min | Aggregate.Max -> "min/max (a,k)-table DP"
-  | Aggregate.Avg | Aggregate.Median | Aggregate.Quantile _ ->
-    "avg/quantile (a,k,l)-table DP"
+  | Aggregate.Avg -> "avg first-moment (l,k)-table DP"
+  | Aggregate.Median | Aggregate.Quantile _ -> "avg/quantile (a,k,l)-table DP"
   | Aggregate.Has_duplicates -> "has-duplicates P0/P1 DP"
 
 let route_name (a : Agg_query.t) = function

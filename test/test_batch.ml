@@ -25,6 +25,11 @@ let vmod rel pos =
       | Some n -> Q.of_int (((n mod 2) + 2) mod 2)
       | None -> invalid_arg "vmod: non-integer")
 
+(* id/3 + 1/7: τ-values with denominators 7 and 21. *)
+let vfrac rel pos =
+  Value_fn.custom ~rel ~descr:(Printf.sprintf "id[%d]/3+1/7" pos) (fun args ->
+      Q.add (Q.div_int (Value_fn.numeric args.(pos)) 3) (Q.of_ints 1 7))
+
 let small_config = { Generate.tuples_per_relation = 3; domain = 3; exo_fraction = 0.3 }
 
 (* ------------------------------------------------------------------ *)
@@ -70,7 +75,8 @@ let test_pool_exception () =
 
 (* Every in-frontier (aggregate, tau, query) family the solver dispatches
    on: Sum/Count (linearity + Boolean DP), CDist (per-value Boolean DP),
-   Min/Max ((a,k)-table DP), Avg/Median ((a,k,l)-table DP),
+   Min/Max ((a,k)-table DP), Avg (first-moment (l,k)-table DP, also
+   with τ-values that are not integers), Median ((a,k,l)-table DP),
    Has-duplicates (P0/P1 DP). *)
 let families =
   [
@@ -80,6 +86,7 @@ let families =
     ("max q_xyy", Aggregate.Max, vid "R" 0, Catalog.q_xyy);
     ("min q1", Aggregate.Min, vid "R" 1, Catalog.q1_sq);
     ("avg q4", Aggregate.Avg, vid "R" 1, Catalog.q4_q);
+    ("avg q4 fractional tau", Aggregate.Avg, vfrac "R" 1, Catalog.q4_q);
     ("median q4", Aggregate.Median, vid "R" 1, Catalog.q4_q);
     ("dup q1", Aggregate.Has_duplicates, vmod "R" 0, Catalog.q1_sq);
   ]

@@ -285,10 +285,14 @@ let test_stats_counters () =
      counted [132; 112; 16; 44] here. *)
   check_pass_counts "max q_xyy" [ 49; 41; 4; 24 ] (fun () ->
       Minmax.batch (Agg_query.make Aggregate.Max tau Catalog.q_xyy) pass_db);
-  (* That pass counted [4437; 4097; 272; 748] here, once per reference
-     value. *)
-  check_pass_counts "avg q_xyy_full" [ 1819; 1683; 68; 408 ] (fun () ->
+  (* One pass per reference value, each over (ℓ=, ℓ≠)-tables, counted
+     [1819; 1683; 68; 408] here: 17 passes of this one's size. Before
+     that, with both variant tables per fact, [4437; 4097; 272; 748]. *)
+  check_pass_counts "avg q_xyy_full" [ 107; 99; 4; 24 ] (fun () ->
       Avg_quantile.batch (Agg_query.make Aggregate.Avg tau Catalog.q_xyy_full) pass_db);
+  (* Median keeps one (ℓ<, ℓ=, ℓ>)-table pass per reference value. *)
+  check_pass_counts "median q_xyy_full" [ 1819; 1683; 68; 408 ] (fun () ->
+      Avg_quantile.batch (Agg_query.make Aggregate.Median tau Catalog.q_xyy_full) pass_db);
   Engine.reset_stats ();
   Alcotest.(check int) "reset clears nodes" 0 (Engine.stats ()).Engine.nodes
 
@@ -368,7 +372,7 @@ let block_drop_families =
     ( "min ((a,k)-table DP)", Aggregate.Min, Catalog.q_xyy, Trial.Id ("R", 0),
       [ Fact.of_ints "R" [ 1; 2 ]; Fact.of_ints "R" [ 3; 4 ]; Fact.of_ints "S" [ 2 ];
         Fact.of_ints "S" [ 4 ] ] );
-    ( "avg ((a,k,l)-table DP)", Aggregate.Avg, Catalog.q_xyy_full, Trial.Id ("R", 0),
+    ( "avg (first-moment (l,k)-table DP)", Aggregate.Avg, Catalog.q_xyy_full, Trial.Id ("R", 0),
       [ Fact.of_ints "R" [ 1; 2 ]; Fact.of_ints "R" [ 3; 4 ]; Fact.of_ints "S" [ 2 ];
         Fact.of_ints "S" [ 4 ] ] );
     ( "has-duplicates (P0/P1 DP)", Aggregate.Has_duplicates, Catalog.q1_sq,
@@ -377,12 +381,143 @@ let block_drop_families =
         Fact.of_ints "S" [ 4 ] ] );
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Avg's first-moment table against brute force                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Per answer count ℓ and size k: the number of subsets of the
+   endogenous facts (with every exogenous fact) whose answer bag has ℓ
+   answers, and the sum of their bags' τ-totals, by enumeration. *)
+let brute_moments (a : Agg_query.t) db =
+  let endo = Array.of_list (Database.endogenous db) in
+  let n = Array.length endo in
+  let exo = Array.fold_left (fun db f -> Database.remove f db) db endo in
+  let rows = Hashtbl.create 8 in
+  for mask = 0 to (1 lsl n) - 1 do
+    let sub = ref exo and k = ref 0 in
+    Array.iteri
+      (fun i f ->
+        if mask land (1 lsl i) <> 0 then begin
+          incr k;
+          sub := Database.add f !sub
+        end)
+      endo;
+    let values = List.map snd (Agg_query.answer_values a !sub) in
+    let l = List.length values in
+    let c, t =
+      match Hashtbl.find_opt rows l with
+      | Some row -> row
+      | None ->
+        let row = (Array.make (n + 1) 0, Array.make (n + 1) Q.zero) in
+        Hashtbl.add rows l row;
+        row
+    in
+    c.(!k) <- c.(!k) + 1;
+    t.(!k) <- Q.add t.(!k) (Q.sum values)
+  done;
+  rows
+
+(* [None] when the pass's table is the enumeration's, else the first
+   row that differs. *)
+let moments_mismatch a db =
+  let brute = brute_moments a db in
+  let table = Avg_quantile.first_moments a db in
+  let differs (l, c, t) =
+    match Hashtbl.find_opt brute l with
+    | None -> true
+    | Some (c', t') ->
+      not (counts_equal c (counts_of (Array.to_list c')) && Array.for_all2 Q.equal t t')
+  in
+  match List.find_opt differs table with
+  | Some (l, _, _) -> Some l
+  | None ->
+    Hashtbl.fold
+      (fun l _ acc -> if List.exists (fun (l', _, _) -> l' = l) table then acc else Some l)
+      brute None
+
+let batch_mismatch (a : Agg_query.t) db =
+  List.find_map
+    (fun score ->
+      List.find_opt
+        (fun (f, v) -> not (Q.equal v (Avg_quantile.shapley ~score a db f)))
+        (Avg_quantile.batch ~score a db))
+    [ Aggshap_arith.Score.Shapley; Aggshap_arith.Score.Banzhaf ]
+
+(* The trial's τ position, mapped to values with denominators above 1:
+   v/(|v|+2) + 1/7, or c/3 + 1/7 for a constant c. *)
+let fractional_tau = function
+  | Trial.Const (rel, c) -> Value_fn.const ~rel (Q.add (Q.div_int c 3) (Q.of_ints 1 7))
+  | Trial.Id (rel, pos) | Trial.Relu (rel, pos) | Trial.Gt (rel, pos, _) ->
+    Value_fn.custom ~rel ~descr:(Printf.sprintf "frac[%d]" pos) (fun args ->
+        let v = Value_fn.numeric args.(pos) in
+        Q.add (Q.div v (Q.add (Q.abs v) Q.two)) (Q.of_ints 1 7))
+
+(* A random trial's query on a database of up to 12 endogenous facts
+   (the surplus demoted to exogenous), under {!fractional_tau}. *)
+let fractional_instance seed =
+  let t = Trial.generate ~seed () in
+  let config =
+    { Aggshap_workload.Generate.tuples_per_relation = 6; domain = 3; exo_fraction = 0.25 }
+  in
+  let db = Aggshap_workload.Generate.random_database ~seed ~config t.Trial.query in
+  let db =
+    List.fold_left
+      (fun db f -> Database.set_provenance Database.Exogenous f db)
+      db
+      (List.filteri (fun i _ -> i >= 12) (Database.endogenous db))
+  in
+  (Agg_query.make Aggregate.Avg (fractional_tau t.Trial.tau) t.Trial.query, db)
+
+let prop_first_moments =
+  prop "first-moment table equals brute force (fractional τ)" 200
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let a, db = fractional_instance seed in
+      if not (Aggshap_cq.Hierarchy.is_q_hierarchical a.Agg_query.query) then true
+      else begin
+        (match moments_mismatch a db with
+         | Some l -> QCheck.Test.fail_reportf "seed %d: row ℓ = %d differs" seed l
+         | None -> ());
+        (match batch_mismatch a db with
+         | Some (f, _) ->
+           QCheck.Test.fail_reportf "seed %d: batch of %s differs from the per-fact reduction"
+             seed (Fact.to_string f)
+         | None -> ());
+        true
+      end)
+
+(* Block x = 3 holds a satisfied τ-leaf R(3, u) whose τ-value 1/3 has
+   a denominator no answer's value has (the answers' are 2 and 4), and
+   a τ-free side S/T without answers: the pass files the leaf's
+   τ-totals as 0, which the cross with that side makes exact. *)
+let test_first_moments_dead_leaf () =
+  let q = Aggshap_cq.Parser.parse_query_exn "Q(x, z, w) <- R(x, u), S(x, z, w), T(x, z, w)" in
+  let inv =
+    Value_fn.custom ~rel:"R" ~descr:"1/x" (fun args -> Q.inv (Value_fn.numeric args.(0)))
+  in
+  let a = Agg_query.make Aggregate.Avg inv q in
+  let db =
+    Database.of_facts
+      [ Fact.of_ints "R" [ 3; 5 ]; Fact.of_ints "S" [ 3; 2; 3 ]; Fact.of_ints "T" [ 3; 2; 4 ];
+        Fact.of_ints "R" [ 2; 7 ]; Fact.of_ints "S" [ 2; 2; 3 ]; Fact.of_ints "T" [ 2; 2; 3 ];
+        Fact.of_ints "R" [ 4; 1 ]; Fact.of_ints "S" [ 4; 1; 1 ]; Fact.of_ints "T" [ 4; 1; 1 ] ]
+  in
+  Alcotest.(check bool) "q-hierarchical" true (Aggshap_cq.Hierarchy.is_q_hierarchical q);
+  Alcotest.(check (option int)) "table equals brute force" None (moments_mismatch a db);
+  Alcotest.(check (option string)) "batch equals the per-fact reduction" None
+    (Option.map (fun (f, _) -> Fact.to_string f) (batch_mismatch a db))
+
 let () =
   Alcotest.run "engine"
     [ ("Boolean/CDist table algebra (counts)", boolean_laws);
       ("Count/Dup table algebra (answer counts)", count_laws);
       ("Min/Max table algebra ((a,k)-tables)", minmax_laws);
       ("Avg/Quantile table algebra ((a,k,l)-tables)", avg_laws);
+      ( "Avg first-moment table",
+        [ prop_first_moments;
+          Alcotest.test_case "a leaf whose value no answer has" `Quick
+            test_first_moments_dead_leaf;
+        ] );
       ( "decomposition planner",
         [ Alcotest.test_case "shapes of the catalog queries" `Quick test_shape_of_catalog;
           Alcotest.test_case "partition conserves facts" `Quick
