@@ -13,8 +13,8 @@
      serve     run the multi-tenant session server on a Unix socket
      client    drive a running server (one request per invocation, or
                a raw newline-delimited JSON stream)
-     fuzz      differential-testing oracle: random AggCQ trials
-               cross-validated against naive enumeration
+     fuzz      differential-testing oracle: random AggCQ trials and
+               update sequences cross-validated against naive enumeration
 
    All orchestration lives in Aggshap_api.Api (shared with the server);
    this file is argument parsing and printing.
@@ -454,26 +454,11 @@ let run_client action session socket query_s db_path agg_s tau_s fallback_s
 (* fuzz                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let run_fuzz seed trials max_endo jobs max_failures updates fallback_s verbose =
+let run_fuzz seed trials max_endo jobs max_failures verbose =
   if trials < 1 then die "--trials must be at least 1 (got %d)" trials;
   if max_endo < 1 then die "--max-endo must be at least 1 (got %d)" max_endo;
   check_jobs jobs;
   if max_failures < 1 then die "--max-failures must be at least 1 (got %d)" max_failures;
-  let kc_always, auto_always =
-    match or_die (Api.parse_fallback fallback_s) with
-    | `Naive, _ -> (false, false)
-    | `Knowledge_compilation, _ -> (true, false)
-    | `Auto, _ -> (false, true)
-    | (`Monte_carlo _ | `Fail), _ ->
-      die "fuzz --fallback takes naive, knowledge-compilation, or auto (got %S)"
-        fallback_s
-  in
-  if kc_always then
-    Printf.printf
-      "fuzz: knowledge-compilation tier cross-checked on every supported trial\n%!";
-  if auto_always then
-    Printf.printf
-      "fuzz: planner auto mode cross-checked against naive on every trial\n%!";
   let module Fuzz = Aggshap_check.Fuzz in
   let module Trial = Aggshap_check.Trial in
   let module Utrial = Aggshap_check.Utrial in
@@ -481,46 +466,44 @@ let run_fuzz seed trials max_endo jobs max_failures updates fallback_s verbose =
   let config =
     { Fuzz.seed; trials; max_endo;
       par_jobs = Option.value jobs ~default:Fuzz.default.Fuzz.par_jobs;
-      max_failures; kc_always; auto_always }
+      max_failures }
   in
-  if updates then begin
-    Printf.printf "fuzz: update sequences, seed=%d trials=%d max-endo=%d\n%!" seed trials
-      max_endo;
-    let on_trial i t =
-      if verbose then Printf.printf "trial %d: %s\n%!" i (Utrial.to_string t)
-    in
-    let report = Fuzz.run_updates ~on_trial config in
-    List.iter
-      (fun { Fuzz.utrial; ufailure; ushrunk; ushrunk_failure } ->
-        Printf.printf "\nFAILURE on %s\n  %s\n" (Utrial.to_string utrial)
-          (Oracle.failure_to_string ufailure);
-        Printf.printf "shrunk to %s\n  %s\nreproducer:\n%s" (Utrial.to_string ushrunk)
-          (Oracle.failure_to_string ushrunk_failure)
-          (Utrial.to_script ushrunk))
-      report.Fuzz.ufailures;
-    let n_failures = List.length report.Fuzz.ufailures in
-    Printf.printf "fuzz: %d trials, %d update steps, %d failure%s\n" report.Fuzz.uran
-      report.Fuzz.usteps n_failures
-      (if n_failures = 1 then "" else "s");
-    if n_failures = 0 then 0 else 1
-  end
-  else begin
-    Printf.printf "fuzz: seed=%d trials=%d max-endo=%d\n%!" seed trials max_endo;
-    let on_trial i t = if verbose then Printf.printf "trial %d: %s\n%!" i (Trial.to_string t) in
-    let report = Fuzz.run ~on_trial config in
+  Printf.printf "fuzz: seed=%d trials=%d max-endo=%d\n%!" seed trials max_endo;
+  let show_trial name to_string i t =
+    if verbose then Printf.printf "%s trial %d: %s\n%!" name i (to_string t)
+  in
+  (* Both campaigns' reports print through here: each failure with its
+     shrunk reproducer, then one summary line. Returns the number of
+     failures. *)
+  let print_report name ~to_string ~to_script ?(detail = "") report =
     List.iter
       (fun { Fuzz.trial; failure; shrunk; shrunk_failure } ->
-        Printf.printf "\nFAILURE on %s\n  %s\n" (Trial.to_string trial)
+        Printf.printf "\nFAILURE on %s\n  %s\n" (to_string trial)
           (Oracle.failure_to_string failure);
-        Printf.printf "shrunk to %s\n  %s\nreproducer:\n%s" (Trial.to_string shrunk)
+        Printf.printf "shrunk to %s\n  %s\nreproducer:\n%s" (to_string shrunk)
           (Oracle.failure_to_string shrunk_failure)
-          (Trial.to_script shrunk))
+          (to_script shrunk))
       report.Fuzz.failures;
-    let n_failures = List.length report.Fuzz.failures in
-    Printf.printf "fuzz: %d trials, %d failure%s\n" report.Fuzz.ran n_failures
-      (if n_failures = 1 then "" else "s");
-    if n_failures = 0 then 0 else 1
-  end
+    let n = List.length report.Fuzz.failures in
+    Printf.printf "fuzz: %s: %d trials%s, %d failure%s\n%!" name report.Fuzz.ran detail n
+      (if n = 1 then "" else "s");
+    n
+  in
+  let batch =
+    print_report "batch" ~to_string:Trial.to_string ~to_script:Trial.to_script
+      (Fuzz.run ~on_trial:(show_trial "batch" Trial.to_string) config)
+  in
+  let steps = ref 0 in
+  let update_report =
+    Fuzz.run_updates config ~on_trial:(fun i u ->
+        steps := !steps + List.length u.Utrial.ops;
+        show_trial "updates" Utrial.to_string i u)
+  in
+  let updates =
+    print_report "updates" ~to_string:Utrial.to_string ~to_script:Utrial.to_script
+      ~detail:(Printf.sprintf ", %d update steps" !steps) update_report
+  in
+  if batch + updates = 0 then 0 else 1
 
 (* ------------------------------------------------------------------ *)
 (* cmdliner wiring                                                     *)
@@ -726,7 +709,8 @@ let seed_arg =
 
 let trials_arg =
   Arg.(value & opt int 100 & info [ "n"; "trials" ] ~docv:"N"
-         ~doc:"Number of random trials to run.")
+         ~doc:"Number of random trials per campaign; the update campaign \
+               replays the batch campaign's derived seeds.")
 
 let max_endo_arg =
   Arg.(value & opt int 8 & info [ "max-endo" ] ~docv:"K"
@@ -735,37 +719,22 @@ let max_endo_arg =
 
 let max_failures_arg =
   Arg.(value & opt int 3 & info [ "max-failures" ] ~docv:"N"
-         ~doc:"Stop after collecting this many shrunk failures.")
+         ~doc:"Stop each campaign after collecting this many shrunk failures.")
 
 let verbose_arg =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print every trial as it runs.")
-
-let updates_flag_arg =
-  Arg.(value & flag & info [ "updates" ]
-         ~doc:"Fuzz update sequences instead of single solves: each trial \
-               replays a random insert/delete/set_tau script through a \
-               live session, cross-checking every step against naive \
-               enumeration.")
-
-let fuzz_fallback_arg =
-  Arg.(value & opt string "naive" & info [ "fallback" ] ~docv:"MODE"
-         ~doc:"Which exact fallback tier the campaign stresses: naive \
-               (default; the knowledge-compilation tier is still \
-               cross-checked on trials outside the frontier), \
-               knowledge-compilation (or kc) to additionally drive the \
-               lineage pipeline on every trial whose aggregate it \
-               supports, inside the frontier included, or auto to \
-               cross-check the solve planner's pick against naive \
-               enumeration on every trial.")
 
 let fuzz_cmd =
   Cmd.v
     (Cmd.info "fuzz"
        ~doc:"Differential-testing oracle: random aggregate queries and \
-             databases, cross-validating the polynomial DPs against naive \
-             enumeration, the Shapley axioms, and every engine \
-             configuration; failures are shrunk to a minimal reproducer.")
-    Term.(const run_fuzz $ seed_arg $ trials_arg $ max_endo_arg $ jobs_arg $ max_failures_arg $ updates_flag_arg $ fuzz_fallback_arg $ verbose_arg)
+             databases, cross-validating every exact route (the \
+             polynomial DPs, knowledge compilation and the planner's \
+             pick) against naive enumeration and checking the Shapley \
+             axioms, then replaying random update sequences on the same \
+             seeds through a live session; failures are shrunk to a \
+             minimal reproducer.")
+    Term.(const run_fuzz $ seed_arg $ trials_arg $ max_endo_arg $ jobs_arg $ max_failures_arg $ verbose_arg)
 
 let main_cmd =
   Cmd.group

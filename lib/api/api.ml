@@ -173,17 +173,18 @@ type explanation = {
 let explain ?fallback ?db ?kc_node_budget (a : Agg_query.t) =
   let stats = Option.map Strategy.db_stats db in
   let plan = Strategy.plan ?stats ?kc_node_budget ?fallback a in
-  let report = Solver.report ?fallback ?stats ?kc_node_budget a in
   let q = a.Agg_query.query in
+  let cls = Hierarchy.classify q in
+  let frontier = Solver.frontier a.Agg_query.alpha in
   { chain =
       [ ("exists-hierarchical", Hierarchy.is_exists_hierarchical q);
         ("all-hierarchical", Hierarchy.is_all_hierarchical q);
         ("q-hierarchical", Hierarchy.is_q_hierarchical q);
         ("sq-hierarchical", Hierarchy.is_sq_hierarchical q) ];
-    cls = report.Solver.cls;
-    frontier = report.Solver.frontier;
-    within_frontier = report.Solver.within_frontier;
-    algorithm = report.Solver.algorithm;
+    cls;
+    frontier;
+    within_frontier = Hierarchy.cls_leq cls frontier;
+    algorithm = plan.Strategy.algorithm;
     plan }
 
 (* One line per planner candidate, shared by [shapctl explain] and the

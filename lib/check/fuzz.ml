@@ -4,24 +4,20 @@ type config = {
   max_endo : int;
   par_jobs : int;
   max_failures : int;
-  kc_always : bool;
-  auto_always : bool;
 }
 
-let default =
-  { seed = 0; trials = 100; max_endo = 8; par_jobs = 2; max_failures = 3;
-    kc_always = false; auto_always = false }
+let default = { seed = 0; trials = 100; max_endo = 8; par_jobs = 2; max_failures = 3 }
 
-type failure_report = {
-  trial : Trial.t;
+type 't failure_report = {
+  trial : 't;
   failure : Oracle.failure;
-  shrunk : Trial.t;
+  shrunk : 't;
   shrunk_failure : Oracle.failure;
 }
 
-type report = {
+type 't report = {
   ran : int;
-  failures : failure_report list;
+  failures : 't failure_report list;
 }
 
 (* A sparse odd multiplier keeps derived seeds distinct across both the
@@ -43,72 +39,43 @@ let parse_corpus contents =
            | Some seed -> Some seed
            | None -> invalid_arg ("Fuzz.parse_corpus: malformed seed " ^ s)))
 
-let run_one ?max_endo ?par_jobs ?kc_always ?auto_always ~seed () =
+let run_one ?max_endo ?par_jobs ~seed () =
   let trial = Trial.generate ?max_endo ~seed () in
-  (trial, Oracle.run ?par_jobs ?kc_always ?auto_always trial)
-
-type ufailure_report = {
-  utrial : Utrial.t;
-  ufailure : Oracle.failure;
-  ushrunk : Utrial.t;
-  ushrunk_failure : Oracle.failure;
-}
-
-type ureport = {
-  uran : int;
-  usteps : int;
-  ufailures : ufailure_report list;
-}
+  (trial, Oracle.run ?par_jobs trial)
 
 let run_updates_one ?max_endo ~seed () =
   let utrial = Utrial.generate ?max_endo ~seed () in
   (utrial, Oracle.run_updates utrial)
 
+(* The loop both campaigns run: trial [i] is generated from the [i]-th
+   derived seed, each failure is shrunk against the same check, and the
+   run stops once [max_failures] have been collected. *)
+let campaign ~generate ~check ~minimize ?on_trial config =
+  let rec go i failures =
+    if i >= config.trials || List.length failures >= config.max_failures then
+      { ran = i; failures = List.rev failures }
+    else begin
+      let trial = generate (trial_seed ~master:config.seed i) in
+      (match on_trial with Some f -> f i trial | None -> ());
+      match check trial with
+      | None -> go (i + 1) failures
+      | Some failure ->
+        let shrunk, shrunk_failure = minimize check trial failure in
+        go (i + 1) ({ trial; failure; shrunk; shrunk_failure } :: failures)
+    end
+  in
+  go 0 []
+
+let run ?on_trial config =
+  campaign
+    ~generate:(fun seed -> Trial.generate ~max_endo:config.max_endo ~seed ())
+    ~check:(Oracle.run ~par_jobs:config.par_jobs)
+    ~minimize:Shrink.minimize ?on_trial config
+
 (* The update checks run the session and the naive reference in the
    calling domain, so [par_jobs] plays no role here. *)
 let run_updates ?on_trial config =
-  let failures = ref [] in
-  let ran = ref 0 in
-  let steps = ref 0 in
-  let i = ref 0 in
-  while !i < config.trials && List.length !failures < config.max_failures do
-    let seed = trial_seed ~master:config.seed !i in
-    let utrial, outcome = run_updates_one ~max_endo:config.max_endo ~seed () in
-    (match on_trial with Some f -> f !i utrial | None -> ());
-    incr ran;
-    steps := !steps + List.length utrial.Utrial.ops;
-    (match outcome with
-     | None -> ()
-     | Some ufailure ->
-       let ushrunk, ushrunk_failure =
-         Shrink.minimize_updates Oracle.run_updates utrial ufailure
-       in
-       failures := { utrial; ufailure; ushrunk; ushrunk_failure } :: !failures);
-    incr i
-  done;
-  { uran = !ran; usteps = !steps; ufailures = List.rev !failures }
-
-let run ?on_trial config =
-  let failures = ref [] in
-  let ran = ref 0 in
-  let i = ref 0 in
-  while !i < config.trials && List.length !failures < config.max_failures do
-    let seed = trial_seed ~master:config.seed !i in
-    let trial, outcome =
-      run_one ~max_endo:config.max_endo ~par_jobs:config.par_jobs
-        ~kc_always:config.kc_always ~auto_always:config.auto_always ~seed ()
-    in
-    (match on_trial with Some f -> f !i trial | None -> ());
-    incr ran;
-    (match outcome with
-     | None -> ()
-     | Some failure ->
-       let check t =
-         Oracle.run ~par_jobs:config.par_jobs ~kc_always:config.kc_always
-           ~auto_always:config.auto_always t
-       in
-       let shrunk, shrunk_failure = Shrink.minimize check trial failure in
-       failures := { trial; failure; shrunk; shrunk_failure } :: !failures);
-    incr i
-  done;
-  { ran = !ran; failures = List.rev !failures }
+  campaign
+    ~generate:(fun seed -> Utrial.generate ~max_endo:config.max_endo ~seed ())
+    ~check:Oracle.run_updates
+    ~minimize:Shrink.minimize_updates ?on_trial config

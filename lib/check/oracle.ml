@@ -98,7 +98,7 @@ let check_banzhaf (a : Agg_query.t) db players game =
             (banzhaf `Knowledge_compilation));
     ]
 
-let run_checks ~par_jobs ~kc_always ~auto_always (t : Trial.t) =
+let run_checks ~par_jobs (t : Trial.t) =
   let a = Trial.agg_query t in
   let db = t.db in
   let endo = Database.endogenous db in
@@ -242,30 +242,26 @@ let run_checks ~par_jobs ~kc_always ~auto_always (t : Trial.t) =
     in
     let check_knowledge_compilation () =
       (* The knowledge-compilation tier must agree with the naive
-         reference to the last bit wherever it applies: on every trial
-         outside the frontier with an event-decomposable aggregate
-         (through the solver's dispatch, exactly as users reach it), and
-         — under [kc_always] — inside the frontier too, where the
-         lineage pipeline is driven directly since the solver would pick
-         the polynomial DP. *)
+         reference to the last bit on every trial whose aggregate it
+         supports: outside the frontier through the solver's dispatch,
+         exactly as users reach it, and inside it by driving the lineage
+         pipeline directly, since the solver would pick the polynomial
+         DP. *)
       if not (Lineage.supports a.Agg_query.alpha) then None
-      else if not within then
+      else
         same_exact_results "kc-vs-naive" (Lazy.force per_fact_list)
-          (exact_results
-             (fst (Solver.shapley_all ~fallback:`Knowledge_compilation ~jobs:1 a db)))
-      else if kc_always then
-        same_exact_results "kc-vs-naive" (Lazy.force per_fact_list)
-          (Lineage.shapley_all a db)
-      else None
+          (if within then Lineage.shapley_all a db
+           else
+             exact_results
+               (fst (Solver.shapley_all ~fallback:`Knowledge_compilation ~jobs:1 a db)))
     in
     let check_auto () =
       (* The solve planner never trades exactness for speed: whatever
-         route [`Auto] picks — the frontier DP, knowledge compilation,
-         or naive enumeration — must be bit-identical to the naive
-         reference. Always checked outside the frontier (where the
-         planner actually chooses); [auto_always] extends it to every
-         trial, DP dispatch included. *)
-      if within && not auto_always then None
+         exact route [`Auto] picks beyond the frontier — knowledge
+         compilation or naive enumeration — must be bit-identical to the
+         naive reference. Inside the frontier [`Auto] plans the frontier
+         DP, whose batch [check_batch] has already compared. *)
+      if within then None
       else
         same_exact_results "auto-vs-naive" (Lazy.force per_fact_list)
           (exact_results
@@ -320,13 +316,13 @@ let run_checks ~par_jobs ~kc_always ~auto_always (t : Trial.t) =
         check_mc_reproducible; (fun () -> check_banzhaf a db players game) ]
   end
 
-let run ?(par_jobs = 2) ?(kc_always = false) ?(auto_always = false) t =
+let run ?(par_jobs = 2) t =
   let endo = Database.endo_size t.Trial.db in
   if endo > Game.max_players then
     fail "oracle-limit" "%d endogenous facts exceed the naive oracle's cap of %d" endo
       Game.max_players
   else
-    try run_checks ~par_jobs ~kc_always ~auto_always t
+    try run_checks ~par_jobs t
     with e -> fail "exception" "%s" (Printexc.to_string e)
 
 module Session = Aggshap_incr.Session

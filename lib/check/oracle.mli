@@ -4,10 +4,12 @@
     cross-validates the polynomial dynamic program against the
     {!Aggshap_core.Naive} enumeration and checks the game-theoretic
     axioms; outside the frontier it checks the fallback plumbing
-    (deterministic seeded Monte-Carlo, up-front [`Fail]). In both cases
-    it checks that the all-facts batch returns the per-fact loop's
-    exact values, and that the Banzhaf score agrees with its textbook
-    reference. *)
+    (deterministic seeded Monte-Carlo, up-front [`Fail]) and the
+    planner's [`Auto] pick. In both cases it checks that the all-facts
+    batch returns the per-fact loop's exact values, that the
+    knowledge-compilation tier matches naive enumeration wherever it
+    supports the aggregate, and that the Banzhaf score agrees with its
+    textbook reference. *)
 
 type failure = {
   check : string;  (** short name of the violated check *)
@@ -16,21 +18,19 @@ type failure = {
 
 val failure_to_string : failure -> string
 
-val run :
-  ?par_jobs:int -> ?kc_always:bool -> ?auto_always:bool ->
-  Trial.t -> failure option
+val run : ?par_jobs:int -> Trial.t -> failure option
 (** First failing check of the trial, or [None] when all pass.
     [par_jobs] (default [2]) is the pool width of the Monte-Carlo
     check ["mc-seed-jobs-invariant"], the only check that leaves the
     calling domain; pass [1] to keep the whole run in the calling
     domain (required while {!Aggshap_arith.Fault.current} is armed).
-    The knowledge-compilation tier is cross-checked against the naive
-    reference on every trial outside the frontier whose aggregate it
-    supports; [kc_always] (default [false]) extends that check to trials
-    inside the frontier by driving {!Aggshap_lineage.Lineage} directly.
-    The solve planner's [`Auto] route is likewise checked bit-identical
-    to the naive reference on every trial outside the frontier;
-    [auto_always] (default [false]) extends it to every trial.
+    ["kc-vs-naive"] runs on every trial whose aggregate the lineage
+    tier supports: outside the frontier through the solver's forced
+    [`Knowledge_compilation] route, inside it by driving
+    {!Aggshap_lineage.Lineage} directly. ["auto-vs-naive"] checks the
+    solve planner's [`Auto] pick on every trial outside the frontier;
+    inside it [`Auto] plans the frontier DP, whose batch
+    ["batch-vs-per-fact"] has already checked.
     The last check, ["banzhaf-vs-naive"], runs on every trial: the
     solver's Banzhaf values under [`Auto] (one worker) must equal the
     textbook {!Aggshap_core.Game.banzhaf} loop over the naive game, and

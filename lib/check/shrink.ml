@@ -66,34 +66,12 @@ let base_fact_candidates (u : Utrial.t) =
       if Utrial.wellformed u' then Some u' else None)
     (Database.facts u.Utrial.trial.Trial.db)
 
+(* Ops before base facts: a shorter script usually un-blocks base facts
+   that only existed to be deleted. *)
 let minimize_updates check u f =
-  (* Ops first — a shorter script usually un-blocks base facts that only
-     existed to be deleted — then base facts; iterate to fixpoint. *)
-  let step (u, f) =
-    let u, f = descend check op_candidates u f in
-    descend check base_fact_candidates u f
-  in
-  let rec fixpoint (u, f) =
-    let u', f' = step (u, f) in
-    if List.length u'.Utrial.ops = List.length u.Utrial.ops
-       && Database.size u'.Utrial.trial.Trial.db = Database.size u.Utrial.trial.Trial.db
-    then (u', f')
-    else fixpoint (u', f')
-  in
-  fixpoint (u, f)
+  descend check (fun u -> op_candidates u @ base_fact_candidates u) u f
 
+(* Facts (cheap, large search space) before atoms; an atom removal that
+   unlocks more facts restarts the descent at the facts. *)
 let minimize check t f =
-  (* Facts first (cheap, large search space), then atoms, then facts
-     again in case an atom removal unlocked more: iterate to fixpoint. *)
-  let step (t, f) =
-    let t, f = descend check fact_candidates t f in
-    descend check atom_candidates t f
-  in
-  let rec fixpoint (t, f) =
-    let t', f' = step (t, f) in
-    if Database.size t'.Trial.db = Database.size t.Trial.db
-       && List.length t'.Trial.query.Cq.body = List.length t.Trial.query.Cq.body
-    then (t', f')
-    else fixpoint (t', f')
-  in
-  fixpoint (t, f)
+  descend check (fun t -> fact_candidates t @ atom_candidates t) t f

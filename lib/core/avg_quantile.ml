@@ -464,16 +464,16 @@ let readout ~weight ~v ~pad l vs =
       (fun _ terms acc -> List.fold_left (fun acc (w, _) -> Q.den_lcm acc w) acc terms)
       coeffs B.one
   in
+  let acc = B.Acc.create () in
   let kernels =
     LMap.map
       (fun terms ->
-        let accs = Array.init (l.n + 1) (fun _ -> B.Acc.create ()) in
-        List.iter
-          (fun (w, c) ->
-            let x = B.mul (Q.num w) (B.div d (Q.den w)) in
-            Array.iteri (fun k y -> B.Acc.add_mul accs.(k) x y) c)
-          terms;
-        Tables.pad pad (Array.map B.Acc.value accs))
+        let terms = List.map (fun (w, c) -> (B.mul (Q.num w) (B.div d (Q.den w)), c)) terms in
+        Tables.pad pad
+          (Array.init (l.n + 1) (fun k ->
+               B.Acc.clear acc;
+               List.iter (fun (x, c) -> B.Acc.add_mul acc x c.(k)) terms;
+               B.Acc.value acc)))
       (LMap.filter (fun _ terms -> terms <> []) coeffs)
   in
   let slice (var : _ Engine.variant) =

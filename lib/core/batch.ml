@@ -16,5 +16,3 @@ let shapley_all ?(score = Aggshap_arith.Score.Shapley) ?jobs:_ (a : Agg_query.t)
     | Aggregate.Has_duplicates -> Dup.batch ~score a db
   in
   (results, { cache = None })
-
-let map ?jobs f facts = Pool.map ?jobs (fun x -> (x, f x)) facts

@@ -35,12 +35,3 @@ val shapley_all :
     ignored: a frontier solve does not split across domains.
     @raise Invalid_argument if the query is outside the aggregate's
     tractability frontier (use {!Solver.shapley_all} for fallbacks). *)
-
-val map :
-  ?jobs:int ->
-  ('a -> 'b) ->
-  'a list ->
-  ('a * 'b) list
-(** Domain-parallel tagged map with deterministic ordering — the
-    building block {!Solver} uses to fan Monte-Carlo sampling across
-    cores. *)

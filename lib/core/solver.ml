@@ -35,13 +35,6 @@ let make_report (a : Agg_query.t) algorithm =
   let front = frontier a.alpha in
   { cls; frontier = front; within_frontier = Hierarchy.cls_leq cls front; algorithm }
 
-(* All dispatch goes through the solve planner ({!Strategy}): it owns
-   the route enumeration, the cost model, the algorithm names and the
-   degradation ladder; this module only executes the routes. *)
-let report ?fallback ?stats ?kc_node_budget (a : Agg_query.t) =
-  let p = Strategy.plan ?stats ?kc_node_budget ?fallback a in
-  make_report a p.Strategy.algorithm
-
 let frontier_error (a : Agg_query.t) =
   invalid_arg
     (Printf.sprintf
@@ -50,7 +43,10 @@ let frontier_error (a : Agg_query.t) =
        (Hierarchy.cls_to_string (frontier a.alpha))
        (Aggregate.to_string a.alpha))
 
-(* The plan of one solve. Permutation sampling estimates Shapley values
+(* The plan of one solve. All dispatch goes through the solve planner
+   ({!Strategy}): it owns the route enumeration, the cost model, the
+   algorithm names and the degradation ladder; this module only
+   executes the routes. Permutation sampling estimates Shapley values
    only, so a Banzhaf request the plan would answer by sampling is
    refused here, before any work. *)
 let plan ~score ?fallback ?kc_node_budget (a : Agg_query.t) db =
@@ -136,11 +132,9 @@ let shapley_all ?(score = Score.Shapley) ?fallback ?mc_seed ?jobs ?kc_node_budge
       Array.to_list (Array.mapi (fun i f -> (f, Exact values.(i))) players)
     | Strategy.Monte_carlo _ as route ->
       let indexed = List.mapi (fun i f -> (i, f)) (Database.endogenous db) in
-      Batch.map ?jobs
+      Pool.map ?jobs
         (fun (i, f) ->
-          run_route ?mc_seed:(per_fact_seed mc_seed i) ?kc_node_budget ~score a
-            db f route)
+          (f, run_route ?mc_seed:(per_fact_seed mc_seed i) ?kc_node_budget ~score a db f route))
         indexed
-      |> List.map (fun ((_, f), o) -> (f, o))
   in
   run_ladder p a run_batch

@@ -46,21 +46,6 @@ val within_frontier : Aggshap_agg.Aggregate.t -> Aggshap_cq.Cq.t -> bool
 (** Is the Shapley value polynomial-time for this aggregate and CQ (for
     every localized τ)? *)
 
-val report :
-  ?fallback:Strategy.fallback ->
-  ?stats:Strategy.db_stats ->
-  ?kc_node_budget:int ->
-  Aggshap_agg.Agg_query.t ->
-  report
-(** The report {!shapley} and {!shapley_all} would attach, without
-    solving anything: classification of the query, frontier of the
-    aggregate, and the name of the algorithm the planner would choose
-    (the frontier algorithm inside, the [fallback]'s route outside;
-    default [`Naive]). [stats] feeds the planner's cost model — without
-    it [`Auto] picks by applicability alone. The algorithm vocabulary
-    lives in {!Strategy.route_name}; [shapctl explain] prints exactly
-    this. *)
-
 val shapley :
   ?score:Aggshap_arith.Score.t ->
   ?fallback:Strategy.fallback ->

@@ -1,12 +1,14 @@
-(* The differential-testing oracle itself: the fixed-seed corpus must
-   replay clean, the shrinker must produce runnable minimal reproducers,
-   and a deliberately injected DP fault must be caught. *)
+(* The differential-testing oracle itself: the fixed-seed corpora must
+   replay clean, the shrinkers must produce runnable minimal
+   reproducers, and every deliberately injected fault must be caught. *)
 
-module Q = Aggshap_arith.Rational
 module Database = Aggshap_relational.Database
+module Fact = Aggshap_relational.Fact
 module Fault = Aggshap_arith.Fault
 module Cq = Aggshap_cq.Cq
-module Check = Aggshap_check
+module Agg_query = Aggshap_agg.Agg_query
+module Solver = Aggshap_core.Solver
+module Lineage = Aggshap_lineage.Lineage
 module Trial = Aggshap_check.Trial
 module Oracle = Aggshap_check.Oracle
 module Shrink = Aggshap_check.Shrink
@@ -19,6 +21,17 @@ let read_file path =
   let s = really_input_string ic n in
   close_in ic;
   s
+
+(* Arm [fault] for the duration of [f]. The oracle must then run with
+   [~par_jobs:1], in the calling domain. *)
+let with_fault fault f =
+  assert (!Fault.current = `None);
+  Fault.current := fault;
+  Fun.protect ~finally:(fun () -> Fault.current := `None) f
+
+(* The campaigns of the fault tests: master seed 42, small trials, stop
+   at the first failure. *)
+let config trials = { Fuzz.seed = 42; trials; max_endo = 6; par_jobs = 1; max_failures = 1 }
 
 let corpus = lazy (Fuzz.parse_corpus (read_file "fuzz.corpus"))
 
@@ -63,48 +76,6 @@ let test_reproducer_script_shape () =
         true (contains script needle))
     [ "shapctl solve"; "repro.facts"; "-a "; "-t " ]
 
-(* A deliberately injected off-by-one in the DP combine step must be
-   caught by the oracle and shrunk to a still-failing 1-minimal
-   reproducer. par_jobs:1 keeps everything in this domain while the
-   fault flag is set. *)
-let test_injected_fault_is_caught () =
-  assert (!Fault.current = `None);
-  Fault.current := `Convolve_off_by_one;
-  Fun.protect
-    ~finally:(fun () -> Fault.current := `None)
-    (fun () ->
-      let config =
-        { Fuzz.seed = 42; trials = 100; max_endo = 6; par_jobs = 1; max_failures = 1; kc_always = false;
-          auto_always = false }
-      in
-      let report = Fuzz.run config in
-      match report.Fuzz.failures with
-      | [] -> Alcotest.fail "injected off-by-one survived 100 trials undetected"
-      | { Fuzz.trial; shrunk; shrunk_failure; _ } :: _ ->
-        (* The shrunk reproducer still fails, is no bigger than the
-           original, and prints as a runnable script. *)
-        Alcotest.(check bool) "shrunk still fails" true
-          (Oracle.run ~par_jobs:1 shrunk <> None);
-        Alcotest.(check bool) "shrunk is no bigger" true
-          (Database.size shrunk.Trial.db <= Database.size trial.Trial.db
-          && List.length shrunk.Trial.query.Cq.body
-             <= List.length trial.Trial.query.Cq.body);
-        Alcotest.(check bool) "reproducer script is printable" true
-          (String.length (Trial.to_script shrunk) > 0);
-        (* 1-minimality: removing any remaining fact makes the failure
-           disappear or the shrinker would have removed it. *)
-        List.iter
-          (fun fact ->
-            let smaller =
-              { shrunk with Trial.db = Database.remove fact shrunk.Trial.db }
-            in
-            Alcotest.(check bool)
-              ("removing " ^ Aggshap_relational.Fact.to_string fact ^ " un-fails")
-              true
-              (Oracle.run ~par_jobs:1 smaller = None))
-          (Database.facts shrunk.Trial.db);
-        ignore shrunk_failure)
-
 (* ------------------------------------------------------------------ *)
 (* knowledge-compilation tier                                          *)
 (* ------------------------------------------------------------------ *)
@@ -122,12 +93,9 @@ let test_lineage_corpus_parses () =
    the Shannon d-DNNF compiler, and the WMC-to-Shapley pipeline against
    naive enumeration to the last bit. *)
 let test_lineage_corpus_replays_clean () =
-  let module Solver = Aggshap_core.Solver in
-  let module Lineage = Aggshap_lineage.Lineage in
-  let module Agg_query = Aggshap_agg.Agg_query in
   List.iter
     (fun seed ->
-      let trial, outcome = Fuzz.run_one ~kc_always:true ~seed () in
+      let trial, outcome = Fuzz.run_one ~seed () in
       let a = Trial.agg_query trial in
       Alcotest.(check bool) "trial is outside the frontier" false
         (Solver.within_frontier a.Agg_query.alpha a.Agg_query.query);
@@ -140,91 +108,34 @@ let test_lineage_corpus_replays_clean () =
           (Oracle.failure_to_string failure))
     (Lazy.force lineage_corpus)
 
-(* `Ddnnf_cache_poison makes the Shannon compiler's formula-keyed cache
-   store (and serve) a decision node with its children swapped. The
-   kc-vs-naive differential check must catch it and shrink to a
-   1-minimal reproducer; kc_always drives the lineage pipeline on every
-   supported trial, inside the frontier included. *)
-let test_ddnnf_cache_poison_is_caught () =
-  assert (!Fault.current = `None);
-  Fault.current := `Ddnnf_cache_poison;
-  Fun.protect
-    ~finally:(fun () -> Fault.current := `None)
-    (fun () ->
-      let config =
-        { Fuzz.seed = 42; trials = 300; max_endo = 6; par_jobs = 1; max_failures = 1;
-          kc_always = true; auto_always = false }
+(* kc-vs-naive runs inside the frontier too, where the solver would
+   pick the polynomial DP and the oracle drives the lineage pipeline
+   directly: with the compile cache poisoned (`Ddnnf_cache_poison
+   stores and serves a decision node with its children swapped), the
+   default oracle must fail some hierarchical trial whose aggregate the
+   lineage tier supports, and fail it under kc-vs-naive. *)
+let test_kc_checked_inside_frontier () =
+  with_fault `Ddnnf_cache_poison (fun () ->
+      let rec hunt i =
+        if i >= 200 then
+          Alcotest.fail "no in-frontier kc-vs-naive disagreement in 200 trials"
+        else begin
+          let trial = Trial.generate ~seed:(Fuzz.trial_seed ~master:42 i) () in
+          let a = Trial.agg_query trial in
+          let caught () =
+            match Oracle.run ~par_jobs:1 trial with
+            | Some { Oracle.check = "kc-vs-naive"; _ } -> true
+            | _ -> false
+          in
+          if
+            not
+              (Solver.within_frontier a.Agg_query.alpha a.Agg_query.query
+              && Lineage.supports a.Agg_query.alpha
+              && caught ())
+          then hunt (i + 1)
+        end
       in
-      let report = Fuzz.run config in
-      match report.Fuzz.failures with
-      | [] -> Alcotest.fail "injected cache poison survived 300 trials undetected"
-      | { Fuzz.trial; shrunk; shrunk_failure; _ } :: _ ->
-        Alcotest.(check string) "caught by the kc differential check" "kc-vs-naive"
-          shrunk_failure.Oracle.check;
-        Alcotest.(check bool) "shrunk still fails" true
-          (Oracle.run ~par_jobs:1 ~kc_always:true shrunk <> None);
-        Alcotest.(check bool) "shrunk is no bigger" true
-          (Database.size shrunk.Trial.db <= Database.size trial.Trial.db);
-        Alcotest.(check bool) "reproducer script is printable" true
-          (String.length (Trial.to_script shrunk) > 0);
-        (* 1-minimality: removing any remaining fact makes the failure
-           disappear, or the shrinker would have removed it. *)
-        List.iter
-          (fun fact ->
-            let smaller =
-              { shrunk with Trial.db = Database.remove fact shrunk.Trial.db }
-            in
-            Alcotest.(check bool)
-              ("removing " ^ Aggshap_relational.Fact.to_string fact ^ " un-fails")
-              true
-              (Oracle.run ~par_jobs:1 ~kc_always:true smaller = None))
-          (Database.facts shrunk.Trial.db))
-
-(* `Kc_budget_leak breaks the node-budget abort path: instead of
-   raising Budget_exceeded past the cap, the compiler silently truncates
-   further expansion to False — under-counted models, wrong Shapley
-   values. The kc-vs-naive differential check must catch it and shrink
-   to a 1-minimal reproducer. *)
-let test_kc_budget_leak_is_caught () =
-  assert (!Fault.current = `None);
-  Fault.current := `Kc_budget_leak;
-  Fun.protect
-    ~finally:(fun () -> Fault.current := `None)
-    (fun () ->
-      let config =
-        { Fuzz.seed = 42; trials = 300; max_endo = 6; par_jobs = 1; max_failures = 1;
-          kc_always = true; auto_always = false }
-      in
-      let report = Fuzz.run config in
-      match report.Fuzz.failures with
-      | [] -> Alcotest.fail "injected budget leak survived 300 trials undetected"
-      | { Fuzz.trial; shrunk; shrunk_failure; _ } :: _ ->
-        Alcotest.(check string) "caught by the kc differential check" "kc-vs-naive"
-          shrunk_failure.Oracle.check;
-        Alcotest.(check bool) "shrunk still fails" true
-          (Oracle.run ~par_jobs:1 ~kc_always:true shrunk <> None);
-        Alcotest.(check bool) "shrunk is no bigger" true
-          (Database.size shrunk.Trial.db <= Database.size trial.Trial.db);
-        List.iter
-          (fun fact ->
-            let smaller =
-              { shrunk with Trial.db = Database.remove fact shrunk.Trial.db }
-            in
-            Alcotest.(check bool)
-              ("removing " ^ Aggshap_relational.Fact.to_string fact ^ " un-fails")
-              true
-              (Oracle.run ~par_jobs:1 ~kc_always:true smaller = None))
-          (Database.facts shrunk.Trial.db))
-
-(* With the fault cleared, the same campaign is clean: the flag was the
-   only source of the kc-vs-naive disagreements. *)
-let test_ddnnf_fault_flag_is_isolated () =
-  let config =
-    { Fuzz.seed = 42; trials = 20; max_endo = 6; par_jobs = 1; max_failures = 1;
-      kc_always = true; auto_always = false }
-  in
-  let report = Fuzz.run config in
-  Alcotest.(check int) "clean without the fault" 0 (List.length report.Fuzz.failures)
+      hunt 0)
 
 (* ------------------------------------------------------------------ *)
 (* update sequences                                                    *)
@@ -258,6 +169,90 @@ let test_utrial_generation_deterministic () =
   Alcotest.(check bool) "generated trials are wellformed" true (Utrial.wellformed t1);
   Alcotest.(check string) "same script" (Utrial.to_script t1) (Utrial.to_script t2)
 
+(* ------------------------------------------------------------------ *)
+(* fault injection                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* A fuzz campaign as the fault tests see it: how to run it, re-check a
+   trial, measure it (no size may grow under shrinking), print it, and
+   list its single removals, each of which must make a shrunk failure
+   disappear. *)
+type 't campaign = {
+  run : Fuzz.config -> 't Fuzz.report;
+  check : 't -> Oracle.failure option;
+  sizes : 't -> int list;
+  script : 't -> string;
+  removals : 't -> (string * 't) list;
+}
+
+let batch =
+  { run = Fuzz.run;
+    check = Oracle.run ~par_jobs:1;
+    sizes = (fun t -> [ Database.size t.Trial.db; List.length t.Trial.query.Cq.body ]);
+    script = Trial.to_script;
+    removals =
+      (fun t ->
+        List.map
+          (fun fact ->
+            ("removing " ^ Fact.to_string fact, { t with Trial.db = Database.remove fact t.Trial.db }))
+          (Database.facts t.Trial.db)) }
+
+(* Only removals that keep the script wellformed count: a delete aimed
+   at a fact the removal dropped would fail for the wrong reason. *)
+let updates =
+  { run = Fuzz.run_updates;
+    check = Oracle.run_updates;
+    sizes =
+      (fun u -> [ List.length u.Utrial.ops; Database.size u.Utrial.trial.Trial.db ]);
+    script = Utrial.to_script;
+    removals =
+      (fun u ->
+        List.filter_map
+          (fun j ->
+            let ops = List.filteri (fun k _ -> k <> j) u.Utrial.ops in
+            let smaller = { u with Utrial.ops } in
+            if Utrial.wellformed smaller then Some (Printf.sprintf "dropping op %d" j, smaller)
+            else None)
+          (List.init (List.length u.Utrial.ops) Fun.id)) }
+
+(* The shrunk reproducer still fails, is no bigger than the original,
+   prints as a script, and is 1-minimal: every single removal makes the
+   failure disappear, or the shrinker would have taken it. *)
+let check_shrunk c ~trial ~shrunk =
+  Alcotest.(check bool) "shrunk still fails" true (c.check shrunk <> None);
+  Alcotest.(check bool) "shrunk is no bigger" true
+    (List.for_all2 ( <= ) (c.sizes shrunk) (c.sizes trial));
+  Alcotest.(check bool) "reproducer script is printable" true
+    (String.length (c.script shrunk) > 0);
+  List.iter
+    (fun (what, smaller) ->
+      Alcotest.(check bool) (what ^ " un-fails") true (c.check smaller = None))
+    (c.removals shrunk)
+
+(* Every armed fault must be caught by the campaign's default oracle
+   within [trials] trials, under the check named by [by] when given, and
+   shrink to a 1-minimal reproducer. The kernel faults — a mis-paired
+   sibling in the balanced convolution tree, a Karatsuba split that
+   loses a cross term once both operands are large enough, an
+   off-by-one convolution — are caught by the update campaign too,
+   because its reference is naive enumeration and not a batch solve
+   running the same faulty kernels. `Stale_index (a forgotten index
+   invalidation) shows only through probes of a database updated after
+   a probe built an index, which the update campaign's sessions do on
+   every step. The two compiler faults reach only the
+   knowledge-compilation tier: `Ddnnf_cache_poison swaps a cached
+   decision's children, and `Kc_budget_leak truncates expansion to
+   False past a small node count instead of aborting. *)
+let test_fault_is_caught ?by c fault trials () =
+  with_fault fault (fun () ->
+      match (c.run (config trials)).Fuzz.failures with
+      | [] -> Alcotest.failf "injected fault survived %d trials undetected" trials
+      | { Fuzz.trial; shrunk; shrunk_failure; _ } :: _ ->
+        Option.iter
+          (fun by -> Alcotest.(check string) "caught by" by shrunk_failure.Oracle.check)
+          by;
+        check_shrunk c ~trial ~shrunk)
+
 (* `Stale_block makes the session skip one cache invalidation per
    update: the Linear engine (Sum/Count) leaves one membership game
    clean that an insert or delete touched, so the session serves its
@@ -269,115 +264,26 @@ let test_utrial_generation_deterministic () =
    shrunk" case below); the directed hunt asserts the disagreement is
    value-level and shrinks to a 1-minimal op script. *)
 let test_stale_block_value_level () =
-  assert (!Fault.current = `None);
-  Fault.current := `Stale_block;
-  Fun.protect
-    ~finally:(fun () -> Fault.current := `None)
-    (fun () ->
-      let found = ref None in
-      let i = ref 0 in
-      while !found = None && !i < 200 do
-        let seed = Fuzz.trial_seed ~master:42 !i in
-        let ut, outcome = Fuzz.run_updates_one ~seed () in
-        (match outcome with
-         | Some f when f.Oracle.check <> "exception" -> found := Some (ut, f)
-         | _ -> ());
-        incr i
-      done;
-      match !found with
-      | None -> Alcotest.fail "no value-level stale disagreement in 200 update trials"
-      | Some (ut, f) ->
-        let shrunk, shrunk_failure = Shrink.minimize_updates Oracle.run_updates ut f in
-        Alcotest.(check bool) "shrunk failure is a value disagreement" true
-          (shrunk_failure.Oracle.check <> "exception");
-        (* 1-minimality over the op script: dropping any remaining op
-           (that keeps the trial wellformed) makes the failure vanish. *)
-        List.iteri
-          (fun j _ ->
-            let ops = List.filteri (fun k _ -> k <> j) shrunk.Utrial.ops in
-            let smaller = { shrunk with Utrial.ops } in
-            if Utrial.wellformed smaller then
-              Alcotest.(check bool)
-                (Printf.sprintf "dropping op %d un-fails" j)
-                true
-                (Oracle.run_updates smaller = None))
-          shrunk.Utrial.ops)
-
-let test_stale_block_flag_is_isolated () =
-  let config =
-    { Fuzz.seed = 42; trials = 20; max_endo = 6; par_jobs = 1; max_failures = 1; kc_always = false;
-          auto_always = false }
-  in
-  let report = Fuzz.run_updates config in
-  Alcotest.(check int) "clean without the fault" 0 (List.length report.Fuzz.ufailures)
-
-(* A fuzz campaign as the fault tests see it: run it and, for its first
-   failure, report whether the shrunk trial still fails, whether it is
-   no bigger than the original, and its reproducer script. *)
-type caught = {
-  still_fails : bool;
-  no_bigger : bool;
-  script : string;
-}
-
-let batch_campaign config =
-  match (Fuzz.run config).Fuzz.failures with
-  | [] -> None
-  | { Fuzz.trial; shrunk; _ } :: _ ->
-    Some
-      { still_fails = Oracle.run ~par_jobs:1 shrunk <> None;
-        no_bigger = Database.size shrunk.Trial.db <= Database.size trial.Trial.db;
-        script = Trial.to_script shrunk }
-
-let update_campaign config =
-  match (Fuzz.run_updates config).Fuzz.ufailures with
-  | [] -> None
-  | { Fuzz.utrial; ushrunk; _ } :: _ ->
-    Some
-      { still_fails = Oracle.run_updates ushrunk <> None;
-        no_bigger =
-          List.length ushrunk.Utrial.ops <= List.length utrial.Utrial.ops
-          && Database.size ushrunk.Utrial.trial.Trial.db
-             <= Database.size utrial.Utrial.trial.Trial.db;
-        script = Utrial.to_script ushrunk }
-
-(* Every armed fault must be caught by the campaign's oracle within
-   [trials] trials and shrink to a still-failing reproducer. The kernel
-   faults — a mis-paired sibling in the balanced convolution tree, a
-   Karatsuba split that loses a cross term once both operands are large
-   enough, an off-by-one convolution — are caught by the update
-   campaign too, because its reference is naive enumeration and not a
-   batch solve running the same faulty kernels. `Stale_index (a
-   forgotten index invalidation) shows only through probes of a
-   database updated after a probe built an index, which the update
-   campaign's sessions do on every step. *)
-let test_kernel_fault_is_caught campaign fault trials () =
-  assert (!Fault.current = `None);
-  Fault.current := fault;
-  Fun.protect
-    ~finally:(fun () -> Fault.current := `None)
-    (fun () ->
-      let config =
-        { Fuzz.seed = 42; trials; max_endo = 6; par_jobs = 1; max_failures = 1; kc_always = false;
-          auto_always = false }
+  with_fault `Stale_block (fun () ->
+      let rec hunt i =
+        if i >= 200 then
+          Alcotest.fail "no value-level stale disagreement in 200 update trials"
+        else
+          match Fuzz.run_updates_one ~seed:(Fuzz.trial_seed ~master:42 i) () with
+          | ut, Some f when f.Oracle.check <> "exception" -> (ut, f)
+          | _ -> hunt (i + 1)
       in
-      match campaign config with
-      | None -> Alcotest.failf "injected fault survived %d trials undetected" trials
-      | Some { still_fails; no_bigger; script } ->
-        Alcotest.(check bool) "shrunk still fails" true still_fails;
-        Alcotest.(check bool) "shrunk is no bigger" true no_bigger;
-        Alcotest.(check bool) "reproducer script is printable" true
-          (String.length script > 0))
+      let ut, f = hunt 0 in
+      let shrunk, shrunk_failure = Shrink.minimize_updates Oracle.run_updates ut f in
+      Alcotest.(check bool) "shrunk failure is a value disagreement" true
+        (shrunk_failure.Oracle.check <> "exception");
+      check_shrunk updates ~trial:ut ~shrunk)
 
-(* With the fault cleared again, the very trials that exposed it pass:
-   the flag really was the only source of the disagreements. *)
-let test_fault_flag_is_isolated () =
-  let config =
-    { Fuzz.seed = 42; trials = 20; max_endo = 6; par_jobs = 1; max_failures = 1; kc_always = false;
-          auto_always = false }
-  in
-  let report = Fuzz.run config in
-  Alcotest.(check int) "clean without the fault" 0 (List.length report.Fuzz.failures)
+(* With the faults cleared again, the very trials that exposed them
+   pass: the flags really were the only source of the disagreements. *)
+let test_fault_flag_is_isolated c () =
+  Alcotest.(check int) "clean without the fault" 0
+    (List.length (c.run (config 20)).Fuzz.failures)
 
 let () =
   Alcotest.run "check"
@@ -396,11 +302,13 @@ let () =
           Alcotest.test_case "lineage corpus replays clean" `Slow
             test_lineage_corpus_replays_clean;
           Alcotest.test_case "ddnnf cache-poison caught and shrunk" `Slow
-            test_ddnnf_cache_poison_is_caught;
+            (test_fault_is_caught ~by:"kc-vs-naive" batch `Ddnnf_cache_poison 300);
           Alcotest.test_case "kc budget-leak caught and shrunk" `Slow
-            test_kc_budget_leak_is_caught;
+            (test_fault_is_caught ~by:"kc-vs-naive" batch `Kc_budget_leak 300);
+          Alcotest.test_case "kc checked inside the frontier" `Slow
+            test_kc_checked_inside_frontier;
           Alcotest.test_case "ddnnf fault flag isolated" `Quick
-            test_ddnnf_fault_flag_is_isolated;
+            (test_fault_flag_is_isolated batch);
         ] );
       ( "update sequences",
         [ Alcotest.test_case "corpus parses" `Quick test_ucorpus_parses;
@@ -408,31 +316,31 @@ let () =
           Alcotest.test_case "generation deterministic" `Quick
             test_utrial_generation_deterministic;
           Alcotest.test_case "stale-block caught and shrunk" `Slow
-            (test_kernel_fault_is_caught update_campaign `Stale_block 100);
+            (test_fault_is_caught updates `Stale_block 100);
           Alcotest.test_case "stale-block value-level disagreement" `Slow
             test_stale_block_value_level;
           Alcotest.test_case "stale-block flag isolated" `Quick
-            test_stale_block_flag_is_isolated;
+            (test_fault_flag_is_isolated updates);
           Alcotest.test_case "stale-index caught and shrunk" `Slow
-            (test_kernel_fault_is_caught update_campaign `Stale_index 300);
+            (test_fault_is_caught updates `Stale_index 300);
           Alcotest.test_case "off-by-one caught and shrunk" `Slow
-            (test_kernel_fault_is_caught update_campaign `Convolve_off_by_one 300);
+            (test_fault_is_caught updates `Convolve_off_by_one 300);
           Alcotest.test_case "tree-fold skew caught and shrunk" `Slow
-            (test_kernel_fault_is_caught update_campaign `Tree_fold_skew 300);
+            (test_fault_is_caught updates `Tree_fold_skew 300);
           Alcotest.test_case "karatsuba split caught and shrunk" `Slow
-            (test_kernel_fault_is_caught update_campaign `Karatsuba_split 300);
+            (test_fault_is_caught updates `Karatsuba_split 300);
         ] );
       ( "fault injection",
         [ Alcotest.test_case "off-by-one caught and shrunk" `Slow
-            test_injected_fault_is_caught;
+            (test_fault_is_caught batch `Convolve_off_by_one 100);
           Alcotest.test_case "tree-fold skew caught and shrunk" `Slow
-            (test_kernel_fault_is_caught batch_campaign `Tree_fold_skew 300);
+            (test_fault_is_caught batch `Tree_fold_skew 300);
           Alcotest.test_case "karatsuba split caught and shrunk" `Slow
-            (test_kernel_fault_is_caught batch_campaign `Karatsuba_split 300);
+            (test_fault_is_caught batch `Karatsuba_split 300);
           Alcotest.test_case "engine block-drop caught and shrunk" `Slow
-            (test_kernel_fault_is_caught batch_campaign `Block_drop 300);
+            (test_fault_is_caught batch `Block_drop 300);
           Alcotest.test_case "storage stale-index caught and shrunk" `Slow
-            (test_kernel_fault_is_caught batch_campaign `Stale_index 300);
-          Alcotest.test_case "fault flag isolated" `Quick test_fault_flag_is_isolated;
+            (test_fault_is_caught batch `Stale_index 300);
+          Alcotest.test_case "fault flag isolated" `Quick (test_fault_flag_is_isolated batch);
         ] );
     ]
